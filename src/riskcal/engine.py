@@ -66,7 +66,7 @@ def update_theta(state: CalibratorState, loss: float,
     Rejects losses outside [-B, B]; every guarantee depends on the bound, so
     a violation means the loss was misconfigured, not that the data is odd.
     """
-    if loss < -spec.B or loss > spec.B:
+    if not (-spec.B <= loss <= spec.B):
         raise ValueError(
             f"loss {loss} outside declared bound [-{spec.B}, {spec.B}]")
     return CalibratorState(
@@ -240,7 +240,7 @@ def run_stream(stream, model, constructor, loss_fn, spec: RiskSpec,
             y, group = revealed, -1
 
         loss = loss_fn(y, pred_set)
-        if loss < -B or loss > B:
+        if not (-B <= loss <= B):
             raise ValueError(
                 f"loss {loss} outside declared bound [-{B}, {B}] at step {t + 1}")
 

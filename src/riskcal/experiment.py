@@ -128,23 +128,25 @@ def validate_config(cfg: dict) -> None:
                  "single controller takes exactly one loss")
         try:
             _single_spec(cfg)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError("controller", str(exc)) from exc
     elif kind == "multi":
         try:
             _multi_spec(cfg)
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError("controller", str(exc)) from exc
     else:  # baseline_aci
         _require(len(loss_list) == 1 and loss_list[0]["kind"] == "binary",
                  "losses", "the baseline controls the binary loss only")
         gamma = controller.get("gamma", 0.05)
-        _require(gamma > 0, "controller.gamma", "must be > 0")
+        _require(isinstance(gamma, (int, float)) and gamma > 0,
+                 "controller.gamma", "must be a number > 0")
         window = controller.get("window", 500)
         _require(isinstance(window, int) and window >= 1, "controller.window",
                  "must be an integer >= 1")
         alpha = controller.get("alpha", loss_list[0]["r"])
-        _require(0 < alpha < 1, "controller.alpha", "must be in (0, 1)")
+        _require(isinstance(alpha, (int, float)) and 0 < alpha < 1,
+                 "controller.alpha", "must be a number in (0, 1)")
 
 
 def _single_spec(cfg: dict) -> engine.RiskSpec:

@@ -41,6 +41,16 @@ class LinearPinballModel:
     One independent weight vector per tracked quantile level; no crossing
     penalty (crossings are normalized away downstream). ``n_sgd_steps``
     controls how many subgradient steps each arrival triggers.
+
+    Each step builds its features once, in a preallocated buffer whose
+    intercept slot stays 1.0, and computes each level's dot product once:
+    the first ``predict`` at an ``x`` evaluates every tracked level, and
+    later ``predict`` calls and the next ``update`` at the same values of
+    ``x`` reuse the results. The cache is keyed on the bytes of ``x``, not
+    on its identity, so ``predict`` is a pure function of the weights and
+    the values of ``x``, even when a caller reuses and mutates one input
+    buffer. ``update`` clears the cache; the weights must change only
+    through ``update``. ``x`` must hold exactly ``n_features`` values.
     """
 
     def __init__(self, n_features: int, taus=(0.05, 0.95), lr: float = 0.1,
@@ -58,29 +68,58 @@ class LinearPinballModel:
         self.lr = lr
         self.fit_intercept = fit_intercept
         self.n_sgd_steps = n_sgd_steps
+        self.n_features = n_features
         dim = n_features + (1 if fit_intercept else 0)
         self.weights = {t: np.zeros(dim) for t in self.taus}
+        self._feats = np.ones(dim)
+        self._step = np.empty(dim)
+        self._key = None
+        self._dots = {}
 
-    def _features(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.fit_intercept:
-            return np.concatenate([x, [1.0]])
-        return x
+    def _load(self, x) -> dict:
+        """Dot product of every tracked level's weights with the features of
+        ``x``, cached per value of ``x`` until the next update."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1 or x.size != self.n_features:
+            raise ValueError(
+                f"expected {self.n_features} features, got shape {x.shape}")
+        key = x.tobytes()
+        if key != self._key:
+            feats = self._feats
+            feats[:self.n_features] = x
+            self._dots = {t: float(w.dot(feats))
+                          for t, w in self.weights.items()}
+            self._key = key
+        return self._dots
 
     def predict(self, x, tau: float) -> float:
-        w = self.weights.get(float(tau))
-        if w is None:
-            raise ValueError(f"tau {tau} is not tracked; tracked: {self.taus}")
-        return float(w @ self._features(x))
+        dots = self._load(x)
+        try:
+            return dots[float(tau)]
+        except KeyError:
+            raise ValueError(
+                f"tau {tau} is not tracked; tracked: {self.taus}") from None
 
     def update(self, x, y: float) -> None:
-        feats = self._features(x)
-        if not np.isfinite(feats).all() or not math.isfinite(y):
+        dots = self._load(x)
+        feats = self._feats
+        # A non-finite feature makes every dot product non-finite, so one
+        # finite dot product proves the features finite; a dot product that
+        # overflowed falls back to checking the features themselves.
+        first = next(iter(dots.values()))
+        if not math.isfinite(y) or not (math.isfinite(first)
+                                        or np.isfinite(feats).all()):
             raise ValueError("non-finite input to model update")
+        self._key = None
+        step = self._step
         for tau, w in self.weights.items():
-            for _ in range(self.n_sgd_steps):
-                g = pinball_grad(y, float(w @ feats), tau)
-                w -= self.lr * g * feats
+            yhat = dots[tau]
+            for k in range(self.n_sgd_steps):
+                if k:
+                    yhat = float(w.dot(feats))
+                np.multiply(feats, self.lr * pinball_grad(y, yhat, tau),
+                            out=step)
+                w -= step
 
 
 class OracleModel:

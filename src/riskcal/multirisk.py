@@ -79,7 +79,7 @@ def update_vector(theta: np.ndarray, losses, spec: MultiRiskSpec) -> np.ndarray:
             f"expected {spec.k} coordinates, got theta {theta.shape}, "
             f"losses {losses.shape}")
     B = np.asarray(spec.B)
-    if np.any(losses < -B) or np.any(losses > B):
+    if not np.all((-B <= losses) & (losses <= B)):
         raise ValueError(f"loss vector {losses} escapes declared bounds {spec.B}")
     return theta + np.asarray(spec.gamma) * (losses - np.asarray(spec.r))
 
@@ -145,6 +145,7 @@ def run_multi_stream(stream, model, constructor, loss_fns, spec: MultiRiskSpec,
     m_arr = np.asarray(spec.m)
     M_arr = np.asarray(spec.M)
     B_arr = np.asarray(spec.B)
+    neg_B_arr = -B_arr
     gamma_arr = np.asarray(spec.gamma)
     r_arr = np.asarray(spec.r)
 
@@ -174,7 +175,7 @@ def run_multi_stream(stream, model, constructor, loss_fns, spec: MultiRiskSpec,
             pred_set = constructor.build(x, adj, model)
 
         l_vec = np.array([fn(y, pred_set) for fn in loss_fns], dtype=float)
-        if np.any(l_vec < -B_arr) or np.any(l_vec > B_arr):
+        if not np.all((neg_B_arr <= l_vec) & (l_vec <= B_arr)):
             raise ValueError(
                 f"loss vector {l_vec} outside declared bounds at step {t + 1}")
 

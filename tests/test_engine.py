@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,9 @@ class TestUpdateTheta:
             update_theta(CalibratorState(0.0), 1.5, spec)
         with pytest.raises(ValueError):
             update_theta(CalibratorState(0.0), -1.5, spec)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                update_theta(CalibratorState(0.0), bad, spec)
 
     def test_affine_in_loss(self):
         rng = np.random.default_rng(0)
@@ -248,6 +253,29 @@ class TestRunStream:
         with pytest.raises(ValueError):
             run_stream(_iid_stream(0, 10), ConstantModel({0.05: 2, 0.95: 4}),
                        CqrConstructor(), BadLoss(), _spec())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loss_aborts_at_its_step(self, bad):
+        # NaN fails every ordered comparison, so a check phrased as
+        # "loss < -B or loss > B" would let it through into theta
+        class LateBadLoss:
+            bound = 1.0
+            full_space_loss = 0.0
+            empty_set_loss_min = 1.0
+
+            def __init__(self):
+                self.calls = 0
+
+            def __call__(self, y, s):
+                self.calls += 1
+                return bad if self.calls == 3 else 0.0
+
+            def reset(self):
+                pass
+
+        with pytest.raises(ValueError, match="at step 3"):
+            run_stream(_iid_stream(0, 10), ConstantModel({0.05: 2, 0.95: 4}),
+                       CqrConstructor(), LateBadLoss(), _spec())
 
 
 class TestLossContractFlag:

@@ -334,6 +334,19 @@ class TestCli:
         assert cli_main(["run", path]) == 2
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [None, [[0.05]], {"v": 0.05}])
+    @pytest.mark.parametrize("kind,field", [
+        ("single", "gamma"), ("multi", "gamma"), ("baseline_aci", "gamma"),
+        ("baseline_aci", "alpha")])
+    def test_mistyped_controller_field_is_a_config_error(
+            self, tmp_path, capsys, kind, field, value):
+        cfg = base_config(trials=1, steps=300)
+        cfg["controller"] = {"kind": kind, field: value}
+        path = self._write_cfg(tmp_path, cfg)
+        assert cli_main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "controller" in err
+
     def test_sweep_command(self, tmp_path, capsys):
         cfg = base_config(trials=1, steps=400, val_window=[101, 300])
         path = self._write_cfg(tmp_path, cfg)

@@ -86,6 +86,163 @@ class TestLinearPinballModel:
         np.testing.assert_allclose(m1.weights[0.5], m3.weights[0.5])
 
 
+class _FrozenPinballModel:
+    """The linear pinball model's formulas before its feature buffer and
+    dot-product cache: features rebuilt on every call, one ``w @ f`` per
+    predict and per subgradient step."""
+
+    def __init__(self, n_features, taus, lr, fit_intercept, n_sgd_steps):
+        self.lr = lr
+        self.fit_intercept = fit_intercept
+        self.n_sgd_steps = n_sgd_steps
+        dim = n_features + (1 if fit_intercept else 0)
+        self.weights = {float(t): np.zeros(dim) for t in taus}
+
+    def _features(self, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if self.fit_intercept:
+            return np.concatenate([x, [1.0]])
+        return x
+
+    def predict(self, x, tau):
+        return float(self.weights[float(tau)] @ self._features(x))
+
+    def update(self, x, y):
+        feats = self._features(x)
+        for tau, w in self.weights.items():
+            for _ in range(self.n_sgd_steps):
+                g = pinball_grad(y, float(w @ feats), tau)
+                w -= self.lr * g * feats
+
+
+_TAU_SETS = {1: (0.5,), 2: (0.05, 0.95), 3: (0.1, 0.5, 0.9)}
+
+
+class TestLinearPinballBitEquivalence:
+    """The cached model must reproduce the frozen formulas bit for bit:
+    exported traces and the benchmark digests depend on it."""
+
+    @staticmethod
+    def _pair(n_features, n_taus, fit_intercept, n_sgd_steps, lr=0.7):
+        taus = _TAU_SETS[n_taus]
+        new = LinearPinballModel(n_features, taus, lr=lr,
+                                 fit_intercept=fit_intercept,
+                                 n_sgd_steps=n_sgd_steps)
+        old = _FrozenPinballModel(n_features, taus, lr, fit_intercept,
+                                  n_sgd_steps)
+        return new, old, taus
+
+    @staticmethod
+    def _assert_same_weights(new, old):
+        assert new.weights.keys() == old.weights.keys()
+        for tau, w in old.weights.items():
+            np.testing.assert_array_equal(new.weights[tau], w)
+
+    @pytest.mark.parametrize("n_taus", [1, 2, 3])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("n_sgd_steps", [1, 3])
+    def test_random_interleavings(self, n_taus, fit_intercept, n_sgd_steps):
+        # each step: 0-3 predicts at the arrival or at a stale point, then
+        # an update (usually), so cache hits, misses and update-without-
+        # predict all occur
+        rng = np.random.default_rng(100 * n_taus + 10 * fit_intercept
+                                    + n_sgd_steps)
+        n_features = 4
+        new, old, taus = self._pair(n_features, n_taus, fit_intercept,
+                                    n_sgd_steps)
+        stale = rng.normal(size=n_features)
+        for _ in range(1500):
+            x = rng.normal(size=n_features) * rng.choice([0.01, 1.0, 30.0])
+            for _ in range(rng.integers(0, 4)):
+                at = stale if rng.random() < 0.2 else x
+                tau = taus[rng.integers(len(taus))]
+                assert new.predict(at, tau) == old.predict(at, tau)
+            if rng.random() < 0.9:
+                y = float(rng.normal() * 10.0)
+                new.update(x, y)
+                old.update(x, y)
+            self._assert_same_weights(new, old)
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_one_buffer_reused_and_mutated(self, fit_intercept):
+        # a caller that refills one array in place must never see values
+        # cached for the buffer's previous contents
+        rng = np.random.default_rng(5)
+        new, old, taus = self._pair(3, 2, fit_intercept, 1)
+        buf = np.empty(3)
+        for _ in range(1000):
+            buf[:] = rng.normal(size=3)
+            for tau in taus:
+                assert new.predict(buf, tau) == old.predict(buf, tau)
+            buf[rng.integers(3)] += 1.0
+            for tau in taus:
+                assert new.predict(buf, tau) == old.predict(buf, tau)
+            y = float(rng.normal())
+            new.update(buf, y)
+            old.update(buf, y)
+        self._assert_same_weights(new, old)
+
+    def test_predict_only_sequences(self):
+        rng = np.random.default_rng(9)
+        new, old, taus = self._pair(2, 3, True, 1)
+        for _ in range(200):  # train to nonzero weights first
+            x, y = rng.normal(size=2), float(rng.normal())
+            new.update(x, y)
+            old.update(x, y)
+        points = [rng.normal(size=2) for _ in range(5)]
+        for _ in range(500):
+            x = points[rng.integers(len(points))]
+            tau = taus[rng.integers(len(taus))]
+            assert new.predict(x, tau) == old.predict(x, tau)
+        self._assert_same_weights(new, old)
+
+    def test_scalar_and_list_inputs(self):
+        new, old, _ = self._pair(1, 1, True, 1)
+        for x, y in [(0.5, 2.0), ([1.5], -1.0), (np.float64(2.5), 0.3)]:
+            assert new.predict(x, 0.5) == old.predict(x, 0.5)
+            new.update(x, y)
+            old.update(x, y)
+        self._assert_same_weights(new, old)
+
+    def test_overflowing_dot_product_is_not_a_non_finite_input(self):
+        # finite features whose dot product overflows still train, as before
+        new, old, _ = self._pair(1, 1, False, 1, lr=1.0)
+        x = np.array([1e300])
+        new.update(x, 1.0)
+        old.update(x, 1.0)
+        assert new.weights[0.5][0] == 5e299
+        with np.errstate(over="ignore"):
+            assert math.isinf(new.predict(x, 0.5))
+            new.update(x, 1.0)
+            old.update(x, 1.0)
+        self._assert_same_weights(new, old)
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_wrong_length_input_rejected(self, fit_intercept):
+        model = LinearPinballModel(3, (0.5,), fit_intercept=fit_intercept)
+        for x in (1.0, np.array([1.0]), np.zeros(2), np.zeros(4),
+                  np.zeros((1, 3))):
+            with pytest.raises(ValueError):
+                model.predict(x, 0.5)
+            with pytest.raises(ValueError):
+                model.update(x, 0.0)
+        np.testing.assert_array_equal(model.weights[0.5], 0.0)
+
+    def test_non_finite_feature_rejected_after_predict(self):
+        # the cached dot products stand in for the finiteness check; a NaN
+        # or inf feature must still be refused, weights untouched
+        model = LinearPinballModel(2, (0.05, 0.95), lr=0.5)
+        model.update(np.array([1.0, 2.0]), 3.0)
+        before = {t: w.copy() for t, w in model.weights.items()}
+        for bad in (math.nan, math.inf, -math.inf):
+            x = np.array([0.0, bad])
+            model.predict(x, 0.05)
+            with pytest.raises(ValueError):
+                model.update(x, 1.0)
+        for t, w in model.weights.items():
+            np.testing.assert_array_equal(w, before[t])
+
+
 class TestOracleModel:
     def test_gaussian_quantile_identity(self):
         model = OracleModel(lambda x: float(x[0]), lambda x: 2.0)

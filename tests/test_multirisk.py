@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,9 @@ class TestUpdateVector:
     def test_out_of_bound_loss(self):
         with pytest.raises(ValueError):
             update_vector(np.zeros(2), np.array([2.0, 0.0]), _spec())
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                update_vector(np.zeros(2), np.array([0.0, bad]), _spec())
 
 
 class TestAggregate:
@@ -140,6 +145,20 @@ class TestAggregationDominance:
         with pytest.raises(ValueError):
             run_multi_stream([], ConstantModel(), ImageIntervalConstructor(),
                              [ImageMiscoverageFn()], _spec())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loss_aborts_at_its_step(self, bad):
+        calls = []
+
+        def late_bad_loss(y, s):
+            calls.append(1)
+            return bad if len(calls) == 3 else 0.0
+
+        frame = np.zeros((4, 4))
+        with pytest.raises(ValueError, match="at step 3"):
+            run_multi_stream([(frame, frame)] * 10, ConstantModel(),
+                             ImageIntervalConstructor(),
+                             [ImageMiscoverageFn(), late_bad_loss], _spec())
 
 
 class TestSafeguardPrecedence:
