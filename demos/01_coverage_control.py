@@ -32,8 +32,9 @@ print(f"miscoverage streak length: {report.msl:.3f} (ideal 1.111)")
 
 # The guarantee behind the number: theta never leaves its box, and every
 # prefix of the run satisfies the deterministic deviation bound.
-ok1, _ = rc.check_theta_bound(trace, spec)
-ok2, _ = rc.check_prefix_deviation(trace, spec)
+ok1 = (rc.check_upper_theta_bound(trace, spec)[0]
+       and rc.check_lower_theta_bound(trace, spec)[0])
+ok2, _ = rc.check_two_sided_risk_bound(trace, spec)
 print(f"theta bounded: {ok1}; prefix risk bound: {ok2}")
 
 # Watch theta absorb a regime change: its swings are the model's errors.

@@ -10,11 +10,14 @@ a window-quantile baseline, stream generators, and an experiment runner
 that certifies the finite-sample bounds on every trace it produces.
 """
 
-from .baseline import AciState, ScoreWindow, aci_step, empirical_quantile, run_aci_stream
-from .engine import (CalibratorState, RiskSpec, StreamTrace, check_theta_bound,
-                     check_recursion, check_prefix_deviation, loss_contract_guaranteed,
-                     risk_bound, run_stream, safeguarded_construct,
-                     prefix_deviation_bound, update_theta)
+from .baseline import (ScoreWindow, WindowQuantileConstructor, aci_update,
+                       empirical_quantile, run_aci_stream)
+from .engine import (MultiRiskSpec, RiskSpec, StreamTrace, check_lower_theta_bound,
+                     check_recursion, check_two_sided_risk_bound,
+                     check_upper_risk_bound, check_upper_theta_bound,
+                     control_update, loss_contract_guaranteed, risk_bound,
+                     run_stream, two_sided_deviation_bound,
+                     upper_deviation_bound)
 from .losses import (BinaryLossFn, CenterFailureFn, ImageMiscoverageFn,
                      McLossFn, McState, binary_loss, center_failure,
                      default_center_region, image_miscoverage, mc_loss)
@@ -22,10 +25,7 @@ from .metrics import (EvalReport, coverage, delta_coverage, evaluate, mc_risk,
                       miscoverage_streaks, msl)
 from .models import (ConstantModel, LinearPinballModel, OracleModel,
                      ReplayModel, pinball_grad, pinball_loss)
-from .multirisk import (MultiRiskSpec, MultiTrace, aggregate, check_upper_theta_bound,
-                        check_lower_theta_bound, check_upper_risk_bound, check_two_sided_risk_bound,
-                        run_multi_stream, upper_deviation_bound,
-                        two_sided_deviation_bound, update_vector)
+from .multirisk import run_multi_stream
 from .sets import (EMPTY_SET, FULL_SPACE, ClassCumulativeConstructor,
                    ClassThresholdConstructor, ConstantHeuristic,
                    CqrConstructor, ImageIntervalConstructor, Interval,
@@ -33,7 +33,7 @@ from .sets import (EMPTY_SET, FULL_SPACE, ClassCumulativeConstructor,
                    QuantileScaleConstructor, RunningResidualHeuristic,
                    class_cumulative_set, class_threshold_set, cqr_interval,
                    cqr_score, image_interval, quantile_scale_interval)
-from .stretching import Stretch, clip, update_lambda
+from .stretching import Stretch, clip
 from .streams import (CsvStream, CsvStreamConfig, ImageStreamConfig,
                       KnownQuantileConfig, KnownQuantileStream,
                       SyntheticConfig, csv_ingest, image_stream,

@@ -4,21 +4,23 @@ empirical quantile of a rolling conformity-score window.
 This is the classic adaptive-conformal recipe restated as a set constructor:
 the set at time t contains every candidate whose score is at most the
 (1 - alpha_t) empirical quantile of the n most recent scores, and alpha_t
-itself is nudged by gamma * (alpha - err_t). It controls coverage only (the
-0-1 loss); the main engine exists because this recipe does not generalize to
-other losses.
+itself is nudged by gamma * (alpha - err_t), the engine's recursion with the
+sign turned (a larger alpha_t means a smaller set). It runs on the engine's
+loop with its own constructor and update function. It controls coverage only
+(the 0-1 loss); the main engine exists because this recipe does not
+generalize to other losses.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import StreamTrace
-from .sets import FULL_SPACE, Interval, cqr_interval, cqr_score
+from .engine import RiskSpec, StreamTrace, _run
+from .losses import BinaryLossFn
+from .sets import FULL_SPACE, cqr_interval, cqr_score
 
 
 class ScoreWindow:
@@ -62,38 +64,66 @@ def empirical_quantile(window, level: float, largest: bool = False) -> float:
     return float(np.partition(np.asarray(scores, dtype=float), idx)[idx])
 
 
-@dataclass(frozen=True)
-class AciState:
-    """Current effective miscoverage level plus the score window."""
+class WindowQuantileConstructor:
+    """Sets from the (1 - alpha_t) empirical quantile of the recent scores.
 
-    alpha_t: float
-    window: ScoreWindow
-
-
-def aci_step(state: AciState, x, y, model, gamma: float, alpha: float,
-             tau_lo: float = 0.05, tau_hi: float = 0.95,
-             largest: bool = False):
-    """One step of the window-quantile baseline with the interval score.
-
-    Builds the set from the current window quantile, reveals y, pushes the
-    new score (evicting the oldest at capacity), and updates alpha_t by
-    gamma * (alpha - err_t). Returns (prediction_set, new_state, err).
+    The parameter the loop hands to ``build`` is alpha_t. The interval is the
+    CQR interval of the model's two quantiles widened by that window
+    quantile. The first ``warmup`` steps announce the full space while the
+    window fills; every step's score enters the window (evicting the oldest
+    at capacity) once its label is observed.
     """
-    q_lo = model.predict(x, tau_lo)
-    q_hi = model.predict(x, tau_hi)
-    if math.isnan(q_lo) or math.isnan(q_hi):
-        raise RuntimeError("model produced non-finite quantile output")
 
-    if len(state.window) == 0:
-        pred_set = FULL_SPACE
-    else:
-        q = empirical_quantile(state.window, 1.0 - state.alpha_t, largest)
-        pred_set = FULL_SPACE if math.isinf(q) else cqr_interval(q_lo, q_hi, q)
+    scored = False
 
-    err = 0.0 if pred_set.contains(y) else 1.0
-    state.window.push(cqr_score(q_lo, q_hi, y))
-    new_alpha = state.alpha_t + gamma * (alpha - err)
-    return pred_set, AciState(new_alpha, state.window), err
+    def __init__(self, window_size: int = 500, tau_lo: float = 0.05,
+                 tau_hi: float = 0.95, warmup: int = 10,
+                 largest: bool = False):
+        self.window = ScoreWindow(window_size)
+        self.tau_lo = tau_lo
+        self.tau_hi = tau_hi
+        self.warmup = warmup
+        self.largest = largest
+        self._t = 0
+        self._q = (math.nan, math.nan)
+
+    def build(self, x, alpha_t, model):
+        q_lo = model.predict(x, self.tau_lo)
+        q_hi = model.predict(x, self.tau_hi)
+        self._q = (q_lo, q_hi)
+        if self._t < self.warmup:
+            return FULL_SPACE
+        if math.isnan(q_lo) or math.isnan(q_hi):
+            raise RuntimeError("model produced non-finite quantile output")
+        if len(self.window) == 0:
+            return FULL_SPACE
+        q = empirical_quantile(self.window, 1.0 - alpha_t, self.largest)
+        return FULL_SPACE if math.isinf(q) else cqr_interval(q_lo, q_hi, q)
+
+    def score(self, x, y, model):
+        return None
+
+    def observe(self, x, y, model):
+        q_lo, q_hi = self._q
+        self.window.push(cqr_score(q_lo, q_hi, y))
+        self._t += 1
+
+
+def aci_update(gamma: float, alpha: float, warmup: int):
+    """The baseline's step alpha_t += gamma * (alpha - err_t), as the loop's
+    update function ``(t, theta, losses) -> theta``; ``theta`` is (alpha_t,)
+    and ``losses`` is (err_t,).
+
+    alpha_t stays frozen for the first ``warmup`` steps, which announce the
+    full space rather than a constructed set. ``t`` may be a whole column of
+    step indices when ``engine.check_recursion`` replays a run, so the freeze
+    multiplies the step by ``t >= warmup`` (exactly 0 or 1) instead of
+    branching.
+    """
+    def update(t, theta, losses):
+        return (theta[0] + gamma * (alpha - losses[0]) * (t >= warmup),)
+
+    return update
 
 
 def run_aci_stream(stream, model, gamma: float, alpha: float,
@@ -103,70 +133,17 @@ def run_aci_stream(stream, model, gamma: float, alpha: float,
                    n_steps: int | None = None) -> StreamTrace:
     """Run the baseline over a labeled stream.
 
-    The first ``warmup`` steps announce the full space while the window
-    fills; they do not move alpha_t (no real set was constructed) and are
-    conventionally excluded from reports. The trace's theta columns carry
-    alpha_t, the baseline's calibration parameter.
+    This is the engine's control loop with a ``WindowQuantileConstructor``,
+    the 0-1 loss, no safeguards and ``aci_update``. The first ``warmup``
+    steps announce the full space while the window fills; they do not move
+    alpha_t (no real set was constructed) and are conventionally excluded
+    from reports. The trace's theta columns carry alpha_t, the baseline's
+    calibration parameter. ``stream`` takes the same forms as in
+    ``engine.run_stream``.
     """
-    state = AciState(alpha, ScoreWindow(window_size))
-    losses = []
-    a_pre = []
-    a_post = []
-    covered = []
-    sizes = []
-    los = []
-    his = []
-    ys = []
-    groups = []
-
-    t = 0
-    for item in stream:
-        if n_steps is not None and t >= n_steps:
-            break
-        if len(item) == 3:
-            x, y, group = item
-        else:
-            x, y = item
-            group = -1
-
-        a_pre.append(state.alpha_t)
-        if t < warmup:
-            q_lo = model.predict(x, tau_lo)
-            q_hi = model.predict(x, tau_hi)
-            pred_set = FULL_SPACE
-            err = 0.0
-            state.window.push(cqr_score(q_lo, q_hi, y))
-        else:
-            pred_set, state, err = aci_step(
-                state, x, y, model, gamma, alpha, tau_lo, tau_hi, largest)
-        a_post.append(state.alpha_t)
-
-        losses.append(err)
-        covered.append(pred_set.contains(y))
-        sizes.append(pred_set.size())
-        if isinstance(pred_set, Interval):
-            los.append(pred_set.lo)
-            his.append(pred_set.hi)
-        elif pred_set is FULL_SPACE:
-            los.append(-math.inf)
-            his.append(math.inf)
-        else:
-            los.append(math.nan)
-            his.append(math.nan)
-        ys.append(float(y))
-        groups.append(group)
-
-        model.update(x, y)
-        t += 1
-
-    return StreamTrace(
-        loss=np.asarray(losses, dtype=float),
-        theta_pre=np.asarray(a_pre, dtype=float),
-        theta_post=np.asarray(a_post, dtype=float),
-        covered=np.asarray(covered, dtype=bool),
-        size=np.asarray(sizes, dtype=float),
-        lo=np.asarray(los, dtype=float),
-        hi=np.asarray(his, dtype=float),
-        y=np.asarray(ys, dtype=float),
-        group=np.asarray(groups, dtype=int),
-    )
+    spec = RiskSpec(r=alpha, gamma=gamma, m=-math.inf, M=math.inf,
+                    theta_init=alpha)
+    constructor = WindowQuantileConstructor(window_size, tau_lo, tau_hi,
+                                            warmup, largest)
+    return _run(stream, model, constructor, (BinaryLossFn(),), spec,
+                aci_update(gamma, alpha, warmup), None, n_steps)

@@ -42,8 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("config", help="path to JSON experiment config")
     sweep_p.add_argument("--param", required=True,
                          help="dotted config path, e.g. controller.gamma")
-    sweep_p.add_argument("--grid", required=True, nargs="+", type=float,
-                         help="parameter values to try")
+    sweep_p.add_argument("--grid", required=True, nargs="+", type=json.loads,
+                         help="parameter values to try, each parsed as JSON")
     sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--trials", type=int, default=None)
     sweep_p.add_argument("--out", default=None)

@@ -1,12 +1,18 @@
 """The streaming risk-control loop and its deterministic certificates.
 
-One scalar calibration parameter theta drives the size of every announced
+One calibration parameter per risk drives the size of every announced
 prediction set. After each label is revealed the parameter moves by
 gamma * (loss - target): too much loss widens future sets, too little
 shrinks them. Clamping to safeguards (full space above M, empty set below m)
 makes the long-run average loss converge to the target for *any* data
 sequence, with a finite-sample deviation bound that this module also checks
 after the fact.
+
+One loop serves every controller: the scalar controller (``run_stream``) is
+its one-risk, two-sided case, the k-risk controller
+(``multirisk.run_multi_stream``) its general case, and the window-quantile
+baseline (``baseline.run_aci_stream``) the same recursion on alpha with its
+own constructor and update function.
 
 Steps within a stream are strictly sequential (single writer); independent
 streams may run in parallel with no shared state.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import gt, le, lt
 
 import numpy as np
 
@@ -50,67 +57,91 @@ class RiskSpec:
             raise ValueError(f"target r={self.r} outside [-B, B]=[{-self.B}, {self.B}]")
 
 
+def _as_tuple(v, k: int, name: str):
+    if np.isscalar(v):
+        return (float(v),) * k
+    t = tuple(float(x) for x in v)
+    if len(t) != k:
+        raise ValueError(f"{name} has length {len(t)}, expected {k}")
+    return t
+
+
 @dataclass(frozen=True)
-class CalibratorState:
-    """Mutable-by-replacement state of one calibration stream."""
+class MultiRiskSpec:
+    """Per-risk targets, step sizes, bounds and safeguards for k risks.
 
-    theta: float
-    t: int = 0
-    loss_sum: float = 0.0
-
-
-def update_theta(state: CalibratorState, loss: float,
-                 spec: RiskSpec) -> CalibratorState:
-    """One control step: theta += gamma * (loss - r).
-
-    Rejects losses outside [-B, B]; every guarantee depends on the bound, so
-    a violation means the loss was misconfigured, not that the data is odd.
+    ``aggregation`` collapses the stretched coordinates into the one scalar
+    the set constructor consumes (mean or max). The empty-set safeguard is
+    active only when ``two_sided`` is declared.
     """
-    if not (-spec.B <= loss <= spec.B):
-        raise ValueError(
-            f"loss {loss} outside declared bound [-{spec.B}, {spec.B}]")
-    return CalibratorState(
-        theta=state.theta + spec.gamma * (loss - spec.r),
-        t=state.t + 1,
-        loss_sum=state.loss_sum + loss,
-    )
+
+    r: tuple
+    gamma: tuple
+    m: tuple
+    M: tuple
+    B: tuple
+    theta_init: tuple = ()
+    aggregation: str = "max"
+    two_sided: bool = False
+
+    def __post_init__(self):
+        k = len(self.r)
+        if k < 1:
+            raise ValueError("need at least one risk")
+        object.__setattr__(self, "r", _as_tuple(self.r, k, "r"))
+        object.__setattr__(self, "gamma", _as_tuple(self.gamma, k, "gamma"))
+        object.__setattr__(self, "m", _as_tuple(self.m, k, "m"))
+        object.__setattr__(self, "M", _as_tuple(self.M, k, "M"))
+        object.__setattr__(self, "B", _as_tuple(self.B, k, "B"))
+        theta0 = self.theta_init if self.theta_init else (0.0,) * k
+        object.__setattr__(self, "theta_init", _as_tuple(theta0, k, "theta_init"))
+        for i in range(k):
+            if not self.gamma[i] > 0:
+                raise ValueError(f"gamma[{i}] must be > 0")
+            if not self.m[i] < self.M[i]:
+                raise ValueError(f"need m[{i}] < M[{i}]")
+            if not self.B[i] > 0:
+                raise ValueError(f"B[{i}] must be > 0")
+        if self.aggregation not in ("mean", "max"):
+            raise ValueError(f"unknown aggregation {self.aggregation!r}")
+
+    @property
+    def k(self) -> int:
+        return len(self.r)
 
 
-def risk_bound(spec: RiskSpec, T: int) -> float:
-    """Worst-case deviation of the T-step average loss from the target:
-    (M - m + 4*gamma*B) / (gamma*T)."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    return (spec.M - spec.m + 4.0 * spec.gamma * spec.B) / (spec.gamma * T)
+def _per_risk(spec) -> MultiRiskSpec:
+    """A RiskSpec as the one-risk, two-sided MultiRiskSpec it is."""
+    if isinstance(spec, MultiRiskSpec):
+        return spec
+    return MultiRiskSpec(r=(spec.r,), gamma=(spec.gamma,), m=(spec.m,),
+                         M=(spec.M,), B=(spec.B,), theta_init=(spec.theta_init,),
+                         two_sided=True)
 
 
-def prefix_deviation_bound(spec: RiskSpec, T: int) -> float:
-    """Sharper deviation bound anchored at the actual starting parameter:
-    max(theta_init - m', M' - theta_init) / (T*gamma) with m' = m - 2*gamma*B
-    and M' = M + 2*gamma*B."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    m_lo = spec.m - 2.0 * spec.gamma * spec.B
-    m_hi = spec.M + 2.0 * spec.gamma * spec.B
-    return max(spec.theta_init - m_lo, m_hi - spec.theta_init) / (T * spec.gamma)
+def control_update(spec):
+    """The control step theta_i += gamma_i * (loss_i - r_i) for a RiskSpec or
+    a MultiRiskSpec, as the loop's update function ``(t, theta, losses) ->
+    theta``.
 
-
-def safeguarded_construct(x, state: CalibratorState, model, constructor,
-                          spec: RiskSpec, stretch: Stretch | None = None):
-    """Build the prediction set for features x, honoring the safeguards.
-
-    Above M the full space is returned, below m the empty set; in between
-    the constructor is called with the stretched parameter. The safeguards
-    make the construction total and give the loss the leverage the
-    convergence argument needs.
+    ``theta`` and ``losses`` hold one entry per risk: floats inside the loop,
+    whole trace columns when ``check_recursion`` replays a run.
     """
-    theta = state.theta
-    if theta > spec.M:
-        return FULL_SPACE
-    if theta < spec.m:
-        return EMPTY_SET
-    adj = stretch.apply(theta) if stretch is not None else theta
-    return constructor.build(x, adj, model)
+    risks = _per_risk(spec)
+    r, gamma = risks.r, risks.gamma
+    if risks.k == 1:
+        # the same arithmetic without the per-coordinate comprehension,
+        # which costs the one-risk loop about 0.7 us per step
+        (r0,), (g0,) = r, gamma
+
+        def update(t, theta, losses):
+            return (theta[0] + g0 * (losses[0] - r0),)
+    else:
+        def update(t, theta, losses):
+            return tuple([th + g * (loss - ri)
+                          for th, loss, g, ri in zip(theta, losses, gamma, r)])
+
+    return update
 
 
 @dataclass
@@ -120,7 +151,9 @@ class StreamTrace:
     Enough is stored to recompute every metric and every bound certificate
     without re-running the model: the parameter before and after each
     update, the loss, coverage flag, set-size statistic, and (for interval
-    runs) the announced endpoints plus the revealed label.
+    sets) the announced endpoints plus the revealed label. ``loss``,
+    ``theta_pre`` and ``theta_post`` are 1-D for a RiskSpec run and (T, k)
+    for a k-risk run.
     """
 
     loss: np.ndarray
@@ -170,6 +203,130 @@ class _IteratorAdapter:
 _STOP = object()
 
 
+def _mean(values) -> float:
+    return float(np.mean(list(values)))
+
+
+def _run(stream, model, constructor, loss_fns, spec, update, stretch,
+         n_steps) -> StreamTrace:
+    """The control loop behind every entry point.
+
+    ``spec`` (a RiskSpec or a MultiRiskSpec) gives the safeguards, loss
+    bounds, starting parameter and aggregation; ``update(t, theta, losses)``
+    maps the parameter tuple before step t (0-based) to the one after it.
+    """
+    risks = _per_risk(spec)
+    k = risks.k
+    if len(loss_fns) != k:
+        raise ValueError(f"got {len(loss_fns)} losses for {k} risks")
+    if stretch is None:
+        stretch = Stretch()
+    adaptive = stretch.is_adaptive
+    if adaptive and not getattr(constructor, "scored", False):
+        raise ValueError(
+            "adaptive stretching needs a constructor with a conformity score")
+    if adaptive and k > 1:
+        raise ValueError(
+            "adaptive stretching needs a single risk: no one loss and target "
+            f"drives lambda, got {k} risks")
+
+    src = stream if hasattr(stream, "next_x") else _IteratorAdapter(stream)
+
+    M = risks.M
+    # one-sided control declares no empty-set safeguard
+    m = risks.m if risks.two_sided else (-math.inf,) * k
+    B = risks.B
+    # the mean and the max of one value are that value
+    aggregate = _mean if risks.aggregation == "mean" and k > 1 else max
+    r_first = risks.r[0]
+
+    losses_rec: list[float] = []
+    theta_pre: list[float] = []
+    theta_post: list[float] = []
+    covered: list[bool] = []
+    sizes: list[float] = []
+    los: list[float] = []
+    his: list[float] = []
+    ys: list[float] = []
+    groups: list[int] = []
+
+    theta = risks.theta_init
+    t = 0
+    prev_score = None
+    prev_loss = 0.0
+
+    while n_steps is None or t < n_steps:
+        x = src.next_x()
+        if x is _STOP:
+            break
+
+        if prev_score is not None:
+            stretch = stretch.updated(prev_score, prev_loss, r_first)
+
+        # When both safeguards fire the full space wins: conservatism keeps
+        # the upper-side guarantee intact.
+        if any(map(gt, theta, M)):
+            pred_set = FULL_SPACE
+        elif any(map(lt, theta, m)):
+            pred_set = EMPTY_SET
+        else:
+            pred_set = constructor.build(
+                x, aggregate(map(stretch.apply, theta)), model)
+
+        revealed = src.reveal(pred_set)
+        if isinstance(revealed, tuple):
+            y, group = revealed
+        else:
+            y, group = revealed, -1
+
+        losses = [fn(y, pred_set) for fn in loss_fns]
+        # |loss_i| <= B_i is False for a NaN loss too
+        if not all(map(le, map(abs, losses), B)):
+            i = next(i for i in range(k) if not -B[i] <= losses[i] <= B[i])
+            raise ValueError(
+                f"loss {losses[i]} outside declared bound [-{B[i]}, {B[i]}] "
+                f"at step {t + 1}" + (f" (risk {i + 1})" if k > 1 else ""))
+
+        losses_rec.extend(losses)
+        theta_pre.extend(theta)
+        covered.append(pred_set.contains(y))
+        sizes.append(pred_set.size())
+        if isinstance(pred_set, Interval):
+            los.append(pred_set.lo)
+            his.append(pred_set.hi)
+        elif pred_set is FULL_SPACE:
+            los.append(-math.inf)
+            his.append(math.inf)
+        else:
+            los.append(math.nan)
+            his.append(math.nan)
+        ys.append(y if isinstance(y, (int, float, np.floating)) else math.nan)
+        groups.append(group)
+
+        theta = update(t, theta, losses)
+        theta_post.extend(theta)
+        t += 1
+
+        if adaptive:
+            prev_score = constructor.score(x, y, model)
+            prev_loss = losses[0]
+        constructor.observe(x, y, model)
+        model.update(x, y)
+
+    shape = (t,) if isinstance(spec, RiskSpec) else (t, k)
+    return StreamTrace(
+        loss=np.asarray(losses_rec, dtype=float).reshape(shape),
+        theta_pre=np.asarray(theta_pre, dtype=float).reshape(shape),
+        theta_post=np.asarray(theta_post, dtype=float).reshape(shape),
+        covered=np.asarray(covered, dtype=bool),
+        size=np.asarray(sizes, dtype=float),
+        lo=np.asarray(los, dtype=float),
+        hi=np.asarray(his, dtype=float),
+        y=np.asarray(ys, dtype=float),
+        group=np.asarray(groups, dtype=int),
+    )
+
+
 def run_stream(stream, model, constructor, loss_fn, spec: RiskSpec,
                stretch: Stretch | None = None,
                n_steps: int | None = None) -> StreamTrace:
@@ -187,148 +344,127 @@ def run_stream(stream, model, constructor, loss_fn, spec: RiskSpec,
     new pair. Nothing at step t sees data from step t or later before the
     set is announced.
     """
-    if stretch is None:
-        stretch = Stretch()
-    if stretch.is_adaptive and not getattr(constructor, "scored", False):
-        raise ValueError(
-            "adaptive stretching needs a constructor with a conformity score")
-
-    adaptive = hasattr(stream, "next_x")
-    src = stream if adaptive else _IteratorAdapter(stream)
-
-    r = spec.r
-    gamma = spec.gamma
-    B = spec.B
-    m = spec.m
-    M = spec.M
-
-    losses: list[float] = []
-    theta_pre: list[float] = []
-    theta_post: list[float] = []
-    covered: list[bool] = []
-    sizes: list[float] = []
-    los: list[float] = []
-    his: list[float] = []
-    ys: list[float] = []
-    groups: list[int] = []
-
-    theta = spec.theta_init
-    loss_sum = 0.0
-    t = 0
-    prev_score = None
-    prev_loss = 0.0
-
-    while n_steps is None or t < n_steps:
-        x = src.next_x()
-        if x is _STOP:
-            break
-
-        if stretch.is_adaptive and prev_score is not None:
-            stretch = stretch.updated(prev_score, prev_loss, r)
-
-        if theta > M:
-            pred_set = FULL_SPACE
-        elif theta < m:
-            pred_set = EMPTY_SET
-        else:
-            pred_set = constructor.build(x, stretch.apply(theta), model)
-
-        revealed = src.reveal(pred_set)
-        if isinstance(revealed, tuple):
-            y, group = revealed
-        else:
-            y, group = revealed, -1
-
-        loss = loss_fn(y, pred_set)
-        if not (-B <= loss <= B):
-            raise ValueError(
-                f"loss {loss} outside declared bound [-{B}, {B}] at step {t + 1}")
-
-        losses.append(loss)
-        theta_pre.append(theta)
-        covered.append(pred_set.contains(y))
-        sizes.append(pred_set.size())
-        if isinstance(pred_set, Interval):
-            los.append(pred_set.lo)
-            his.append(pred_set.hi)
-        elif pred_set is FULL_SPACE:
-            los.append(-math.inf)
-            his.append(math.inf)
-        else:
-            los.append(math.nan)
-            his.append(math.nan)
-        ys.append(y if isinstance(y, (int, float, np.floating)) else math.nan)
-        groups.append(group)
-
-        theta = theta + gamma * (loss - r)
-        theta_post.append(theta)
-        loss_sum += loss
-        t += 1
-
-        if stretch.is_adaptive:
-            prev_score = constructor.score(x, y, model)
-            prev_loss = loss
-        constructor.observe(x, y, model)
-        model.update(x, y)
-
-    return StreamTrace(
-        loss=np.asarray(losses, dtype=float),
-        theta_pre=np.asarray(theta_pre, dtype=float),
-        theta_post=np.asarray(theta_post, dtype=float),
-        covered=np.asarray(covered, dtype=bool),
-        size=np.asarray(sizes, dtype=float),
-        lo=np.asarray(los, dtype=float),
-        hi=np.asarray(his, dtype=float),
-        y=np.asarray(ys, dtype=float),
-        group=np.asarray(groups, dtype=int),
-    )
+    return _run(stream, model, constructor, (loss_fn,), spec,
+                control_update(spec), stretch, n_steps)
 
 
 # ---------------------------------------------------------------------------
-# Post-hoc certificates
+# Bounds and post-hoc certificates. The per-risk bounds and the checks take a
+# RiskSpec (one two-sided risk, 1-D trace columns) or a MultiRiskSpec ((T, k)
+# columns). A NaN anywhere in a checked column makes the check fail.
 # ---------------------------------------------------------------------------
 
-def check_theta_bound(trace: StreamTrace, spec: RiskSpec, eps: float = 1e-9):
-    """Every theta (before and after each update) inside [m-2gB, M+2gB].
+def risk_bound(spec: RiskSpec, T: int) -> float:
+    """Worst-case deviation of the T-step average loss from the target:
+    (M - m + 4*gamma*B) / (gamma*T)."""
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    return (spec.M - spec.m + 4.0 * spec.gamma * spec.B) / (spec.gamma * T)
 
-    Returns (ok, worst_violation); the violation is 0 when the bound holds.
-    """
-    lo = spec.m - 2.0 * spec.gamma * spec.B
-    hi = spec.M + 2.0 * spec.gamma * spec.B
+
+def upper_deviation_bound(spec, i: int, T):
+    """Upper-side slack for risk i after T steps: D_i / T with
+    D_i = (M_i + 2*gamma_i*B_i - theta_init_i) / gamma_i. ``T`` may be an
+    array of horizons."""
+    if np.any(np.asarray(T) < 1):
+        raise ValueError(f"T must be >= 1, got {T}")
+    s = _per_risk(spec)
+    d = (s.M[i] + 2.0 * s.gamma[i] * s.B[i] - s.theta_init[i]) / s.gamma[i]
+    return d / T
+
+
+def two_sided_deviation_bound(spec, i: int, T):
+    """Two-sided deviation bound for risk i after T steps, anchored at the
+    starting parameter: max(theta_init - m', M' - theta_init) / (gamma*T)
+    with m' = m - 2*gamma*B and M' = M + 2*gamma*B. ``T`` may be an array of
+    horizons."""
+    if np.any(np.asarray(T) < 1):
+        raise ValueError(f"T must be >= 1, got {T}")
+    s = _per_risk(spec)
+    m_lo = s.m[i] - 2.0 * s.gamma[i] * s.B[i]
+    m_hi = s.M[i] + 2.0 * s.gamma[i] * s.B[i]
+    t0 = s.theta_init[i]
+    return max(t0 - m_lo, m_hi - t0) / (s.gamma[i] * T)
+
+
+def _columns(trace, name: str) -> np.ndarray:
+    """A per-risk trace column as a (T, k) array."""
+    col = getattr(trace, name)
+    return col.reshape(len(col), -1)
+
+
+def _thetas(trace) -> np.ndarray:
+    return np.concatenate([_columns(trace, "theta_pre"),
+                           _columns(trace, "theta_post")])
+
+
+def check_upper_theta_bound(trace: StreamTrace, spec, eps: float = 1e-9):
+    """Every coordinate, before and after each update, stays at or below
+    M_i + 2*gamma_i*B_i. Returns (ok, worst_violation); the violation is 0
+    when the bound holds."""
     if len(trace) == 0:
         return True, 0.0
-    thetas = np.concatenate([trace.theta_pre, trace.theta_post])
-    viol = max(float(np.max(thetas - hi)), float(np.max(lo - thetas)), 0.0)
+    s = _per_risk(spec)
+    hi = np.asarray(s.M) + 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
+    viol = max(float(np.max(_thetas(trace) - hi)), 0.0)
     return viol <= eps, viol
 
 
-def check_prefix_deviation(trace: StreamTrace, spec: RiskSpec, eps: float = 1e-9):
-    """|mean loss - r| <= max(theta_1 - m', M' - theta_1)/(T*gamma) for every
-    prefix length T. Returns (ok, worst_violation)."""
-    n = len(trace)
-    if n == 0:
+def check_lower_theta_bound(trace: StreamTrace, spec, eps: float = 1e-9):
+    """Every coordinate stays at or above m_i - 2*gamma_i*B_i; holds for
+    two-sided control."""
+    if len(trace) == 0:
         return True, 0.0
+    s = _per_risk(spec)
+    lo = np.asarray(s.m) - 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
+    viol = max(float(np.max(lo - _thetas(trace))), 0.0)
+    return viol <= eps, viol
+
+
+def _prefix_means(trace, s, bound_fn):
+    """(T, k) prefix means of the loss, and ``bound_fn`` evaluated for every
+    risk and every prefix length T."""
+    n = len(trace)
     T = np.arange(1, n + 1, dtype=float)
-    dev = np.abs(np.cumsum(trace.loss) / T - spec.r)
-    m_lo = spec.m - 2.0 * spec.gamma * spec.B
-    m_hi = spec.M + 2.0 * spec.gamma * spec.B
-    theta1 = float(trace.theta_pre[0])
-    bound = max(theta1 - m_lo, m_hi - theta1) / (T * spec.gamma)
-    viol = float(np.max(dev - bound))
-    return viol <= eps, max(viol, 0.0)
+    means = np.cumsum(_columns(trace, "loss"), axis=0) / T[:, None]
+    return means, np.column_stack([bound_fn(s, i, T) for i in range(s.k)])
 
 
-def check_recursion(trace: StreamTrace, spec: RiskSpec, eps: float = 1e-9):
-    """The recorded thetas actually follow theta' = theta + gamma*(loss - r)
-    and chain step to step. Guards against tampered or corrupted traces."""
+def check_upper_risk_bound(trace: StreamTrace, spec, eps: float = 1e-9):
+    """mean loss_i over every prefix <= r_i + D_i/T for every risk i."""
+    if len(trace) == 0:
+        return True, 0.0
+    s = _per_risk(spec)
+    means, bounds = _prefix_means(trace, s, upper_deviation_bound)
+    viol = max(float(np.max(means - (np.asarray(s.r) + bounds))), 0.0)
+    return viol <= eps, viol
+
+
+def check_two_sided_risk_bound(trace: StreamTrace, spec, eps: float = 1e-9):
+    """|mean loss_i - r_i| over every prefix <= the two-sided bound, for
+    every risk i; holds for two-sided control."""
+    if len(trace) == 0:
+        return True, 0.0
+    s = _per_risk(spec)
+    means, bounds = _prefix_means(trace, s, two_sided_deviation_bound)
+    viol = max(float(np.max(np.abs(means - np.asarray(s.r)) - bounds)), 0.0)
+    return viol <= eps, viol
+
+
+def check_recursion(trace: StreamTrace, update, eps: float = 1e-9):
+    """The recorded parameters follow the update function the run applied
+    (``control_update`` or ``baseline.aci_update``) and chain step to step.
+    Guards against tampered or corrupted traces."""
     n = len(trace)
     if n == 0:
         return True, 0.0
-    expected = trace.theta_pre + spec.gamma * (trace.loss - spec.r)
-    viol = float(np.max(np.abs(expected - trace.theta_post)))
+    pre = _columns(trace, "theta_pre")
+    post = _columns(trace, "theta_post")
+    expected = np.column_stack(
+        update(np.arange(n), tuple(pre.T), tuple(_columns(trace, "loss").T)))
+    viol = float(np.max(np.abs(expected - post)))
     if n > 1:
-        viol = max(viol, float(np.max(np.abs(
-            trace.theta_post[:-1] - trace.theta_pre[1:]))))
+        viol = max(viol, float(np.max(np.abs(post[:-1] - pre[1:]))))
     return viol <= eps, viol
 
 

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import baseline, engine, losses as losses_mod, metrics, multirisk
 from .models import ConstantModel, LinearPinballModel, ReplayModel, pinball_loss
-from .sets import (ClassCumulativeConstructor, ClassThresholdConstructor,
-                   ConstantHeuristic, CqrConstructor, ImageIntervalConstructor,
+from .sets import (ConstantHeuristic, CqrConstructor, ImageIntervalConstructor,
                    PreviousResidualsHeuristic, QuantileScaleConstructor,
                    RunningResidualHeuristic)
 from .stretching import Stretch
@@ -38,8 +37,7 @@ SCHEMA_VERSION = 1
 
 _STREAM_KINDS = ("synthetic", "known_quantile", "image", "csv")
 _MODEL_KINDS = ("linear_pinball", "oracle", "constant", "replay")
-_CONSTRUCTOR_KINDS = ("cqr", "quantile_scale", "class_threshold",
-                      "class_cumulative", "image")
+_CONSTRUCTOR_KINDS = ("cqr", "quantile_scale", "image")
 _LOSS_KINDS = ("binary", "mc", "image_miscoverage", "center_failure")
 _CONTROLLER_KINDS = ("single", "multi", "baseline_aci")
 _HEURISTIC_KINDS = ("constant", "residual_model", "previous_residuals")
@@ -65,6 +63,23 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _section(cfg: dict, key: str, default=None) -> dict:
+    value = cfg.get(key, {} if default is None else default)
+    _require(isinstance(value, dict), key, "must be an object")
+    return value
+
+
+def _probe(path: str, build, *args) -> None:
+    """Build one part of the config once, so a field of the wrong type or
+    value is reported before any computation."""
+    try:
+        build(*args)
+    except KeyError as exc:
+        raise ConfigError(path, f"missing field {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def validate_config(cfg: dict) -> None:
     """Check the whole config tree; raises ConfigError with a field path."""
     _require(isinstance(cfg, dict), "", "config must be an object")
@@ -81,45 +96,59 @@ def validate_config(cfg: dict) -> None:
     for key in ("eval_window", "val_window"):
         win = cfg.get(key)
         if win is not None:
-            _require(isinstance(win, (list, tuple)) and len(win) == 2,
-                     key, "must be [start, end]")
+            _require(isinstance(win, (list, tuple)) and len(win) == 2
+                     and all(isinstance(w, int) for w in win),
+                     key, "must be [start, end] with integer steps")
             _require(1 <= win[0] <= win[1] <= steps, key,
                      f"must satisfy 1 <= start <= end <= steps={steps}")
 
-    stream = cfg.get("stream", {})
+    stream = _section(cfg, "stream")
     _require(stream.get("kind") in _STREAM_KINDS, "stream.kind",
              f"must be one of {_STREAM_KINDS}")
-    model = cfg.get("model", {})
+    _probe("stream", _stream_config, cfg, 0)
+    model = _section(cfg, "model")
     _require(model.get("kind") in _MODEL_KINDS, "model.kind",
              f"must be one of {_MODEL_KINDS}")
     if model.get("kind") == "oracle":
         _require(stream.get("kind") == "known_quantile", "model.kind",
                  "oracle model requires the known_quantile stream")
-    constructor = cfg.get("constructor", {})
+    if model.get("kind") == "replay":
+        _require(isinstance(model.get("path"), str), "model.path",
+                 "must be a file path")
+    elif model.get("kind") == "linear_pinball":
+        _probe("model", _linear_pinball, model, 1)
+    elif model.get("kind") == "constant":
+        _probe("model", _constant_model, model)
+    constructor = _section(cfg, "constructor")
     _require(constructor.get("kind") in _CONSTRUCTOR_KINDS, "constructor.kind",
              f"must be one of {_CONSTRUCTOR_KINDS}")
     heur = constructor.get("heuristic")
     if heur is not None:
+        _require(isinstance(heur, dict), "constructor.heuristic",
+                 "must be an object")
         _require(heur.get("kind") in _HEURISTIC_KINDS,
                  "constructor.heuristic.kind",
                  f"must be one of {_HEURISTIC_KINDS}")
+    _probe("constructor", _build_constructor, cfg)
 
     loss_list = cfg.get("losses")
     _require(isinstance(loss_list, list) and len(loss_list) >= 1, "losses",
              "must be a nonempty list")
     for i, spec in enumerate(loss_list):
+        _require(isinstance(spec, dict), f"losses[{i}]", "must be an object")
         _require(spec.get("kind") in _LOSS_KINDS, f"losses[{i}].kind",
                  f"must be one of {_LOSS_KINDS}")
         _require(isinstance(spec.get("r"), (int, float)), f"losses[{i}].r",
                  "target risk level is required")
+        _probe(f"losses[{i}]", _build_loss, spec)
 
-    stretch = cfg.get("stretch", {"kind": "none"})
+    stretch_spec = _section(cfg, "stretch", {"kind": "none"})
     try:
-        _build_stretch(stretch)
+        stretch = _build_stretch(stretch_spec)
     except (ValueError, TypeError) as exc:
         raise ConfigError("stretch", str(exc)) from exc
 
-    controller = cfg.get("controller", {})
+    controller = _section(cfg, "controller")
     kind = controller.get("kind")
     _require(kind in _CONTROLLER_KINDS, "controller.kind",
              f"must be one of {_CONTROLLER_KINDS}")
@@ -135,6 +164,9 @@ def validate_config(cfg: dict) -> None:
             _multi_spec(cfg)
         except (ValueError, TypeError) as exc:
             raise ConfigError("controller", str(exc)) from exc
+        _require(not stretch.is_adaptive or len(loss_list) == 1, "stretch",
+                 "adaptive stretching needs a single risk: no one loss and "
+                 "target drives lambda")
     else:  # baseline_aci
         _require(len(loss_list) == 1 and loss_list[0]["kind"] == "binary",
                  "losses", "the baseline controls the binary loss only")
@@ -147,6 +179,7 @@ def validate_config(cfg: dict) -> None:
         alpha = controller.get("alpha", loss_list[0]["r"])
         _require(isinstance(alpha, (int, float)) and 0 < alpha < 1,
                  "controller.alpha", "must be a number in (0, 1)")
+        _probe("controller", _aci_params, cfg)
 
 
 def _single_spec(cfg: dict) -> engine.RiskSpec:
@@ -162,10 +195,10 @@ def _single_spec(cfg: dict) -> engine.RiskSpec:
     )
 
 
-def _multi_spec(cfg: dict) -> multirisk.MultiRiskSpec:
+def _multi_spec(cfg: dict) -> engine.MultiRiskSpec:
     c = cfg["controller"]
     k = len(cfg["losses"])
-    return multirisk.MultiRiskSpec(
+    return engine.MultiRiskSpec(
         r=tuple(float(s["r"]) for s in cfg["losses"]),
         gamma=_vec(c.get("gamma", 0.05), k),
         m=_vec(c.get("m", -9999.0), k),
@@ -230,12 +263,11 @@ def _resolve_auto_stretch_scale(cfg: dict, seed: int) -> float | None:
     return successive_difference_scale(ys)
 
 
-def _build_stream(cfg: dict, seed: int):
+def _stream_config(cfg: dict, seed: int):
     spec = cfg["stream"]
     kind = spec["kind"]
-    steps = cfg["steps"]
     if kind == "synthetic":
-        sc = SyntheticConfig(
+        return SyntheticConfig(
             seed=seed,
             n_features=int(spec.get("n_features", 5)),
             group_mean_length=float(spec.get("group_mean_length", 500.0)),
@@ -243,18 +275,16 @@ def _build_stream(cfg: dict, seed: int):
             scale_mean=float(spec.get("scale_mean", 20.0)),
             scale_var=float(spec.get("scale_var", 10.0)),
         )
-        return synthetic_stream(sc, steps), None
     if kind == "known_quantile":
-        kq = KnownQuantileStream(KnownQuantileConfig(
+        return KnownQuantileConfig(
             seed=seed,
             n_features=int(spec.get("n_features", 1)),
             slope=float(spec.get("slope", 2.0)),
             intercept=float(spec.get("intercept", 0.0)),
             noise_std=float(spec.get("noise_std", 1.0)),
-        ))
-        return kq.generate(steps), kq
+        )
     if kind == "image":
-        ic = ImageStreamConfig(
+        return ImageStreamConfig(
             seed=seed,
             height=int(spec.get("height", 16)),
             width=int(spec.get("width", 16)),
@@ -263,9 +293,7 @@ def _build_stream(cfg: dict, seed: int):
             shift_factor=float(spec.get("shift_factor", 1.0)),
             frame_corr=float(spec.get("frame_corr", 0.5)),
         )
-        return image_stream(ic, steps), None
-    # csv: the file is the stream; trials share it.
-    cs = csv_ingest(CsvStreamConfig(
+    return CsvStreamConfig(
         path=spec["path"],
         timestamp_col=spec.get("timestamp_col", ""),
         target_col=spec["target_col"],
@@ -273,7 +301,22 @@ def _build_stream(cfg: dict, seed: int):
         warmup=int(spec.get("warmup", 8000)),
         augment_time=bool(spec.get("augment_time", True)),
         timestamp_format=spec.get("timestamp_format", "iso"),
-    ))
+    )
+
+
+def _build_stream(cfg: dict, seed: int):
+    kind = cfg["stream"]["kind"]
+    steps = cfg["steps"]
+    sc = _stream_config(cfg, seed)
+    if kind == "synthetic":
+        return synthetic_stream(sc, steps), None
+    if kind == "known_quantile":
+        kq = KnownQuantileStream(sc)
+        return kq.generate(steps), kq
+    if kind == "image":
+        return image_stream(sc, steps), None
+    # csv: the file is the stream; trials share it.
+    cs = csv_ingest(sc)
     return iter(cs), cs
 
 
@@ -288,23 +331,31 @@ def _stream_feature_count(cfg: dict, stream_obj) -> int:
     raise ConfigError("model", f"linear model unsupported on {kind} stream")
 
 
+def _linear_pinball(spec: dict, n_features: int):
+    return LinearPinballModel(
+        n_features=n_features,
+        taus=tuple(spec.get("taus", (0.05, 0.95))),
+        lr=float(spec.get("lr", 0.1)),
+        fit_intercept=bool(spec.get("fit_intercept", True)),
+        n_sgd_steps=int(spec.get("n_sgd_steps", 1)),
+    )
+
+
+def _constant_model(spec: dict):
+    values = {float(k): float(v) for k, v in spec.get("values", {}).items()}
+    return ConstantModel(values, default=float(spec.get("default", 0.0)))
+
+
 def _build_model(cfg: dict, stream_obj):
     spec = cfg["model"]
     kind = spec["kind"]
     if kind == "linear_pinball":
-        return LinearPinballModel(
-            n_features=_stream_feature_count(cfg, stream_obj),
-            taus=tuple(spec.get("taus", (0.05, 0.95))),
-            lr=float(spec.get("lr", 0.1)),
-            fit_intercept=bool(spec.get("fit_intercept", True)),
-            n_sgd_steps=int(spec.get("n_sgd_steps", 1)),
-        )
+        return _linear_pinball(spec, _stream_feature_count(cfg, stream_obj))
     if kind == "oracle":
         return stream_obj.oracle_model()
     if kind == "replay":
         return ReplayModel.from_csv(spec["path"])
-    values = {float(k): float(v) for k, v in spec.get("values", {}).items()}
-    return ConstantModel(values, default=float(spec.get("default", 0.0)))
+    return _constant_model(spec)
 
 
 def _build_constructor(cfg: dict):
@@ -315,10 +366,6 @@ def _build_constructor(cfg: dict):
         return CqrConstructor(tau_lo=float(min(taus)), tau_hi=float(max(taus)))
     if kind == "quantile_scale":
         return QuantileScaleConstructor()
-    if kind == "class_threshold":
-        return ClassThresholdConstructor()
-    if kind == "class_cumulative":
-        return ClassCumulativeConstructor()
     heur = spec.get("heuristic", {"kind": "previous_residuals"})
     hk = heur.get("kind", "previous_residuals")
     if hk == "constant":
@@ -377,6 +424,13 @@ def _nominal_alpha(cfg: dict) -> float:
     return 0.1
 
 
+def _aci_params(cfg: dict) -> dict:
+    c = cfg["controller"]
+    return {"gamma": float(c.get("gamma", 0.05)),
+            "alpha": float(c.get("alpha", cfg["losses"][0]["r"])),
+            "warmup": int(c.get("warmup", 10))}
+
+
 def run_trial(cfg: dict, trial_index: int):
     """Run one seeded trial; returns (trace, kind_tag)."""
     seed = int(cfg.get("seed", 0)) + trial_index
@@ -388,12 +442,9 @@ def run_trial(cfg: dict, trial_index: int):
     if kind == "baseline_aci":
         taus = cfg["model"].get("taus", (0.05, 0.95))
         trace = baseline.run_aci_stream(
-            stream, model,
-            gamma=float(controller.get("gamma", 0.05)),
-            alpha=float(controller.get("alpha", cfg["losses"][0]["r"])),
+            stream, model, **_aci_params(cfg),
             window_size=int(controller.get("window", 500)),
             tau_lo=float(min(taus)), tau_hi=float(max(taus)),
-            warmup=int(controller.get("warmup", 10)),
             largest=bool(controller.get("largest", False)),
             n_steps=cfg["steps"])
         return trace, kind
@@ -401,28 +452,25 @@ def run_trial(cfg: dict, trial_index: int):
     constructor = _build_constructor(cfg)
     stretch = _build_stretch(cfg.get("stretch", {"kind": "none"}),
                              _resolve_auto_stretch_scale(cfg, seed))
-    if kind == "single":
-        loss_fn = _build_loss(cfg["losses"][0])
-        loss_fn.reset()
-        spec = _single_spec(cfg)
-        trace = engine.run_stream(stream, model, constructor, loss_fn, spec,
-                                  stretch, n_steps=cfg["steps"])
-        return trace, kind
-
     loss_fns = [_build_loss(s) for s in cfg["losses"]]
     for fn in loss_fns:
         fn.reset()
-    spec = _multi_spec(cfg)
-    trace = multirisk.run_multi_stream(stream, model, constructor, loss_fns,
-                                       spec, stretch, n_steps=cfg["steps"])
+    if kind == "single":
+        trace = engine.run_stream(stream, model, constructor, loss_fns[0],
+                                  _single_spec(cfg), stretch,
+                                  n_steps=cfg["steps"])
+    else:
+        trace = multirisk.run_multi_stream(stream, model, constructor,
+                                           loss_fns, _multi_spec(cfg), stretch,
+                                           n_steps=cfg["steps"])
     return trace, kind
 
 
-def _trial_report(cfg: dict, trace, kind: str) -> dict:
+def _trial_report(cfg: dict, trace) -> dict:
     window = tuple(cfg.get("eval_window") or (1, len(trace)))
     alpha = _nominal_alpha(cfg)
     report = metrics.evaluate(trace, window=window, alpha=alpha).to_dict()
-    if kind == "multi":
+    if trace.loss.ndim == 2:
         sl = slice(window[0] - 1, window[1])
         report["mean_loss_per_risk"] = [
             float(np.mean(trace.loss[sl, i])) for i in range(trace.loss.shape[1])]
@@ -433,9 +481,22 @@ def _trial_report(cfg: dict, trace, kind: str) -> dict:
 # Certificates
 # ---------------------------------------------------------------------------
 
+def _both(*results):
+    """One verdict from several checks: all must hold; the worst violation."""
+    return all(ok for ok, _ in results), max(viol for _, viol in results)
+
+
 def certificate_for_trace(trace, cfg: dict, kind: str, label: str) -> list:
-    """Bound-check verdict lines for one trace: (name, verdict, detail)."""
+    """Bound-check verdict lines for one trace: (name, verdict, detail).
+
+    Every line comes from the k-general checks in ``engine``; each controller
+    kind keeps the line names it has always written. A recursion line
+    replays the update function the trial's loop applied.
+    """
     lines = []
+    bounds = []       # (name, (ok, violation)) per deterministic bound
+    recursion = None  # (name, update function)
+    guaranteed = True
     if kind == "single":
         spec = _single_spec(cfg)
         loss_fn = _build_loss(cfg["losses"][0])
@@ -444,47 +505,39 @@ def certificate_for_trace(trace, cfg: dict, kind: str, label: str) -> list:
                       "GUARANTEED" if guaranteed else "NOT_GUARANTEED",
                       f"full={loss_fn.full_space_loss} r={spec.r} "
                       f"empty_min={loss_fn.empty_set_loss_min}"))
-        for name, check in (("theta_bound", engine.check_theta_bound),
-                            ("risk_bound", engine.check_prefix_deviation),
-                            ("recursion", engine.check_recursion)):
-            ok, viol = check(trace, spec)
-            if name != "recursion" and not guaranteed:
-                verdict = "INFO_PASS" if ok else "INFO_FAIL"
-            else:
-                verdict = "PASS" if ok else "FAIL"
-            lines.append((f"{label} {name}", verdict,
-                          f"max violation {viol:.3e}"))
+        bounds = [
+            ("theta_bound", _both(engine.check_upper_theta_bound(trace, spec),
+                                  engine.check_lower_theta_bound(trace, spec))),
+            ("risk_bound", engine.check_two_sided_risk_bound(trace, spec))]
+        recursion = ("recursion", engine.control_update(spec))
     elif kind == "multi":
         spec = _multi_spec(cfg)
-        checks = [("upper_theta_bound", multirisk.check_upper_theta_bound),
-                  ("upper_risk_bound", multirisk.check_upper_risk_bound)]
+        bounds = [
+            ("upper_theta_bound", engine.check_upper_theta_bound(trace, spec)),
+            ("upper_risk_bound", engine.check_upper_risk_bound(trace, spec))]
         if spec.two_sided:
-            checks += [("lower_theta_bound", multirisk.check_lower_theta_bound),
-                       ("two_sided_risk_bound",
-                        multirisk.check_two_sided_risk_bound)]
-        for name, check in checks:
-            ok, viol = check(trace, spec)
-            lines.append((f"{label} {name}", "PASS" if ok else "FAIL",
-                          f"max violation {viol:.3e}"))
+            bounds += [
+                ("lower_theta_bound",
+                 engine.check_lower_theta_bound(trace, spec)),
+                ("two_sided_risk_bound",
+                 engine.check_two_sided_risk_bound(trace, spec))]
     else:  # baseline_aci
-        ok, viol = _check_aci_recursion(trace, cfg)
-        lines.append((f"{label} alpha_recursion", "PASS" if ok else "FAIL",
+        recursion = ("alpha_recursion",
+                     baseline.aci_update(**_aci_params(cfg)))
+
+    for name, (ok, viol) in bounds:
+        # the bounds of a vacuous guarantee are informational
+        if guaranteed:
+            verdict = "PASS" if ok else "FAIL"
+        else:
+            verdict = "INFO_PASS" if ok else "INFO_FAIL"
+        lines.append((f"{label} {name}", verdict, f"max violation {viol:.3e}"))
+    if recursion is not None:
+        name, update = recursion
+        ok, viol = engine.check_recursion(trace, update)
+        lines.append((f"{label} {name}", "PASS" if ok else "FAIL",
                       f"max violation {viol:.3e}"))
     return lines
-
-
-def _check_aci_recursion(trace, cfg: dict, eps: float = 1e-9):
-    controller = cfg["controller"]
-    gamma = float(controller.get("gamma", 0.05))
-    alpha = float(controller.get("alpha", cfg["losses"][0]["r"]))
-    warmup = int(controller.get("warmup", 10))
-    n = len(trace.loss)
-    if n == 0:
-        return True, 0.0
-    expected = trace.theta_pre + gamma * (alpha - trace.loss)
-    expected[:warmup] = trace.theta_pre[:warmup]
-    viol = float(np.max(np.abs(expected - trace.theta_post)))
-    return viol <= eps, viol
 
 
 def certificate_passed(lines: list) -> bool:
@@ -495,83 +548,70 @@ def certificate_passed(lines: list) -> bool:
 # Trace serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+_PER_RISK_COLUMNS = ("loss", "theta_pre", "theta_post")
 
 
-def write_trace_csv(trace, path, kind: str = "single",
-                    layout: str = "interval") -> None:
-    """Fixed-column trace export.
+def write_trace_csv(trace, path, layout: str = "interval") -> None:
+    """Fixed-column trace export, one row per step.
 
-    Single-risk interval runs: step,loss,theta_pre,theta_post,set_lo,set_hi,covered.
-    Other single-risk runs swap the endpoint pair for set_size. Multi-risk
-    runs write one loss/theta_pre/theta_post column per risk, suffixed _i.
+    Columns: step, then loss, theta_pre and theta_post (one column per risk,
+    suffixed _1.._k, when the trace has k-risk columns), then the set as
+    set_lo,set_hi (``layout="interval"``) or set_size (any other layout),
+    then covered. Floats are written with 17 significant digits, so they
+    read back exactly.
     """
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        if kind == "multi":
-            k = trace.loss.shape[1]
-            cols = (["step"] + [f"loss_{i + 1}" for i in range(k)]
-                    + [f"theta_pre_{i + 1}" for i in range(k)]
-                    + [f"theta_post_{i + 1}" for i in range(k)]
-                    + ["set_size", "covered"])
-            fh.write(",".join(cols) + "\n")
-            for t in range(len(trace)):
-                row = ([str(t + 1)]
-                       + [_fmt(v) for v in trace.loss[t]]
-                       + [_fmt(v) for v in trace.theta_pre[t]]
-                       + [_fmt(v) for v in trace.theta_post[t]]
-                       + [_fmt(trace.size[t]), str(int(trace.covered[t]))])
-                fh.write(",".join(row) + "\n")
-            return
-        if layout == "interval":
-            fh.write("step,loss,theta_pre,theta_post,set_lo,set_hi,covered\n")
-            for t in range(len(trace)):
-                fh.write(",".join([
-                    str(t + 1), _fmt(trace.loss[t]), _fmt(trace.theta_pre[t]),
-                    _fmt(trace.theta_post[t]), _fmt(trace.lo[t]),
-                    _fmt(trace.hi[t]), str(int(trace.covered[t]))]) + "\n")
+    names, cols = [], []
+    for name in _PER_RISK_COLUMNS:
+        col = getattr(trace, name)
+        if col.ndim == 1:
+            names.append(name)
+            cols.append(col)
         else:
-            fh.write("step,loss,theta_pre,theta_post,set_size,covered\n")
-            for t in range(len(trace)):
-                fh.write(",".join([
-                    str(t + 1), _fmt(trace.loss[t]), _fmt(trace.theta_pre[t]),
-                    _fmt(trace.theta_post[t]), _fmt(trace.size[t]),
-                    str(int(trace.covered[t]))]) + "\n")
+            names += [f"{name}_{i + 1}" for i in range(col.shape[1])]
+            cols += list(col.T)
+    if layout == "interval":
+        names += ["set_lo", "set_hi"]
+        cols += [trace.lo, trace.hi]
+    else:
+        names.append("set_size")
+        cols.append(trace.size)
+    rows = zip(*[col.tolist() for col in cols], trace.covered.tolist())
+    with open(Path(path), "w", newline="") as fh:
+        fh.write(",".join(["step", *names, "covered"]) + "\n")
+        for step, (*values, covered) in enumerate(rows, 1):
+            fh.write(f"{step}," + ",".join([format(v, ".17g") for v in values])
+                     + f",{int(covered)}\n")
 
 
 def read_trace_csv(path):
-    """Read a trace CSV back into arrays; the inverse of write_trace_csv."""
-    path = Path(path)
-    with open(path) as fh:
+    """Read a trace CSV back into a StreamTrace; the inverse of
+    write_trace_csv. The label and group columns are not exported and come
+    back as NaN and -1."""
+    with open(Path(path)) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
     cols = {name: np.array([float(r[i]) for r in rows])
             for i, name in enumerate(header)}
     n = len(rows)
 
-    loss_cols = sorted((c for c in cols if c.startswith("loss_")),
-                       key=lambda c: int(c.split("_")[-1]))
-    if loss_cols:
-        k = len(loss_cols)
-        loss = np.column_stack([cols[c] for c in loss_cols])
-        theta_pre = np.column_stack(
-            [cols[f"theta_pre_{i + 1}"] for i in range(k)])
-        theta_post = np.column_stack(
-            [cols[f"theta_post_{i + 1}"] for i in range(k)])
-        return multirisk.MultiTrace(
-            loss=loss, theta_pre=theta_pre, theta_post=theta_post,
-            covered=cols["covered"].astype(bool), size=cols["set_size"])
+    def per_risk(name):
+        if name in cols:
+            return cols[name]
+        k = sum(1 for c in cols if c.startswith(f"{name}_"))
+        return np.column_stack([cols[f"{name}_{i + 1}"] for i in range(k)])
 
     nan = np.full(n, math.nan)
+    lo, hi = cols.get("set_lo", nan), cols.get("set_hi", nan)
+    if "set_size" in cols:
+        size = cols["set_size"]
+    else:
+        # NaN endpoints mark the empty set, whose size is 0
+        size = np.where(np.isnan(lo), 0.0, hi - lo)
     return engine.StreamTrace(
-        loss=cols["loss"], theta_pre=cols["theta_pre"],
-        theta_post=cols["theta_post"], covered=cols["covered"].astype(bool),
-        size=(cols["set_size"] if "set_size" in cols
-              else cols["set_hi"] - cols["set_lo"]),
-        lo=cols.get("set_lo", nan), hi=cols.get("set_hi", nan),
-        y=nan, group=np.full(n, -1, dtype=int),
-    )
+        loss=per_risk("loss"), theta_pre=per_risk("theta_pre"),
+        theta_post=per_risk("theta_post"),
+        covered=cols["covered"].astype(bool), size=size, lo=lo, hi=hi,
+        y=nan, group=np.full(n, -1, dtype=int))
 
 
 def recompute_certificate(out_dir) -> list:
@@ -613,7 +653,9 @@ def _aggregate_reports(reports: list) -> dict:
 
 
 def _trace_layout(cfg: dict) -> str:
-    if cfg["constructor"]["kind"] in ("cqr", "quantile_scale"):
+    # k-risk traces have always recorded the set size only
+    if (cfg["controller"]["kind"] != "multi"
+            and cfg["constructor"]["kind"] in ("cqr", "quantile_scale")):
         return "interval"
     return "size"
 
@@ -628,16 +670,15 @@ def run_experiment(cfg: dict, out_dir=None) -> ExperimentResult:
     with open(out / "config.json", "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
 
-    kind = cfg["controller"]["kind"]
     layout = _trace_layout(cfg)
     reports = []
     try:
         for i in range(cfg["trials"]):
             trace, kind = run_trial(cfg, i)
-            report = _trial_report(cfg, trace, kind)
+            report = _trial_report(cfg, trace)
             trial_dir = out / f"trial_{i:03d}"
             trial_dir.mkdir(exist_ok=True)
-            write_trace_csv(trace, trial_dir / "trace.csv", kind, layout)
+            write_trace_csv(trace, trial_dir / "trace.csv", layout)
             with open(trial_dir / "report.json", "w") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
             result.trials.append(TrialResult(trace, report,

@@ -92,8 +92,3 @@ class Stretch:
         lam = clip(self.lam - step, self.beta_low, self.beta_high)
         return replace(self, lam=lam)
 
-
-def update_lambda(state: Stretch, score: float, prev_loss: float,
-                  r: float) -> Stretch:
-    """Functional alias for :meth:`Stretch.updated`."""
-    return state.updated(score, prev_loss, r)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from riskcal.baseline import (AciState, ScoreWindow, aci_step,
-                              empirical_quantile, run_aci_stream)
+from riskcal.baseline import (ScoreWindow, WindowQuantileConstructor,
+                              aci_update, empirical_quantile, run_aci_stream)
+from riskcal.engine import check_recursion
+from riskcal.losses import binary_loss
 from riskcal.models import ConstantModel, LinearPinballModel
 from riskcal.sets import FULL_SPACE, Interval, cqr_interval, cqr_score
 from riskcal.streams import (KnownQuantileConfig, KnownQuantileStream,
@@ -68,49 +70,59 @@ class TestScoreWindow:
         rng = np.random.default_rng(1)
         model = ConstantModel({0.05: -1.0, 0.95: 1.0})
         n = 20
-        state = AciState(0.1, ScoreWindow(n))
+        ctor = WindowQuantileConstructor(window_size=n, warmup=1)
         expected_scores = []
         for t in range(100):
             x, y = None, float(rng.normal())
-            if t == 0:
-                state.window.push(cqr_score(-1.0, 1.0, y))
-            else:
-                _, state, _ = aci_step(state, x, y, model, 0.05, 0.1)
+            ctor.build(x, 0.1, model)
+            ctor.observe(x, y, model)
             expected_scores.append(cqr_score(-1.0, 1.0, y))
-        assert state.window.scores() == expected_scores[-n:]
+        assert ctor.window.scores() == expected_scores[-n:]
+
+
+def _aci_step(ctor, alpha_t, y, model, gamma=0.05, alpha=0.1):
+    """One baseline step through the constructor and update the loop runs:
+    (announced set, new alpha_t, err)."""
+    pred_set = ctor.build(None, alpha_t, model)
+    err = binary_loss(y, pred_set)
+    ctor.observe(None, y, model)
+    (new_alpha,) = aci_update(gamma, alpha, warmup=0)(0, (alpha_t,), (err,))
+    return pred_set, new_alpha, err
 
 
 class TestAciStep:
     def setup_method(self):
         self.model = ConstantModel({0.05: -1.0, 0.95: 1.0})
 
+    def _ctor(self, scores, capacity):
+        ctor = WindowQuantileConstructor(window_size=capacity, warmup=0)
+        for v in scores:
+            ctor.window.push(v)
+        return ctor
+
     def test_error_at_alpha_is_fixed_point(self):
         # err_t can only be 0 or 1; the fixed point shows in expectation,
         # so check the update arithmetic directly at both branches
-        st = AciState(0.1, ScoreWindow(5))
-        st.window.push(0.5)
-        _, st1, err = aci_step(st, None, 0.0, self.model, 0.05, 0.1)
+        ctor = self._ctor([0.5], 5)
+        _, alpha_1, err = _aci_step(ctor, 0.1, 0.0, self.model)
         assert err == 0.0
-        assert st1.alpha_t == pytest.approx(0.1 + 0.05 * (0.1 - 0.0))
+        assert alpha_1 == pytest.approx(0.1 + 0.05 * (0.1 - 0.0))
 
     def test_miss_update_value(self):
-        st = AciState(0.1, ScoreWindow(50))
-        for _ in range(50):
-            st.window.push(0.5)
-        _, st1, err = aci_step(st, None, 5.0, self.model, 0.05, 0.1)
+        ctor = self._ctor([0.5] * 50, 50)
+        _, alpha_1, err = _aci_step(ctor, 0.1, 5.0, self.model)
         assert err == 1.0
-        assert st1.alpha_t == pytest.approx(0.055)
+        assert alpha_1 == pytest.approx(0.055)
 
     def test_set_is_interval_matching_cqr_adjustment(self):
         rng = np.random.default_rng(2)
-        st = AciState(0.1, ScoreWindow(50))
-        for _ in range(50):
-            st.window.push(float(rng.normal()))
+        ctor = self._ctor(rng.normal(size=50).tolist(), 50)
+        alpha_t = 0.1
         for _ in range(100):
             y = float(rng.normal() * 3)
-            q = empirical_quantile(st.window, 1.0 - st.alpha_t)
+            q = empirical_quantile(ctor.window, 1.0 - alpha_t)
             expected = FULL_SPACE if math.isinf(q) else cqr_interval(-1.0, 1.0, q)
-            got, st, _ = aci_step(st, None, y, self.model, 0.05, 0.1)
+            got, alpha_t, _ = _aci_step(ctor, alpha_t, y, self.model)
             if expected is FULL_SPACE:
                 assert got is FULL_SPACE
             else:
@@ -143,3 +155,13 @@ class TestRunAciStream:
         trace = run_aci_stream(kq.generate(20000), kq.oracle_model(),
                                gamma=0.05, alpha=0.1, window_size=500)
         assert trace.covered[10:].mean() == pytest.approx(0.9, abs=0.02)
+
+    def test_recursion_replays_the_warmup_freeze(self):
+        kq = KnownQuantileStream(KnownQuantileConfig(seed=6))
+        trace = run_aci_stream(kq.generate(200), kq.oracle_model(),
+                               gamma=0.05, alpha=0.1, window_size=50,
+                               warmup=10)
+        update = aci_update(0.05, 0.1, 10)
+        assert check_recursion(trace, update) == (True, 0.0)
+        # the same trace does not follow an update without the freeze
+        assert not check_recursion(trace, aci_update(0.05, 0.1, 0))[0]

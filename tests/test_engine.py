@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from riskcal.engine import (CalibratorState, RiskSpec, check_theta_bound,
-                            check_recursion, check_prefix_deviation,
-                            loss_contract_guaranteed, risk_bound, run_stream,
-                            safeguarded_construct, prefix_deviation_bound,
-                            update_theta, _STOP)
+from riskcal.engine import (RiskSpec, check_lower_theta_bound,
+                            check_recursion, check_two_sided_risk_bound,
+                            check_upper_risk_bound, check_upper_theta_bound,
+                            control_update, loss_contract_guaranteed,
+                            risk_bound, run_stream, two_sided_deviation_bound,
+                            _STOP)
 from riskcal.losses import BinaryLossFn
 from riskcal.models import ConstantModel
-from riskcal.sets import EMPTY_SET, FULL_SPACE, CqrConstructor, Interval
+from riskcal.sets import EMPTY_SET, FULL_SPACE, CqrConstructor
 from riskcal.stretching import Stretch
 
 
@@ -32,28 +33,42 @@ class TestRiskSpec:
             RiskSpec(r=2.0, gamma=0.1, m=-1, M=1, B=1.0)
 
 
+class _ConstantLoss:
+    """A loss that returns the same value at every step."""
+
+    bound = 1.0
+    full_space_loss = 0.0
+    empty_set_loss_min = 1.0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, y, s):
+        return self.value
+
+    def reset(self):
+        pass
+
+
+def _step(spec, theta, loss):
+    """One application of the update function the loop runs."""
+    (new,) = control_update(spec)(0, (theta,), (loss,))
+    return new
+
+
 class TestUpdateTheta:
     def test_loss_at_target_is_fixed_point(self):
         spec = _spec()
-        state = CalibratorState(theta=0.0)
-        assert update_theta(state, spec.r, spec).theta == 0.0
+        assert _step(spec, 0.0, spec.r) == 0.0
 
     def test_direct_evaluation(self):
-        spec = _spec()
-        state = CalibratorState(theta=0.5)
-        new = update_theta(state, 1.0, spec)
-        assert new.theta == pytest.approx(0.545)
-        assert new.t == 1 and new.loss_sum == 1.0
+        assert _step(_spec(), 0.5, 1.0) == pytest.approx(0.545)
 
     def test_rejects_out_of_bound_loss(self):
-        spec = _spec()
-        with pytest.raises(ValueError):
-            update_theta(CalibratorState(0.0), 1.5, spec)
-        with pytest.raises(ValueError):
-            update_theta(CalibratorState(0.0), -1.5, spec)
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                update_theta(CalibratorState(0.0), bad, spec)
+        for bad in (1.5, -1.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="at step 1"):
+                run_stream(_iid_stream(0, 3), ConstantModel({0.05: 2, 0.95: 4}),
+                           CqrConstructor(), _ConstantLoss(bad), _spec())
 
     def test_affine_in_loss(self):
         rng = np.random.default_rng(0)
@@ -62,47 +77,46 @@ class TestUpdateTheta:
             theta = rng.normal()
             l1, l2 = rng.uniform(-1, 1, size=2)
             a = rng.uniform()
-            mixed = update_theta(CalibratorState(theta),
-                                 a * l1 + (1 - a) * l2, spec).theta
-            combo = a * update_theta(CalibratorState(theta), l1, spec).theta \
-                + (1 - a) * update_theta(CalibratorState(theta), l2, spec).theta
+            mixed = _step(spec, theta, a * l1 + (1 - a) * l2)
+            combo = a * _step(spec, theta, l1) + (1 - a) * _step(spec, theta, l2)
             assert mixed == pytest.approx(combo, rel=1e-12, abs=1e-12)
 
     def test_iid_bernoulli_stream_respects_deviation_bound(self):
         # independent oracle: simulate the loss stream and evaluate the
-        # bound arithmetic outside the engine
+        # bound arithmetic outside the loop
         rng = np.random.default_rng(0)
         losses = (rng.uniform(size=10000) < 0.1).astype(float)
         spec = _spec()
-        state = CalibratorState(theta=spec.theta_init)
-        for loss in losses:
-            state = update_theta(state, float(loss), spec)
+        update = control_update(spec)
+        theta = (spec.theta_init,)
+        for t, loss in enumerate(losses):
+            theta = update(t, theta, (float(loss),))
         slack = spec.M - spec.m + 4 * spec.gamma * spec.B
-        assert abs(state.theta - spec.theta_init) <= slack
-        assert abs(state.loss_sum / state.t - 0.1) <= slack / spec.gamma / 10000
+        assert abs(theta[0] - spec.theta_init) <= slack
+        assert abs(losses.mean() - 0.1) <= slack / spec.gamma / 10000
 
 
 class TestSafeguardedConstruct:
-    def setup_method(self):
-        self.model = ConstantModel({0.05: 2.0, 0.95: 5.0})
-        self.ctor = CqrConstructor(0.05, 0.95)
-        self.spec = _spec()
+    """The set the loop announces from its starting parameter."""
+
+    def _first_step(self, theta_init):
+        spec = _spec(theta_init=theta_init)
+        return run_stream([(None, 3.0)], ConstantModel({0.05: 2.0, 0.95: 5.0}),
+                          CqrConstructor(0.05, 0.95), BinaryLossFn(), spec)
 
     def test_above_M_full_space(self):
-        state = CalibratorState(theta=self.spec.M + 1.0)
-        assert safeguarded_construct(None, state, self.model, self.ctor,
-                                     self.spec) is FULL_SPACE
+        trace = self._first_step(_spec().M + 1.0)
+        assert trace.lo[0] == -math.inf and trace.hi[0] == math.inf
+        assert trace.size[0] == math.inf
 
     def test_below_m_empty(self):
-        state = CalibratorState(theta=self.spec.m - 1.0)
-        assert safeguarded_construct(None, state, self.model, self.ctor,
-                                     self.spec) is EMPTY_SET
+        trace = self._first_step(_spec().m - 1.0)
+        assert math.isnan(trace.lo[0]) and math.isnan(trace.hi[0])
+        assert trace.size[0] == 0.0 and not trace.covered[0]
 
     def test_zero_adjustment_passthrough(self):
-        state = CalibratorState(theta=0.0)
-        got = safeguarded_construct(None, state, self.model, self.ctor,
-                                    self.spec)
-        assert got == Interval(2.0, 5.0)
+        trace = self._first_step(0.0)
+        assert (trace.lo[0], trace.hi[0]) == (2.0, 5.0)
 
 
 class TestRiskBound:
@@ -122,7 +136,7 @@ class TestRiskBound:
         with pytest.raises(ValueError):
             risk_bound(_spec(), 0)
         with pytest.raises(ValueError):
-            prefix_deviation_bound(_spec(), 0)
+            two_sided_deviation_bound(_spec(), 0, 0)
 
 
 def _iid_stream(seed, n, mu=3.0):
@@ -181,10 +195,10 @@ class TestRunStream:
         trace = run_stream(_Adversary(5000),
                            ConstantModel({0.05: -1.0, 0.95: 1.0}),
                            CqrConstructor(), BinaryLossFn(), spec)
-        ok, viol = check_prefix_deviation(trace, spec)
-        assert ok, viol
-        ok, viol = check_theta_bound(trace, spec)
-        assert ok, viol
+        for check in (check_two_sided_risk_bound, check_upper_theta_bound,
+                      check_lower_theta_bound):
+            ok, viol = check(trace, spec)
+            assert ok, (check.__name__, viol)
 
     def test_theta_box_on_every_step(self):
         spec = _spec(gamma=0.3)
@@ -199,7 +213,7 @@ class TestRunStream:
     def test_recursion_certificate(self):
         trace = run_stream(_iid_stream(3, 500), ConstantModel({0.05: 2, 0.95: 4}),
                            CqrConstructor(), BinaryLossFn(), _spec())
-        ok, viol = check_recursion(trace, _spec())
+        ok, viol = check_recursion(trace, control_update(_spec()))
         assert ok and viol == 0.0
 
     def test_no_peek_replay_prefix_is_bit_exact(self):
@@ -239,20 +253,9 @@ class TestRunStream:
                        BinaryLossFn(), _spec(), stretch)
 
     def test_loss_outside_bound_aborts(self):
-        class BadLoss:
-            bound = 1.0
-            full_space_loss = 0.0
-            empty_set_loss_min = 1.0
-
-            def __call__(self, y, s):
-                return 5.0
-
-            def reset(self):
-                pass
-
         with pytest.raises(ValueError):
             run_stream(_iid_stream(0, 10), ConstantModel({0.05: 2, 0.95: 4}),
-                       CqrConstructor(), BadLoss(), _spec())
+                       CqrConstructor(), _ConstantLoss(5.0), _spec())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_loss_aborts_at_its_step(self, bad):
@@ -293,9 +296,27 @@ class TestPrefixDeviationBoundForm:
         m_lo = spec.m - 2 * spec.gamma * spec.B
         m_hi = spec.M + 2 * spec.gamma * spec.B
         expect = max(spec.theta_init - m_lo, m_hi - spec.theta_init) / (100 * spec.gamma)
-        assert prefix_deviation_bound(spec, 100) == pytest.approx(expect)
+        assert two_sided_deviation_bound(spec, 0, 100) == pytest.approx(expect)
 
     def test_never_looser_than_risk_bound_midpoint(self):
         # with theta_init at the midpoint the two forms agree
         spec = RiskSpec(r=0.1, gamma=0.05, m=-2.0, M=2.0, B=1.0, theta_init=0.0)
-        assert prefix_deviation_bound(spec, 50) <= risk_bound(spec, 50)
+        assert two_sided_deviation_bound(spec, 0, 50) <= risk_bound(spec, 50)
+
+
+class TestChecksOnCorruptTraces:
+    @pytest.mark.parametrize("column", ["loss", "theta_pre", "theta_post"])
+    def test_nan_in_a_column_fails_its_checks(self, column):
+        # a NaN read back from a damaged CSV must never pass a check
+        spec = _spec()
+        trace = run_stream(_iid_stream(1, 50), ConstantModel({0.05: 2, 0.95: 4}),
+                           CqrConstructor(), BinaryLossFn(), spec)
+        getattr(trace, column)[20] = math.nan
+        checks = {"loss": (check_two_sided_risk_bound, check_upper_risk_bound),
+                  "theta_pre": (check_upper_theta_bound,
+                                check_lower_theta_bound),
+                  "theta_post": (check_upper_theta_bound,
+                                 check_lower_theta_bound)}[column]
+        for check in checks:
+            assert not check(trace, spec)[0], check.__name__
+        assert not check_recursion(trace, control_update(spec))[0]

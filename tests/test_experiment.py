@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from riskcal.cli import main as cli_main
 from riskcal.engine import RiskSpec, risk_bound
@@ -62,6 +63,22 @@ class TestValidation:
     def test_missing_loss_target(self):
         with pytest.raises(ConfigError, match="losses"):
             validate_config(base_config(losses=[{"kind": "binary"}]))
+
+    @pytest.mark.parametrize("kind", ["class_threshold", "class_cumulative"])
+    def test_classification_constructors_not_in_config(self, kind):
+        # no config model has predict_proba, so these could never run
+        with pytest.raises(ConfigError, match="constructor.kind"):
+            validate_config(base_config(constructor={"kind": kind}))
+
+    def test_adaptive_stretch_needs_a_single_risk(self):
+        cfg = base_config(
+            losses=[{"kind": "binary", "r": 0.1}, {"kind": "mc", "r": 0.2}],
+            controller={"kind": "multi", "gamma": 0.05, "m": -2.0, "M": 2.0,
+                        "B": [1.0, 50.0]},
+            stretch={"kind": "error_adaptive", "beta_score": 0.05,
+                     "beta_loss": 0.1, "beta_low": -1.0, "beta_high": 1.0})
+        with pytest.raises(ConfigError, match="stretch"):
+            validate_config(cfg)
 
 
 class TestRunExperiment:
@@ -173,6 +190,28 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="auto"):
             run_experiment(cfg, tmp_path)
 
+    def test_one_risk_multi_updates_adaptive_stretch(self, tmp_path):
+        stretch = {"kind": "error_adaptive", "beta_score": 0.05,
+                   "beta_loss": 0.1, "beta_low": -1.0, "beta_high": 1.0}
+        controller = {"gamma": 0.05, "m": -2.0, "M": 2.0, "B": 1.0}
+        single = run_experiment(base_config(
+            trials=1, steps=500, stretch=stretch,
+            controller={"kind": "single", **controller}), tmp_path / "s")
+        multi = run_experiment(base_config(
+            trials=1, steps=500, stretch=stretch,
+            controller={"kind": "multi", "two_sided": True, **controller}),
+            tmp_path / "m")
+        frozen = run_experiment(base_config(
+            trials=1, steps=500, stretch={"kind": "none"},
+            controller={"kind": "multi", "two_sided": True, **controller}),
+            tmp_path / "f")
+        s, m, f = (r.trials[0].trace for r in (single, multi, frozen))
+        # lambda moves exactly as in the single-risk controller
+        np.testing.assert_array_equal(m.theta_post[:, 0], s.theta_post)
+        np.testing.assert_array_equal(m.hi, s.hi)
+        assert not np.array_equal(m.hi, f.hi)
+        assert multi.certificate_passed
+
     def test_baseline_run(self, tmp_path):
         cfg = base_config(
             steps=3000, trials=1, eval_window=[501, 3000],
@@ -268,18 +307,20 @@ class TestSweep:
 
 class TestTraceRoundTrip:
     def test_multi_trace_round_trip(self, tmp_path):
-        from riskcal.multirisk import MultiTrace
+        from riskcal.engine import StreamTrace
         n, k = 7, 2
         rng = np.random.default_rng(0)
-        trace = MultiTrace(
+        trace = StreamTrace(
             loss=rng.uniform(size=(n, k)),
             theta_pre=rng.normal(size=(n, k)),
             theta_post=rng.normal(size=(n, k)),
             covered=rng.uniform(size=n) < 0.5,
             size=rng.uniform(size=n),
+            lo=np.full(n, math.nan), hi=np.full(n, math.nan),
+            y=np.full(n, math.nan), group=np.full(n, -1),
         )
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path, "multi")
+        write_trace_csv(trace, path, "size")
         back = read_trace_csv(path)
         np.testing.assert_array_equal(back.loss, trace.loss)
         np.testing.assert_array_equal(back.theta_pre, trace.theta_pre)
@@ -299,7 +340,7 @@ class TestTraceRoundTrip:
             group=np.array([-1, -1]),
         )
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path, "single", "interval")
+        write_trace_csv(trace, path, "interval")
         back = read_trace_csv(path)
         assert math.isinf(back.hi[0]) and math.isnan(back.lo[1])
 
@@ -327,6 +368,45 @@ class TestCli:
         assert code == 0
         saved = json.loads((tmp_path / "o2" / "config.json").read_text())
         assert saved["trials"] == 1 and saved["seed"] == 3
+
+    @pytest.mark.parametrize("change", [
+        {"eval_window": ["a", 5]},
+        {"eval_window": [1.5, 5]},
+        {"stream": "known_quantile"},
+        {"stream": {"kind": "known_quantile", "slope": "steep"}},
+        {"model": ["oracle"]},
+        {"model": {"kind": "linear_pinball", "lr": "x"},
+         "stream": {"kind": "synthetic"}},
+        {"model": {"kind": "constant", "values": [1.0]}},
+        {"constructor": 5},
+        {"constructor": {"kind": "image", "heuristic": "constant"}},
+        {"constructor": {"kind": "image",
+                         "heuristic": {"kind": "constant", "value": "x"}}},
+        {"losses": ["binary"]},
+        {"losses": [{"kind": "mc", "r": 0.1, "cap": "many"}]},
+        {"stretch": None},
+        {"controller": []},
+        {"controller": {"kind": "baseline_aci", "warmup": "x"}},
+    ])
+    def test_malformed_sections_exit_two(self, tmp_path, capsys, change):
+        cfg = base_config(trials=1, steps=300)
+        cfg.update(change)
+        path = self._write_cfg(tmp_path, cfg)
+        assert cli_main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_sweep_grid_tokens_are_json(self, tmp_path, capsys):
+        # integer fields can be swept: "50" parses as 50, not 50.0
+        cfg = base_config(trials=1, steps=400, val_window=[101, 300],
+                          controller={"kind": "baseline_aci", "gamma": 0.05,
+                                      "window": 100})
+        path = self._write_cfg(tmp_path, cfg)
+        code = cli_main(["sweep", path, "--param", "controller.window",
+                         "--grid", "50", "100", "--out", str(tmp_path / "sw")])
+        assert code == 0
+        sel = json.loads(capsys.readouterr().out)
+        assert sorted(r["value"] for r in sel["ranking"]) == [50, 100]
+        assert all(isinstance(r["value"], int) for r in sel["ranking"])
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = base_config(trials=0)
@@ -372,3 +452,53 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "run_experiment", fake_run)
         path = self._write_cfg(tmp_path, base_config(trials=1, steps=300))
         assert cli_mod.main(["run", path]) == 1
+
+
+def _round_trip_config(kind, seed, steps, gamma, m, width, offset):
+    # a narrow [m, M] and a start near m, so both safeguards fire
+    controller = {"gamma": gamma, "m": m, "M": m + width, "B": 1.0,
+                  "theta_init": m + offset}
+    if kind == "single":
+        return base_config(seed=seed, steps=steps, trials=1,
+                           eval_window=[1, steps],
+                           controller={"kind": "single", **controller})
+    return base_config(
+        seed=seed, steps=steps, trials=1, eval_window=[1, steps],
+        stream={"kind": "image", "height": 6, "width": 6,
+                "shift_period": 50, "shift_factor": 2.0},
+        model={"kind": "constant"},
+        constructor={"kind": "image"},
+        stretch={"kind": "exponential"},
+        losses=[{"kind": "image_miscoverage", "r": 0.2},
+                {"kind": "center_failure", "r": 0.1}],
+        controller={"kind": "multi", "two_sided": bool(seed % 2),
+                    "aggregation": "max" if seed % 3 else "mean",
+                    **controller})
+
+
+class TestTraceRoundTripProperty:
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(kind=st.sampled_from(["single", "multi"]),
+           seed=st.integers(0, 10_000), steps=st.integers(1, 200),
+           gamma=st.floats(0.01, 0.5), m=st.floats(-0.5, 0.0),
+           width=st.floats(0.01, 1.0), offset=st.floats(-0.6, 0.3))
+    @example(kind="single", seed=0, steps=50, gamma=0.05, m=-2.0, width=4.0,
+             offset=-1.0)
+    def test_export_import_keeps_report_and_certificate(
+            self, kind, seed, steps, gamma, m, width, offset):
+        import tempfile
+        from riskcal.experiment import _trial_report
+
+        cfg = _round_trip_config(kind, seed, steps, gamma, m, width, offset)
+        with tempfile.TemporaryDirectory() as out:
+            res = run_experiment(cfg, out)
+            back = read_trace_csv(f"{out}/trial_000/trace.csv")
+            again = recompute_certificate(out)
+        trace = res.trials[0].trace
+        # the label and group are not exported; neither enters the report
+        # of a group-free stream
+        assert json.dumps(_trial_report(cfg, back), sort_keys=True) == \
+            json.dumps(res.trials[0].report, sort_keys=True)
+        assert again == res.certificate_lines
+        np.testing.assert_array_equal(back.size, trace.size)
+        np.testing.assert_array_equal(back.theta_post, trace.theta_post)

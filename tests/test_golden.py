@@ -1,0 +1,142 @@
+"""Golden artifacts: the sha256 of every file a small run exports.
+
+One config per control path the runner has: the single-risk controller with
+the interval layout, with the set-size layout, and with error-adaptive
+stretching and "auto" bounds; the multi-risk controller two-sided and
+one-sided; and the window-quantile baseline. The models are the oracle and
+the constant model, whose outputs do not go through BLAS, so the digests do
+not depend on the BLAS build. A change that alters any exported byte fails
+here; a deliberate change must re-record the digests and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from riskcal.experiment import run_experiment
+
+
+def _config(steps, controller, **sections):
+    cfg = {
+        "schema_version": 1,
+        "steps": steps,
+        "trials": 1,
+        "seed": 0,
+        "stream": {"kind": "known_quantile"},
+        "model": {"kind": "oracle"},
+        "constructor": {"kind": "cqr"},
+        "losses": [{"kind": "binary", "r": 0.1}],
+        "stretch": {"kind": "none"},
+        "controller": controller,
+    }
+    cfg.update(sections)
+    return cfg
+
+
+_IMAGE = {
+    "stream": {"kind": "image", "shift_period": 300, "shift_factor": 2.0,
+               "frame_corr": 0.7},
+    "model": {"kind": "constant"},
+    "constructor": {"kind": "image",
+                    "heuristic": {"kind": "previous_residuals", "window": 5}},
+    "stretch": {"kind": "exponential"},
+}
+_TWO_IMAGE_LOSSES = [{"kind": "image_miscoverage", "r": 0.2},
+                     {"kind": "center_failure", "r": 0.1}]
+
+CONFIGS = {
+    # a narrow [m, M]: starts below m, and both safeguards fire often
+    "single_interval": _config(
+        2000, {"kind": "single", "gamma": 0.05, "m": -0.02, "M": 0.15,
+               "B": 1.0, "theta_init": -0.05},
+        trials=2, eval_window=[501, 2000]),
+    "single_size": _config(
+        1000, {"kind": "single", "gamma": 0.05, "m": -5.0, "M": 5.0,
+               "B": 1.0},
+        losses=[{"kind": "image_miscoverage", "r": 0.2}], **_IMAGE),
+    "single_error_adaptive_auto": _config(
+        2000, {"kind": "single", "gamma": 0.05, "m": -2.0, "M": 2.0},
+        losses=[{"kind": "mc", "r": 0.11, "cap": 50}],
+        stretch={"kind": "error_adaptive", "beta_score": 0.05,
+                 "beta_loss": 0.1, "beta_low": "auto", "beta_high": "auto"}),
+    "multi_two_sided": _config(
+        1000, {"kind": "multi", "gamma": 0.05, "m": -5.0, "M": 5.0,
+               "B": [1.0, 1.0], "aggregation": "max", "two_sided": True},
+        losses=_TWO_IMAGE_LOSSES, **_IMAGE),
+    "multi_one_sided": _config(
+        1000, {"kind": "multi", "gamma": [0.05, 0.1], "m": -5.0, "M": 5.0,
+               "B": 1.0, "aggregation": "mean", "two_sided": False},
+        losses=_TWO_IMAGE_LOSSES, **_IMAGE),
+    "baseline_aci": _config(
+        2000, {"kind": "baseline_aci", "gamma": 0.05, "window": 300},
+        eval_window=[11, 2000]),
+}
+
+DIGESTS = {
+    "baseline_aci": {
+        "certificate.txt":
+            "0f65d95f29c429f76efa110849c8f266dae53085e3b3645b9a9eb3c18e05db8b",
+        "trial_000/trace.csv":
+            "56890a914968903d31d7405b3a50b29ddb2cad972234b339a3435ac7e3962f58",
+        "trial_000/report.json":
+            "168893d8dfcea9fc8c51c8d0d97c911a1e4385aa853d275531a8499fa2bf0275",
+    },
+    "multi_one_sided": {
+        "certificate.txt":
+            "75d687b9c5228677e8a6a665b4d0d7a45a087f8e5debcfcbd099fa2ab18c373e",
+        "trial_000/trace.csv":
+            "9e09987dde3cc41b226f35f665a34c3ee8b041d1253317f15531b193aab66bd5",
+        "trial_000/report.json":
+            "0acb75fc1758185a61736aa79f00aaa7c3d449f0f53b86aedbead3e4417fdeb7",
+    },
+    "multi_two_sided": {
+        "certificate.txt":
+            "61bca843f942d968179bbac7d5d1bec836ae540c1d7c65758000fc98c3d267cd",
+        "trial_000/trace.csv":
+            "824b681bb06997681af81ebc53e13faefd5a4975a5b9125cc4230d276db6ef5f",
+        "trial_000/report.json":
+            "c94bf2579482bf7c2243ce63e00d59e0a67de5b7d038bb19198b1cfcef9cfc47",
+    },
+    "single_error_adaptive_auto": {
+        "certificate.txt":
+            "49a92985429d66ad637c19a3c9f4d47f0a627ea76c0a05fd8897ca7d00ee1df1",
+        "trial_000/trace.csv":
+            "32d5bcba6c6e90072c822b38ed924044b8ce751ae579aa808d79b62ee5253350",
+        "trial_000/report.json":
+            "65a86c458177a8ae34cd37d0b422a16f26289d3d12eb9378b28121119b878ba8",
+    },
+    "single_interval": {
+        "certificate.txt":
+            "475ca27ccbf26f2635f0acda7eb0797442bf233db827ff8a29b7f2ff56da6635",
+        "trial_000/trace.csv":
+            "7333442384c3e97cbd2138ba2e1bdd1334272adc5752960cedc4e8af342b0538",
+        "trial_000/report.json":
+            "d6f53ec86684c7ec9d8c9023f357218321ba4662d62e3c9ca92d318121b2912d",
+        "trial_001/trace.csv":
+            "b74c626c0eb7b35f89bf3282caf0a5c051d06241140c029ddfb0491b297771a5",
+        "trial_001/report.json":
+            "7afc8b340185bb538b0b57db31d69e9dbfb4905d06697f9b8664297c1535b650",
+    },
+    "single_size": {
+        "certificate.txt":
+            "1338bdf3e5deabe892af8f23524a3b78d21971997c00112ff4343d1b7b1f0ae7",
+        "trial_000/trace.csv":
+            "ff60d87b20d6d0f8d9567f46bb659c069fd5449d91ed59c723a77791ed878c85",
+        "trial_000/report.json":
+            "eb62770de202dc83da71b6d2f6113bf369b2c34583efc2a5d42b3e61e0c28734",
+    },
+}
+
+
+def _digests(out):
+    files = ["certificate.txt"]
+    for trial in sorted(p.name for p in out.glob("trial_*")):
+        files += [f"{trial}/trace.csv", f"{trial}/report.json"]
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in files}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_exported_bytes_match_golden_digests(name, tmp_path):
+    run_experiment(CONFIGS[name], tmp_path)
+    assert _digests(tmp_path) == DIGESTS[name]

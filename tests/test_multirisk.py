@@ -1,15 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from riskcal.losses import CenterFailureFn, ImageMiscoverageFn
+from riskcal.engine import (_STOP, RiskSpec, check_lower_theta_bound,
+                            check_recursion, check_two_sided_risk_bound,
+                            check_upper_risk_bound, check_upper_theta_bound,
+                            control_update, run_stream,
+                            two_sided_deviation_bound, upper_deviation_bound)
+from riskcal.losses import BinaryLossFn, CenterFailureFn, ImageMiscoverageFn
 from riskcal.models import ConstantModel
-from riskcal.multirisk import (MultiRiskSpec, aggregate, check_upper_theta_bound,
-                               check_lower_theta_bound, check_upper_risk_bound, check_two_sided_risk_bound,
-                               run_multi_stream, upper_deviation_bound,
-                               two_sided_deviation_bound, update_vector)
-from riskcal.sets import ImageIntervalConstructor, PreviousResidualsHeuristic
+from riskcal.multirisk import MultiRiskSpec, run_multi_stream
+from riskcal.sets import (CqrConstructor, ImageIntervalConstructor,
+                          PreviousResidualsHeuristic)
 from riskcal.streams import ImageStreamConfig, image_stream
 from riskcal.stretching import Stretch
 
@@ -37,46 +41,80 @@ class TestSpecValidation:
                           m=(-1, -1), M=(1, 1), B=(1, 1))
 
 
+class _ConstantLoss:
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, y, s):
+        return self.value
+
+
+class _AdjRecorder:
+    """A constructor that records the aggregated adjustment it is given."""
+
+    scored = False
+
+    def __init__(self):
+        self.adj = []
+
+    def build(self, x, adj, model):
+        self.adj.append(adj)
+        return ImageIntervalConstructor().build(x, adj, model)
+
+    def observe(self, x, y, model):
+        pass
+
+
+def _adj(theta, stretch, spec):
+    """The adjustment the loop hands the constructor at parameter theta."""
+    spec = replace(spec, theta_init=tuple(theta))
+    ctor = _AdjRecorder()
+    frame = np.zeros((4, 4))
+    run_multi_stream([(frame, frame)], ConstantModel(), ctor,
+                     [_ConstantLoss(0.0)] * spec.k, spec, stretch)
+    return ctor.adj[0]
+
+
 class TestUpdateVector:
     def test_losses_at_targets_leave_theta_fixed(self):
         spec = _spec()
-        theta = np.array([0.3, -0.2])
-        out = update_vector(theta, np.array(spec.r), spec)
-        np.testing.assert_allclose(out, theta)
+        theta = (0.3, -0.2)
+        assert control_update(spec)(0, theta, spec.r) == theta
 
     def test_direct_evaluation(self):
         spec = MultiRiskSpec(r=(0.2, 0.1), gamma=(0.1, 0.01), m=(-5, -5),
                              M=(5, 5), B=(1, 1))
-        out = update_vector(np.zeros(2), np.ones(2), spec)
+        out = control_update(spec)(0, (0.0, 0.0), (1.0, 1.0))
         np.testing.assert_allclose(out, [0.08, 0.009])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            update_vector(np.zeros(3), np.zeros(2), _spec())
+            _spec(theta_init=(0.0, 0.0, 0.0))
 
     def test_out_of_bound_loss(self):
-        with pytest.raises(ValueError):
-            update_vector(np.zeros(2), np.array([2.0, 0.0]), _spec())
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                update_vector(np.zeros(2), np.array([0.0, bad]), _spec())
+        frame = np.zeros((4, 4))
+        for bad in (2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="risk 2"):
+                run_multi_stream([(frame, frame)], ConstantModel(),
+                                 ImageIntervalConstructor(),
+                                 [_ConstantLoss(0.0), _ConstantLoss(bad)],
+                                 _spec())
 
 
 class TestAggregate:
     def test_max(self):
         spec = _spec(aggregation="max")
-        assert aggregate(np.array([1.0, 3.0]), Stretch("none"), spec) == 3.0
+        assert _adj([1.0, 3.0], Stretch("none"), spec) == 3.0
 
     def test_mean(self):
         spec = _spec(aggregation="mean")
-        assert aggregate(np.array([1.0, 3.0]), Stretch("none"), spec) == 2.0
+        assert _adj([1.0, 3.0], Stretch("none"), spec) == 2.0
 
     def test_single_risk_degenerate(self):
-        spec = MultiRiskSpec(r=(0.1,), gamma=(0.05,), m=(-1,), M=(1,), B=(1,))
         for agg in ("mean", "max"):
             s = MultiRiskSpec(r=(0.1,), gamma=(0.05,), m=(-1,), M=(1,),
                               B=(1,), aggregation=agg)
-            assert aggregate(np.array([0.7]), Stretch("exponential"), s) == \
+            assert _adj([0.7], Stretch("exponential"), s) == \
                 pytest.approx(Stretch("exponential").apply(0.7))
 
 
@@ -135,8 +173,8 @@ class TestAggregationDominance:
         for _ in range(50):
             theta = rng.normal(size=2)
             x = rng.normal(size=(4, 4))
-            a_mean = aggregate(theta, Stretch("exponential"), spec_mean)
-            a_max = aggregate(theta, Stretch("exponential"), spec_max)
+            a_mean = _adj(theta, Stretch("exponential"), spec_mean)
+            a_max = _adj(theta, Stretch("exponential"), spec_max)
             s_mean = ctor.build(x, a_mean, model)
             s_max = ctor.build(x, a_max, model)
             assert np.all(s_max.lo <= s_mean.lo) and np.all(s_mean.hi <= s_max.hi)
@@ -195,3 +233,81 @@ class TestSafeguardPrecedence:
                                  spec)
         # the constructor output is used as-is below the floor
         assert trace.covered[0]  # degenerate point intervals at pred == y
+
+
+class _GroupedAdversary:
+    """Labels just outside every announced interval, with a group per step."""
+
+    def __init__(self, n, seed=0):
+        self.n = n
+        self.t = 0
+        self.rng = np.random.default_rng(seed)
+
+    def next_x(self):
+        if self.t >= self.n:
+            return _STOP
+        self.t += 1
+        return self.rng.normal(size=1)
+
+    def reveal(self, prediction_set):
+        group = self.t % 3
+        if hasattr(prediction_set, "hi") and np.isfinite(prediction_set.hi):
+            return prediction_set.hi + self.rng.uniform(-1.0, 1.0), group
+        return float(self.rng.normal()), group
+
+
+class TestOneLoop:
+    """The k-risk entry point runs the same loop as the scalar one."""
+
+    def _pair(self, stretch):
+        scalar = RiskSpec(r=0.1, gamma=0.05, m=-1.0, M=1.0, B=1.0,
+                          theta_init=0.2)
+        vector = MultiRiskSpec(r=(0.1,), gamma=(0.05,), m=(-1.0,), M=(1.0,),
+                               B=(1.0,), theta_init=(0.2,), two_sided=True)
+        model = {0.05: -1.0, 0.95: 1.0}
+        a = run_stream(_GroupedAdversary(600), ConstantModel(model),
+                       CqrConstructor(), BinaryLossFn(), scalar, stretch)
+        b = run_multi_stream(_GroupedAdversary(600), ConstantModel(model),
+                             CqrConstructor(), [BinaryLossFn()], vector,
+                             stretch)
+        return a, b
+
+    @pytest.mark.parametrize("stretch", [
+        Stretch("exponential"),
+        Stretch("error_adaptive", beta_score=0.05, beta_loss=0.1,
+                beta_low=-0.5, beta_high=0.5)])
+    def test_one_two_sided_risk_matches_run_stream(self, stretch):
+        a, b = self._pair(stretch)
+        assert b.loss.shape == (600, 1) and a.loss.shape == (600,)
+        for name in ("loss", "theta_pre", "theta_post"):
+            np.testing.assert_array_equal(getattr(b, name)[:, 0],
+                                          getattr(a, name))
+        for name in ("covered", "size", "lo", "hi", "y", "group"):
+            np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+        assert set(b.group) == {0, 1, 2}
+        assert np.isfinite(b.y).all()
+
+    def test_adaptive_stretch_moves_lambda_for_one_risk(self):
+        # with lambda frozen at 0 the error-adaptive stretch is the identity
+        _, frozen = self._pair(Stretch("none"))
+        _, moving = self._pair(Stretch("error_adaptive", beta_score=0.05,
+                                       beta_loss=0.1, beta_low=-0.5,
+                                       beta_high=0.5))
+        assert not np.array_equal(moving.lo, frozen.lo, equal_nan=True)
+
+    def test_adaptive_stretch_rejected_for_several_risks(self):
+        stretch = Stretch("score_adaptive", beta_score=0.1, beta_low=-1,
+                          beta_high=1)
+        with pytest.raises(ValueError, match="single risk"):
+            run_multi_stream([], ConstantModel(), CqrConstructor(),
+                             [BinaryLossFn(), BinaryLossFn()],
+                             _spec(), stretch)
+
+    def test_recursion_replays_the_update(self):
+        spec = _spec(two_sided=True)
+        trace = _image_run(spec, seed=4, n=300)
+        update = control_update(spec)
+        assert check_recursion(trace, update) == (True, 0.0)
+        trace.theta_post[100, 1] += 1e-6
+        ok, viol = check_recursion(trace, update)
+        assert not ok and viol == pytest.approx(1e-6)

@@ -231,7 +231,7 @@ class TestCsvIngest:
         trace = run_stream(iter(cs), model, CqrConstructor(), BinaryLossFn(),
                            RiskSpec(r=0.1, gamma=0.05, m=-10, M=10))
         out = tmp_path / "trace.csv"
-        write_trace_csv(trace, out, "single", "interval")
+        write_trace_csv(trace, out, "interval")
         back = read_trace_csv(out)
         np.testing.assert_array_equal(back.loss, trace.loss)
         np.testing.assert_array_equal(back.theta_pre, trace.theta_pre)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riskcal.stretching import STRETCH_KINDS, Stretch, clip, update_lambda
+from riskcal.stretching import STRETCH_KINDS, Stretch, clip
 
 
 class TestApply:
@@ -76,7 +76,7 @@ class TestUpdateLambda:
     def test_noop_for_non_adaptive(self):
         for kind in ("none", "exponential", "exp_linear_zone"):
             s = Stretch(kind)
-            assert update_lambda(s, 5.0, 1.0, 0.1) is s
+            assert s.updated(5.0, 1.0, 0.1) is s
 
     def test_lambda_never_escapes(self):
         rng = np.random.default_rng(2)
