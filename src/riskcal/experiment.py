@@ -11,13 +11,18 @@ Artifacts per run directory:
 
 Trials execute sequentially in trial order; each trial derives its own seed
 (base seed + trial index) and shares no mutable state with the others, so
-identical configs produce byte-identical artifacts.
+identical configs produce byte-identical artifacts. One driver call
+(``run_experiment``, or ``sweep`` with all its points) reads each CSV stream
+once; its trials and points share that read-only snapshot of the file.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,9 +34,10 @@ from .sets import (ConstantHeuristic, CqrConstructor, ImageIntervalConstructor,
                    PreviousResidualsHeuristic, QuantileScaleConstructor,
                    RunningResidualHeuristic)
 from .stretching import Stretch
-from .streams import (CsvStreamConfig, ImageStreamConfig, KnownQuantileConfig,
-                      KnownQuantileStream, SyntheticConfig, csv_ingest,
-                      image_stream, synthetic_stream)
+from .streams import (CsvInputError, CsvStreamConfig, ImageStreamConfig,
+                      KnownQuantileConfig, KnownQuantileStream,
+                      SyntheticConfig, csv_ingest, image_stream,
+                      synthetic_stream)
 
 SCHEMA_VERSION = 1
 
@@ -304,6 +310,47 @@ def _stream_config(cfg: dict, seed: int):
     )
 
 
+# The CSV streams read by the driver call in progress, keyed by their
+# resolved ``stream`` section; None outside a driver call.
+_INPUTS: contextvars.ContextVar = contextvars.ContextVar(
+    "riskcal_inputs", default=None)
+
+
+def _reads_inputs_once(driver):
+    """Make one call of ``driver`` read each CSV stream once.
+
+    The outermost driver call (a sweep, or a run_experiment outside one)
+    owns the scope and nested calls share it, so the auto-stretch probes,
+    trials and grid points of one call iterate one read-only CsvStream per
+    distinct ``stream`` section. Nothing outlives the call: the next call
+    reads the file again.
+    """
+    @functools.wraps(driver)
+    def scoped(*args, **kwargs):
+        if _INPUTS.get() is not None:
+            return driver(*args, **kwargs)
+        token = _INPUTS.set({})
+        try:
+            return driver(*args, **kwargs)
+        finally:
+            _INPUTS.reset(token)
+    return scoped
+
+
+def _read_input(section: str, read, arg):
+    """``read(arg)`` for an input file the config section names; a file
+    that cannot be read or does not fit the config is a ConfigError."""
+    try:
+        return read(arg)
+    except OSError as exc:
+        raise ConfigError(f"{section}.path",
+                          f"cannot read {exc.filename}: "
+                          f"{exc.strerror or exc}") from exc
+    except ValueError as exc:
+        fld = exc.field if isinstance(exc, CsvInputError) else "path"
+        raise ConfigError(f"{section}.{fld}", str(exc)) from exc
+
+
 def _build_stream(cfg: dict, seed: int):
     kind = cfg["stream"]["kind"]
     steps = cfg["steps"]
@@ -315,8 +362,13 @@ def _build_stream(cfg: dict, seed: int):
         return kq.generate(steps), kq
     if kind == "image":
         return image_stream(sc, steps), None
-    # csv: the file is the stream; trials share it.
-    cs = csv_ingest(sc)
+    # csv: the file is the stream; the driver call reads it once.
+    memo = _INPUTS.get()
+    memo = {} if memo is None else memo
+    key = json.dumps(cfg["stream"], sort_keys=True)
+    if key not in memo:
+        memo[key] = _read_input("stream", csv_ingest, sc)
+    cs = memo[key]
     return iter(cs), cs
 
 
@@ -354,7 +406,13 @@ def _build_model(cfg: dict, stream_obj):
     if kind == "oracle":
         return stream_obj.oracle_model()
     if kind == "replay":
-        return ReplayModel.from_csv(spec["path"])
+        model = _read_input("model", ReplayModel.from_csv, spec["path"])
+        missing = [t for t in spec.get("taus", (0.05, 0.95))
+                   if float(t) not in model.taus]
+        _require(not missing, "model.taus",
+                 f"levels {missing} are not replayed by {spec['path']}; "
+                 f"it has {model.taus}")
+        return model
     return _constant_model(spec)
 
 
@@ -544,6 +602,14 @@ def certificate_passed(lines: list) -> bool:
     return all(verdict != "FAIL" for _, verdict, _ in lines)
 
 
+def certificate_text(lines: list) -> str:
+    """certificate.txt for these lines: one per check, then the verdict."""
+    overall = "PASS" if certificate_passed(lines) else "FAIL"
+    checks = "".join(f"{name}: {verdict} ({detail})\n"
+                     for name, verdict, detail in lines)
+    return checks + f"overall: {overall}\n"
+
+
 # ---------------------------------------------------------------------------
 # Trace serialization
 # ---------------------------------------------------------------------------
@@ -589,10 +655,13 @@ def read_trace_csv(path):
     back as NaN and -1."""
     with open(Path(path)) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    cols = {name: np.array([float(r[i]) for r in rows])
-            for i, name in enumerate(header)}
-    n = len(rows)
+        with warnings.catch_warnings():
+            # a header-only file is a trace of 0 rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained")
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    body = body.reshape(-1, len(header))
+    cols = dict(zip(header, body.T.copy()))
+    n = len(body)
 
     def per_risk(name):
         if name in cols:
@@ -660,6 +729,7 @@ def _trace_layout(cfg: dict) -> str:
     return "size"
 
 
+@_reads_inputs_once
 def run_experiment(cfg: dict, out_dir=None) -> ExperimentResult:
     """Run all trials, write artifacts, and assemble the certificate."""
     validate_config(cfg)
@@ -716,9 +786,7 @@ def _flush_summary(result: ExperimentResult, reports: list, out: Path) -> None:
     _write_reports_csv(reports, out)
     result.certificate_passed = certificate_passed(result.certificate_lines)
     with open(out / "certificate.txt", "w") as fh:
-        for name, verdict, detail in result.certificate_lines:
-            fh.write(f"{name}: {verdict} ({detail})\n")
-        fh.write(f"overall: {'PASS' if result.certificate_passed else 'FAIL'}\n")
+        fh.write(certificate_text(result.certificate_lines))
 
 
 def _set_by_path(cfg: dict, dotted: str, value) -> dict:
@@ -754,12 +822,15 @@ def _val_pinball(cfg: dict, trace) -> float:
     return total / max(len(y), 1)
 
 
+@_reads_inputs_once
 def sweep(cfg: dict, param: str, grid: list, out_dir=None) -> dict:
     """Grid sweep over one config field, ranked by validation pinball loss.
 
     Every grid point reruns the full experiment with the same seeds; ties in
-    the validation score select the smaller parameter value. Returns the
-    ranking table and writes ranking.csv / sweep.json under the out dir.
+    the validation score select the smaller parameter value. The points
+    share one read of each CSV stream; a point whose ``stream`` section
+    differs (a ``stream.*`` sweep) reads its own. Returns the ranking table
+    and writes ranking.csv / sweep.json under the out dir.
     """
     if not grid:
         raise ConfigError(param, "empty sweep grid")

@@ -9,7 +9,9 @@ have something honest to calibrate.
 
 from __future__ import annotations
 
+import csv
 import math
+import warnings
 
 import numpy as np
 from scipy.special import ndtri
@@ -188,19 +190,20 @@ class ReplayModel:
     @classmethod
     def from_csv(cls, path) -> "ReplayModel":
         """Columns named q_<tau>, e.g. q_0.05,q_0.95; one row per step."""
-        import csv as _csv
         with open(path, newline="") as fh:
-            reader = _csv.DictReader(fh)
-            if reader.fieldnames is None:
+            header = next(csv.reader(fh), None)
+            if header is None:
                 raise ValueError(f"{path}: missing header row")
-            cols = [c for c in reader.fieldnames if c.startswith("q_")]
+            cols = [i for i, c in enumerate(header) if c.startswith("q_")]
             if not cols:
                 raise ValueError(f"{path}: no q_<tau> columns in header")
-            data = {float(c[2:]): [] for c in cols}
-            for row in reader:
-                for c in cols:
-                    data[float(c[2:])].append(float(row[c]))
-        return cls(data)
+            with warnings.catch_warnings():
+                # a header-only file replays zero steps
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
+        data = data.reshape(-1, len(cols))
+        return cls({float(header[i][2:]): data[:, j]
+                    for j, i in enumerate(cols)})
 
     def predict(self, x, tau: float) -> float:
         if self._t >= self.n_steps:

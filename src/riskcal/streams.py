@@ -263,13 +263,23 @@ class CsvStreamConfig:
 _TIME_FEATURES = ("day", "month", "year", "hours", "minutes", "day_of_week")
 
 
+class CsvInputError(ValueError):
+    """The file does not fit its CsvStreamConfig; ``field`` names the config
+    field at fault ("path" when the file's own content is)."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 def _parse_timestamp(raw: str, fmt: str, row_idx: int) -> datetime:
     try:
         if fmt == "epoch":
             return datetime.fromtimestamp(float(raw), tz=timezone.utc).replace(tzinfo=None)
         return datetime.fromisoformat(raw)
     except (ValueError, OverflowError) as exc:
-        raise ValueError(
+        raise CsvInputError(
+            "timestamp_format",
             f"row {row_idx}: cannot parse timestamp {raw!r} as {fmt}: {exc}"
         ) from exc
 
@@ -286,6 +296,9 @@ class CsvStream:
     ``x`` rows are standardized raw features followed by raw time features;
     ``group`` is the day-of-week code (or -1 without timestamps). The
     normalization statistics are retained for inspection and de-scaling.
+    ``x``, ``y`` and ``group`` are read-only: one ingestion is a snapshot of
+    the file that every trial reading it shares, so a consumer that writes
+    into a row fails instead of changing the data the next trial sees.
     """
 
     x: np.ndarray
@@ -312,7 +325,9 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
     rejected with a warning naming the row and column; unparseable values
     raise with the same diagnostics. Constant columns over the warm-up
     window are left unscaled with a warning. Normalization statistics come
-    from the warm-up rows only -- later rows never leak into them.
+    from the warm-up rows only -- later rows never leak into them. A file
+    that does not fit the config raises ``CsvInputError`` naming the config
+    field at fault; a missing or unreadable one raises ``OSError``.
     """
     feats: list[list[float]] = []
     targets: list[float] = []
@@ -322,17 +337,19 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
     with open(config.path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            raise ValueError(f"{config.path}: missing header row")
+            raise CsvInputError("path", f"{config.path}: missing header row")
         feature_cols = list(config.feature_cols)
         if not feature_cols:
             reserved = {config.target_col, config.timestamp_col}
             feature_cols = [c for c in reader.fieldnames if c not in reserved]
-        needed = [config.target_col] + feature_cols
+        needed = [("target_col", config.target_col)]
+        needed += [("feature_cols", c) for c in feature_cols]
         if config.augment_time or config.timestamp_col:
-            needed.append(config.timestamp_col)
-        for col in needed:
+            needed.append(("timestamp_col", config.timestamp_col))
+        for fld, col in needed:
             if col not in reader.fieldnames:
-                raise ValueError(f"{config.path}: column {col!r} not in header")
+                raise CsvInputError(
+                    fld, f"{config.path}: column {col!r} not in header")
 
         for idx, row in enumerate(reader, start=1):
             values = {}
@@ -345,7 +362,8 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
                 try:
                     values[col] = float(raw)
                 except ValueError as exc:
-                    raise ValueError(
+                    raise CsvInputError(
+                        "path",
                         f"row {idx}, column {col!r}: cannot parse {raw!r}"
                     ) from exc
             if missing is not None:
@@ -363,9 +381,10 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
             targets.append(values[config.target_col])
 
     if not feats:
-        raise ValueError(f"{config.path}: no usable rows")
+        raise CsvInputError("path", f"{config.path}: no usable rows")
     if config.warmup > len(feats):
-        raise ValueError(
+        raise CsvInputError(
+            "warmup",
             f"warm-up size {config.warmup} exceeds row count {len(feats)}")
     warmup = config.warmup
 
@@ -393,8 +412,11 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
         X = np.hstack([X, np.asarray(times, dtype=float)])
         names += list(_TIME_FEATURES)
 
+    group = np.asarray(groups, dtype=int)
+    for arr in (X, y, group):
+        arr.setflags(write=False)
     return CsvStream(
-        x=X, y=y, group=np.asarray(groups, dtype=int),
+        x=X, y=y, group=group,
         feature_names=names, x_mean=x_mean, x_std=x_std,
         y_mean=y_mean, y_std=y_std,
     )

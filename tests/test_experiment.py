@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -29,6 +31,45 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     cfg.setdefault("eval_window", [cfg["steps"] // 4 + 1, cfg["steps"]])
+    return cfg
+
+
+def write_series(path, n=400):
+    """A seeded hourly CSV series: timestamp, target, one feature."""
+    rng = np.random.default_rng(0)
+    start = datetime(2021, 1, 1)
+    with open(path, "w") as fh:
+        fh.write("timestamp,target,f1\n")
+        for t in range(n):
+            ts = (start + timedelta(hours=t)).isoformat()
+            fh.write(f"{ts},{float(rng.normal())!r},{float(rng.normal())!r}\n")
+    return path
+
+
+def write_predictions(path, n=400, taus=(0.05, 0.95)):
+    with open(path, "w") as fh:
+        fh.write(",".join(f"q_{tau}" for tau in taus) + "\n")
+        for _ in range(n):
+            fh.write(",".join(str(4.0 * tau - 2.0) for tau in taus) + "\n")
+    return path
+
+
+def csv_config(tmp_path, **overrides):
+    """A CSV stream with replayed predictions, MC loss and error-adaptive
+    stretching with "auto" bounds, whose probe reads the stream too."""
+    cfg = base_config(
+        steps=400, trials=3, eval_window=[101, 400], val_window=[101, 300],
+        stream={"kind": "csv", "path": str(write_series(tmp_path / "s.csv")),
+                "timestamp_col": "timestamp", "target_col": "target",
+                "feature_cols": ["f1"], "warmup": 100},
+        model={"kind": "replay",
+               "path": str(write_predictions(tmp_path / "p.csv")),
+               "taus": [0.05, 0.95]},
+        losses=[{"kind": "mc", "r": 0.11, "cap": 50}],
+        stretch={"kind": "error_adaptive", "beta_score": 0.05,
+                 "beta_loss": 0.1, "beta_low": "auto", "beta_high": "auto"},
+        controller={"kind": "single", "gamma": 0.05})
+    cfg.update(overrides)
     return cfg
 
 
@@ -283,6 +324,61 @@ class TestArtifacts:
         assert res.certificate_passed
 
 
+class TestReadOnce:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The stream.warmup of every CSV ingestion, in call order."""
+        import riskcal.experiment as ex
+        calls = []
+        real = ex.csv_ingest
+
+        def counting(sc):
+            calls.append(sc.warmup)
+            return real(sc)
+
+        monkeypatch.setattr(ex, "csv_ingest", counting)
+        return calls
+
+    def test_run_reads_the_stream_once(self, tmp_path, reads):
+        res = run_experiment(csv_config(tmp_path), tmp_path / "out")
+        assert len(res.trials) == 3 and res.certificate_passed
+        assert reads == [100]
+
+    def test_each_run_reads_again(self, tmp_path, reads):
+        cfg = csv_config(tmp_path, trials=1)
+        run_experiment(cfg, tmp_path / "a")
+        run_experiment(cfg, tmp_path / "b")
+        assert reads == [100, 100]
+
+    def test_gamma_sweep_reads_the_stream_once(self, tmp_path, reads):
+        sweep(csv_config(tmp_path, trials=1), "controller.gamma",
+              [0.02, 0.05, 0.1], tmp_path / "sw")
+        assert reads == [100]
+
+    def test_stream_sweep_reads_once_per_point(self, tmp_path, reads):
+        sweep(csv_config(tmp_path, trials=2), "stream.warmup",
+              [50, 100, 150], tmp_path / "sw")
+        assert reads == [50, 100, 150]
+
+    def test_shared_rows_are_read_only(self, tmp_path, monkeypatch):
+        import riskcal.experiment as ex
+        seen = []
+
+        class Scribbler(ex.ConstantModel):
+            def update(self, x, y):
+                seen.append(float(x[0]))
+                x[0] = 0.0
+
+        monkeypatch.setattr(ex, "ConstantModel", Scribbler)
+        cfg = csv_config(tmp_path, model={"kind": "constant"},
+                         stretch={"kind": "none"})
+        with pytest.raises(ValueError, match="read-only"):
+            run_experiment(cfg, tmp_path / "out")
+        assert len(seen) == 1  # the first write failed; nothing changed
+        clean = ex.csv_ingest(ex._stream_config(cfg, 0))
+        assert float(clean.x[0, 0]) == seen[0]
+
+
 class TestSweep:
     def test_single_point_grid_selected(self, tmp_path):
         cfg = base_config(trials=1, steps=600, val_window=[101, 400])
@@ -343,6 +439,45 @@ class TestTraceRoundTrip:
         write_trace_csv(trace, path, "interval")
         back = read_trace_csv(path)
         assert math.isinf(back.hi[0]) and math.isnan(back.lo[1])
+
+    @pytest.mark.parametrize("layout", ["interval", "size"])
+    def test_extreme_values_read_back_exactly(self, tmp_path, layout):
+        from riskcal.engine import StreamTrace
+        values = np.array([math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                           2.2250738585072014e-308, 1e300, -1e-300, 1 / 3])
+        n = len(values)
+        trace = StreamTrace(
+            loss=np.column_stack([values, values[::-1]]),
+            theta_pre=np.column_stack([values[::-1], values]),
+            theta_post=np.column_stack([values, values[::-1]]),
+            covered=np.arange(n) % 2 == 0, size=values,
+            lo=values, hi=values[::-1],
+            y=np.full(n, math.nan), group=np.full(n, -1))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path, layout)
+        back = read_trace_csv(path)
+        for name in ("loss", "theta_pre", "theta_post", "covered"):
+            assert getattr(back, name).tobytes() == \
+                getattr(trace, name).tobytes()
+        kept = ("lo", "hi") if layout == "interval" else ("size",)
+        for name in kept:
+            assert getattr(back, name).tobytes() == \
+                getattr(trace, name).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_short_traces_read_back(self, tmp_path, n):
+        from riskcal.engine import StreamTrace
+        col = np.full(n, 0.5)
+        trace = StreamTrace(loss=col, theta_pre=col, theta_post=col,
+                            covered=np.ones(n, dtype=bool), size=col,
+                            lo=col, hi=col, y=col, group=np.zeros(n, int))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path, "interval")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_trace_csv(path)
+        assert len(back) == n and back.theta_post.shape == (n,)
+        assert back.lo.tobytes() == col.tobytes()
 
 
 class TestCli:
@@ -474,6 +609,87 @@ def _round_trip_config(kind, seed, steps, gamma, m, width, offset):
         controller={"kind": "multi", "two_sided": bool(seed % 2),
                     "aggregation": "max" if seed % 3 else "mean",
                     **controller})
+
+
+class TestInputFileErrors:
+    """Input files that do not fit the config are config errors: exit 2
+    with the field path, for both drivers."""
+
+    def _cli(self, tmp_path, cfg, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--param", "controller.gamma", "--grid", "0.05", "0.1"]
+        return cli_main(argv)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("section", ["stream", "model"])
+    def test_missing_file(self, tmp_path, capsys, command, section):
+        cfg = csv_config(tmp_path)
+        cfg[section]["path"] = str(tmp_path / "absent.csv")
+        assert self._cli(tmp_path, cfg, command) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{section}.path" in err
+        assert "absent.csv" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("field,value", [
+        ("feature_cols", ["f1", "f9"]), ("target_col", "price"),
+        ("timestamp_col", "when")])
+    def test_column_not_in_header(self, tmp_path, capsys, command, field,
+                                  value):
+        cfg = csv_config(tmp_path)
+        cfg["stream"][field] = value
+        assert self._cli(tmp_path, cfg, command) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"stream.{field}" in err
+        assert "not in header" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_replay_lacks_a_level(self, tmp_path, capsys, command):
+        cfg = csv_config(tmp_path)
+        cfg["model"]["taus"] = [0.1, 0.95]
+        assert self._cli(tmp_path, cfg, command) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "model.taus" in err
+        assert "[0.1]" in err
+
+
+class TestVerifyCli:
+    def test_untouched_run_verifies(self, tmp_path, capsys):
+        run_experiment(base_config(trials=2, steps=300), tmp_path)
+        capsys.readouterr()
+        assert cli_main(["verify", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.strip() == f"{tmp_path}: PASS"
+
+    def test_sweep_directory_verifies_every_point(self, tmp_path, capsys):
+        sweep(base_config(trials=1, steps=300, val_window=[101, 300]),
+              "controller.gamma", [0.05, 0.1], tmp_path)
+        capsys.readouterr()
+        assert cli_main(["verify", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"{tmp_path / 'sweep_controller_gamma_0.05'}: PASS",
+                       f"{tmp_path / 'sweep_controller_gamma_0.1'}: PASS"]
+
+    def test_tampered_theta_post_fails(self, tmp_path, capsys):
+        run_experiment(base_config(trials=2, steps=300), tmp_path)
+        path = tmp_path / "trial_001" / "trace.csv"
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index("theta_post")
+        row = lines[50].split(",")
+        row[col] = repr(float(row[col]) + 0.25)
+        lines[50] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_main(["verify", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert f"{tmp_path}: MISMATCH" in out
+        assert "+trial_001 recursion: FAIL" in out
+
+    def test_directory_without_runs(self, tmp_path, capsys):
+        assert cli_main(["verify", str(tmp_path)]) == 2
+        assert "verify error" in capsys.readouterr().err
 
 
 class TestTraceRoundTripProperty:

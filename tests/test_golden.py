@@ -3,17 +3,21 @@
 One config per control path the runner has: the single-risk controller with
 the interval layout, with the set-size layout, and with error-adaptive
 stretching and "auto" bounds; the multi-risk controller two-sided and
-one-sided; and the window-quantile baseline. The models are the oracle and
-the constant model, whose outputs do not go through BLAS, so the digests do
-not depend on the BLAS build. A change that alters any exported byte fails
+one-sided; and the window-quantile baseline. A two-point sweep covers the CSV
+stream with replayed predictions. The models are the oracle, the constant
+and the replay model, whose outputs do not go through BLAS, so the digests
+do not depend on the BLAS build. A change that alters any exported byte fails
 here; a deliberate change must re-record the digests and say why.
 """
 
 import hashlib
+import math
+from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
-from riskcal.experiment import run_experiment
+from riskcal.experiment import run_experiment, sweep
 
 
 def _config(steps, controller, **sections):
@@ -140,3 +144,72 @@ def _digests(out):
 def test_exported_bytes_match_golden_digests(name, tmp_path):
     run_experiment(CONFIGS[name], tmp_path)
     assert _digests(tmp_path) == DIGESTS[name]
+
+
+def _write_replay_inputs(tmp_path, n=1500, warmup=300):
+    """A seeded hourly series with a level shift, and an external model's
+    quantile predictions for it on the scale the ingestion standardizes to."""
+    rng = np.random.default_rng(7)
+    level = np.where(np.arange(n) < n // 2, 0.0, 4.0)
+    daily = np.sin(2.0 * math.pi * (np.arange(n) % 24) / 24.0)
+    noise = rng.normal(size=n) * np.where(np.arange(n) % 500 < 250, 1.0, 2.0)
+    target = level + daily + noise
+    feature = daily + rng.normal(0.0, 0.3, size=n)
+    start = datetime(2021, 1, 1)
+    series = tmp_path / "series.csv"
+    with open(series, "w") as fh:
+        fh.write("timestamp,target,f1\n")
+        for t in range(n):
+            ts = (start + timedelta(hours=t)).isoformat()
+            fh.write(f"{ts},{float(target[t])!r},{float(feature[t])!r}\n")
+    y_mean, y_std = target[:warmup].mean(), target[:warmup].std()
+    preds = tmp_path / "predictions.csv"
+    with open(preds, "w") as fh:
+        fh.write("q_0.05,q_0.95\n")
+        for t in range(n):
+            lo = float((daily[t] - 1.6 - y_mean) / y_std)
+            hi = float((daily[t] + 1.6 - y_mean) / y_std)
+            fh.write(f"{lo!r},{hi!r}\n")
+    return series, preds
+
+
+SWEEP_DIGESTS = {
+    "ranking.csv":
+        "bcf69dd215d15507c75e67bdf24f8f19ed57e1268269b68efeb192b505dc70cc",
+    "sweep.json":
+        "bb08ff57258d91f7015f46ddb271a2d83ad0361b41f230621ec75bd420997fe9",
+    "sweep_controller_gamma_0.02/certificate.txt":
+        "49a92985429d66ad637c19a3c9f4d47f0a627ea76c0a05fd8897ca7d00ee1df1",
+    "sweep_controller_gamma_0.02/trial_000/trace.csv":
+        "ba963b0848c57841a1c3f8f8bc13c6ba376bc6b46ee706bfc5496b3e1323b786",
+    "sweep_controller_gamma_0.02/trial_000/report.json":
+        "7c267d3f21c1f26bf306c9e12101bae553d1ca79f373f9c2bd35c5c56cf23fe1",
+    "sweep_controller_gamma_0.1/certificate.txt":
+        "49a92985429d66ad637c19a3c9f4d47f0a627ea76c0a05fd8897ca7d00ee1df1",
+    "sweep_controller_gamma_0.1/trial_000/trace.csv":
+        "1adb3f6b41e6fe9bda7238df174a298abd3eccc0b5bbb9f3355008f98f7d2d8f",
+    "sweep_controller_gamma_0.1/trial_000/report.json":
+        "abce362f645f13a4590a2ceda85e92c8726b7fded03dc2a6afac2c99980fc63d",
+}
+
+
+def test_csv_replay_sweep_matches_golden_digests(tmp_path):
+    series, preds = _write_replay_inputs(tmp_path)
+    cfg = _config(
+        1500, {"kind": "single", "gamma": 0.05},
+        trials=1, eval_window=[301, 1500], val_window=[301, 900],
+        stream={"kind": "csv", "path": str(series),
+                "timestamp_col": "timestamp", "target_col": "target",
+                "feature_cols": ["f1"], "warmup": 300},
+        model={"kind": "replay", "path": str(preds), "taus": [0.05, 0.95]},
+        losses=[{"kind": "mc", "r": 0.11, "cap": 50}],
+        stretch={"kind": "error_adaptive", "beta_score": 0.05,
+                 "beta_loss": 0.1, "beta_low": "auto", "beta_high": "auto"})
+    out = tmp_path / "out"
+    sweep(cfg, "controller.gamma", [0.02, 0.1], out)
+    files = ["ranking.csv", "sweep.json"]
+    for point in sorted(p.name for p in out.glob("sweep_*")):
+        files += [f"{point}/{name}" for name in _digests(out / point)]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in files}
+    assert got == SWEEP_DIGESTS

@@ -319,6 +319,40 @@ class TestReplayModel:
         # with theta = 0 the first announced interval is exactly row 0
         assert trace.lo[0] == lo[0] and trace.hi[0] == hi[0]
 
+    def test_from_csv_reads_q_columns_exactly(self, tmp_path):
+        values = [[0.1, -0.0, 7.0], [5e-324, 1e300, -1.7976931348623157e308],
+                  [1 / 3, 2.0, -2.5]]
+        path = tmp_path / "preds.csv"
+        with open(path, "w") as fh:
+            fh.write("q_0.95,other,q_0.05\n")
+            for row in values:
+                fh.write(",".join(repr(v) for v in row) + "\n")
+        model = ReplayModel.from_csv(path)
+        assert model.taus == (0.05, 0.95) and model.n_steps == 3
+        for t, row in enumerate(values):
+            for tau, v in ((0.95, row[0]), (0.05, row[2])):
+                got = model.predict(None, tau)
+                assert np.float64(got).tobytes() == np.float64(v).tobytes()
+            model.update(None, 0.0)
+
+    def test_from_csv_header_errors(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="missing header row"):
+            ReplayModel.from_csv(path)
+        path.write_text("lo,hi\n1.0,2.0\n")
+        with pytest.raises(ValueError, match="no q_<tau> columns in header"):
+            ReplayModel.from_csv(path)
+
+    def test_from_csv_header_only_replays_nothing(self, tmp_path):
+        import warnings
+        path = tmp_path / "preds.csv"
+        path.write_text("q_0.05,q_0.95\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = ReplayModel.from_csv(path)
+        assert model.taus == (0.05, 0.95) and model.n_steps == 0
+
 
 class TestOracleUnderCalibration:
     def test_theta_oscillates_near_zero_with_valid_coverage(self):
