@@ -169,10 +169,6 @@ class StreamTrace:
     def __len__(self) -> int:
         return len(self.loss)
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.loss)
-
 
 class _IteratorAdapter:
     """Present a plain (x, y[, group]) iterable through the adaptive protocol."""

@@ -3,7 +3,7 @@ controller from a JSON config, run trials across seeds, and emit traces,
 reports and bound certificates.
 
 Artifacts per run directory:
-    config.json          resolved configuration
+    config.json          the configuration as given
     trial_XXX/trace.csv  one row per step, fixed column order
     trial_XXX/report.json
     aggregate.json       mean/std across trials
@@ -19,12 +19,16 @@ once; its trials and points share that read-only snapshot of the file.
 from __future__ import annotations
 
 import contextvars
+import dataclasses
 import functools
+import inspect
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,20 +37,13 @@ from .models import ConstantModel, LinearPinballModel, ReplayModel, pinball_loss
 from .sets import (ConstantHeuristic, CqrConstructor, ImageIntervalConstructor,
                    PreviousResidualsHeuristic, QuantileScaleConstructor,
                    RunningResidualHeuristic)
-from .stretching import Stretch
+from .stretching import STRETCH_KINDS, Stretch
 from .streams import (CsvInputError, CsvStreamConfig, ImageStreamConfig,
                       KnownQuantileConfig, KnownQuantileStream,
                       SyntheticConfig, csv_ingest, image_stream,
-                      synthetic_stream)
+                      successive_difference_scale, synthetic_stream)
 
 SCHEMA_VERSION = 1
-
-_STREAM_KINDS = ("synthetic", "known_quantile", "image", "csv")
-_MODEL_KINDS = ("linear_pinball", "oracle", "constant", "replay")
-_CONSTRUCTOR_KINDS = ("cqr", "quantile_scale", "image")
-_LOSS_KINDS = ("binary", "mc", "image_miscoverage", "center_failure")
-_CONTROLLER_KINDS = ("single", "multi", "baseline_aci")
-_HEURISTIC_KINDS = ("constant", "residual_model", "previous_residuals")
 
 
 class ConfigError(ValueError):
@@ -67,247 +64,6 @@ def load_config(path: str) -> dict:
         cfg = json.load(fh)
     validate_config(cfg)
     return cfg
-
-
-def _section(cfg: dict, key: str, default=None) -> dict:
-    value = cfg.get(key, {} if default is None else default)
-    _require(isinstance(value, dict), key, "must be an object")
-    return value
-
-
-def _probe(path: str, build, *args) -> None:
-    """Build one part of the config once, so a field of the wrong type or
-    value is reported before any computation."""
-    try:
-        build(*args)
-    except KeyError as exc:
-        raise ConfigError(path, f"missing field {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def validate_config(cfg: dict) -> None:
-    """Check the whole config tree; raises ConfigError with a field path."""
-    _require(isinstance(cfg, dict), "", "config must be an object")
-    _require(cfg.get("schema_version") == SCHEMA_VERSION,
-             "schema_version", f"must be {SCHEMA_VERSION}")
-    steps = cfg.get("steps")
-    _require(isinstance(steps, int) and steps >= 1, "steps",
-             "must be an integer >= 1")
-    trials = cfg.get("trials")
-    _require(isinstance(trials, int) and trials >= 1, "trials",
-             "must be an integer >= 1")
-    _require(isinstance(cfg.get("seed", 0), int), "seed", "must be an integer")
-
-    for key in ("eval_window", "val_window"):
-        win = cfg.get(key)
-        if win is not None:
-            _require(isinstance(win, (list, tuple)) and len(win) == 2
-                     and all(isinstance(w, int) for w in win),
-                     key, "must be [start, end] with integer steps")
-            _require(1 <= win[0] <= win[1] <= steps, key,
-                     f"must satisfy 1 <= start <= end <= steps={steps}")
-
-    stream = _section(cfg, "stream")
-    _require(stream.get("kind") in _STREAM_KINDS, "stream.kind",
-             f"must be one of {_STREAM_KINDS}")
-    _probe("stream", _stream_config, cfg, 0)
-    model = _section(cfg, "model")
-    _require(model.get("kind") in _MODEL_KINDS, "model.kind",
-             f"must be one of {_MODEL_KINDS}")
-    if model.get("kind") == "oracle":
-        _require(stream.get("kind") == "known_quantile", "model.kind",
-                 "oracle model requires the known_quantile stream")
-    if model.get("kind") == "replay":
-        _require(isinstance(model.get("path"), str), "model.path",
-                 "must be a file path")
-    elif model.get("kind") == "linear_pinball":
-        _probe("model", _linear_pinball, model, 1)
-    elif model.get("kind") == "constant":
-        _probe("model", _constant_model, model)
-    constructor = _section(cfg, "constructor")
-    _require(constructor.get("kind") in _CONSTRUCTOR_KINDS, "constructor.kind",
-             f"must be one of {_CONSTRUCTOR_KINDS}")
-    heur = constructor.get("heuristic")
-    if heur is not None:
-        _require(isinstance(heur, dict), "constructor.heuristic",
-                 "must be an object")
-        _require(heur.get("kind") in _HEURISTIC_KINDS,
-                 "constructor.heuristic.kind",
-                 f"must be one of {_HEURISTIC_KINDS}")
-    _probe("constructor", _build_constructor, cfg)
-
-    loss_list = cfg.get("losses")
-    _require(isinstance(loss_list, list) and len(loss_list) >= 1, "losses",
-             "must be a nonempty list")
-    for i, spec in enumerate(loss_list):
-        _require(isinstance(spec, dict), f"losses[{i}]", "must be an object")
-        _require(spec.get("kind") in _LOSS_KINDS, f"losses[{i}].kind",
-                 f"must be one of {_LOSS_KINDS}")
-        _require(isinstance(spec.get("r"), (int, float)), f"losses[{i}].r",
-                 "target risk level is required")
-        _probe(f"losses[{i}]", _build_loss, spec)
-
-    stretch_spec = _section(cfg, "stretch", {"kind": "none"})
-    try:
-        stretch = _build_stretch(stretch_spec)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("stretch", str(exc)) from exc
-
-    controller = _section(cfg, "controller")
-    kind = controller.get("kind")
-    _require(kind in _CONTROLLER_KINDS, "controller.kind",
-             f"must be one of {_CONTROLLER_KINDS}")
-    if kind == "single":
-        _require(len(loss_list) == 1, "losses",
-                 "single controller takes exactly one loss")
-        try:
-            _single_spec(cfg)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("controller", str(exc)) from exc
-    elif kind == "multi":
-        try:
-            _multi_spec(cfg)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("controller", str(exc)) from exc
-        _require(not stretch.is_adaptive or len(loss_list) == 1, "stretch",
-                 "adaptive stretching needs a single risk: no one loss and "
-                 "target drives lambda")
-    else:  # baseline_aci
-        _require(len(loss_list) == 1 and loss_list[0]["kind"] == "binary",
-                 "losses", "the baseline controls the binary loss only")
-        gamma = controller.get("gamma", 0.05)
-        _require(isinstance(gamma, (int, float)) and gamma > 0,
-                 "controller.gamma", "must be a number > 0")
-        window = controller.get("window", 500)
-        _require(isinstance(window, int) and window >= 1, "controller.window",
-                 "must be an integer >= 1")
-        alpha = controller.get("alpha", loss_list[0]["r"])
-        _require(isinstance(alpha, (int, float)) and 0 < alpha < 1,
-                 "controller.alpha", "must be a number in (0, 1)")
-        _probe("controller", _aci_params, cfg)
-
-
-def _single_spec(cfg: dict) -> engine.RiskSpec:
-    c = cfg["controller"]
-    return engine.RiskSpec(
-        r=float(cfg["losses"][0]["r"]),
-        gamma=float(c.get("gamma", 0.05)),
-        m=float(c.get("m", -9999.0)),
-        M=float(c.get("M", 9999.0)),
-        B=float(c.get("B", _default_bound(cfg["losses"][0]))),
-        theta_init=float(c.get("theta_init",
-                               _default_theta_init(cfg["constructor"], cfg))),
-    )
-
-
-def _multi_spec(cfg: dict) -> engine.MultiRiskSpec:
-    c = cfg["controller"]
-    k = len(cfg["losses"])
-    return engine.MultiRiskSpec(
-        r=tuple(float(s["r"]) for s in cfg["losses"]),
-        gamma=_vec(c.get("gamma", 0.05), k),
-        m=_vec(c.get("m", -9999.0), k),
-        M=_vec(c.get("M", 9999.0), k),
-        B=c.get("B", tuple(_default_bound(s) for s in cfg["losses"])),
-        theta_init=_vec(c.get("theta_init", 0.0), k),
-        aggregation=c.get("aggregation", "max"),
-        two_sided=bool(c.get("two_sided", False)),
-    )
-
-
-def _vec(v, k: int):
-    if isinstance(v, (int, float)):
-        return (float(v),) * k
-    return tuple(float(x) for x in v)
-
-
-def _default_bound(loss_spec: dict) -> float:
-    if loss_spec["kind"] == "mc":
-        return float(loss_spec.get("cap", 50))
-    return 1.0
-
-
-def _default_theta_init(constructor: dict, cfg: dict) -> float:
-    # Quantile-scale calibration starts at -alpha: the raw model is queried
-    # at its nominal level until the data says otherwise.
-    if constructor.get("kind") == "quantile_scale":
-        return -float(cfg["losses"][0]["r"])
-    return 0.0
-
-
-def _build_stretch(spec: dict, auto_scale: float | None = None) -> Stretch:
-    low, high = spec.get("beta_low", 0.0), spec.get("beta_high", 0.0)
-    if low == "auto" or high == "auto":
-        if auto_scale is None:
-            # validation probe: the actual scale is resolved per trial
-            low, high = -1.0, 1.0
-        else:
-            low, high = -auto_scale, auto_scale
-    return Stretch(
-        kind=spec.get("kind", "none"),
-        beta_score=float(spec.get("beta_score", 0.0)),
-        beta_loss=float(spec.get("beta_loss", 0.0)),
-        beta_low=float(low),
-        beta_high=float(high),
-    )
-
-
-def _resolve_auto_stretch_scale(cfg: dict, seed: int) -> float | None:
-    """Clipping scale for "auto" beta bounds: the mean absolute successive
-    label difference over a warm-up prefix of this trial's stream."""
-    spec = cfg.get("stretch", {"kind": "none"})
-    if spec.get("beta_low") != "auto" and spec.get("beta_high") != "auto":
-        return None
-    if cfg["stream"]["kind"] == "image":
-        raise ConfigError("stretch.beta_low",
-                          "auto bounds need a scalar-label stream")
-    from .streams import successive_difference_scale
-    probe, _ = _build_stream(cfg, seed)
-    n = max(10, min(2000, cfg["steps"] // 4))
-    ys = [item[1] for item, _ in zip(probe, range(n))]
-    return successive_difference_scale(ys)
-
-
-def _stream_config(cfg: dict, seed: int):
-    spec = cfg["stream"]
-    kind = spec["kind"]
-    if kind == "synthetic":
-        return SyntheticConfig(
-            seed=seed,
-            n_features=int(spec.get("n_features", 5)),
-            group_mean_length=float(spec.get("group_mean_length", 500.0)),
-            group_length_std=float(spec.get("group_length_std", 10.0)),
-            scale_mean=float(spec.get("scale_mean", 20.0)),
-            scale_var=float(spec.get("scale_var", 10.0)),
-        )
-    if kind == "known_quantile":
-        return KnownQuantileConfig(
-            seed=seed,
-            n_features=int(spec.get("n_features", 1)),
-            slope=float(spec.get("slope", 2.0)),
-            intercept=float(spec.get("intercept", 0.0)),
-            noise_std=float(spec.get("noise_std", 1.0)),
-        )
-    if kind == "image":
-        return ImageStreamConfig(
-            seed=seed,
-            height=int(spec.get("height", 16)),
-            width=int(spec.get("width", 16)),
-            base_sigma=float(spec.get("base_sigma", 1.0)),
-            shift_period=int(spec.get("shift_period", 0)),
-            shift_factor=float(spec.get("shift_factor", 1.0)),
-            frame_corr=float(spec.get("frame_corr", 0.5)),
-        )
-    return CsvStreamConfig(
-        path=spec["path"],
-        timestamp_col=spec.get("timestamp_col", ""),
-        target_col=spec["target_col"],
-        feature_cols=list(spec.get("feature_cols", [])),
-        warmup=int(spec.get("warmup", 8000)),
-        augment_time=bool(spec.get("augment_time", True)),
-        timestamp_format=spec.get("timestamp_format", "iso"),
-    )
 
 
 # The CSV streams read by the driver call in progress, keyed by their
@@ -351,107 +107,381 @@ def _read_input(section: str, read, arg):
         raise ConfigError(f"{section}.{fld}", str(exc)) from exc
 
 
-def _build_stream(cfg: dict, seed: int):
-    kind = cfg["stream"]["kind"]
-    steps = cfg["steps"]
-    sc = _stream_config(cfg, seed)
-    if kind == "synthetic":
-        return synthetic_stream(sc, steps), None
-    if kind == "known_quantile":
-        kq = KnownQuantileStream(sc)
-        return kq.generate(steps), kq
-    if kind == "image":
-        return image_stream(sc, steps), None
-    # csv: the file is the stream; the driver call reads it once.
+# ---------------------------------------------------------------------------
+# Config schema
+# ---------------------------------------------------------------------------
+#
+# _TOP declares every field a config takes, as name -> (type, default). A
+# section with a ``kind`` takes the fields its kind lists, and the kind
+# names the builder of its part. ``_takes`` reads defaults from the library
+# dataclass or callable the fields feed, so no default is written twice.
+
+def _known_quantile_stream(seed: int, steps: int, **f):
+    kq = KnownQuantileStream(KnownQuantileConfig(seed=seed, **f))
+    return kq.generate(steps), kq  # kq builds the oracle model
+
+
+def _csv_stream(seed: int, steps: int, **f):
+    # the file is the stream; the driver call reads it once
     memo = _INPUTS.get()
     memo = {} if memo is None else memo
-    key = json.dumps(cfg["stream"], sort_keys=True)
+    key = json.dumps(f, sort_keys=True)
     if key not in memo:
-        memo[key] = _read_input("stream", csv_ingest, sc)
+        memo[key] = _read_input("stream", csv_ingest, CsvStreamConfig(**f))
     cs = memo[key]
     return iter(cs), cs
 
 
-def _stream_feature_count(cfg: dict, stream_obj) -> int:
-    kind = cfg["stream"]["kind"]
-    if kind == "synthetic":
-        return int(cfg["stream"].get("n_features", 5))
-    if kind == "known_quantile":
-        return int(cfg["stream"].get("n_features", 1))
-    if kind == "csv":
-        return stream_obj.x.shape[1]
-    raise ConfigError("model", f"linear model unsupported on {kind} stream")
+def _replay_model(rc, stream_obj, taus, path):
+    model = _read_input("model", ReplayModel.from_csv, path)
+    missing = [t for t in taus if t not in model.taus]
+    _require(not missing, "model.taus", f"levels {missing} are not "
+             f"replayed by {path}; it has {model.taus}")
+    # a CSV stream shorter than ``steps`` ends the run at its last row
+    rows = (min(rc.steps, len(stream_obj.y)) if rc.stream.kind == "csv"
+            else rc.steps)
+    _require(model.n_steps >= rows, "model.path",
+             f"{path} replays {model.n_steps} steps; the run takes {rows}")
+    return model
 
 
-def _linear_pinball(spec: dict, n_features: int):
-    return LinearPinballModel(
-        n_features=n_features,
-        taus=tuple(spec.get("taus", (0.05, 0.95))),
-        lr=float(spec.get("lr", 0.1)),
-        fit_intercept=bool(spec.get("fit_intercept", True)),
-        n_sgd_steps=int(spec.get("n_sgd_steps", 1)),
-    )
+def _stretch(rc, seed: int | None) -> Stretch:
+    """The stretch of a trial. "auto" bounds clip at the mean absolute
+    successive label difference over a warm-up prefix of the trial's stream
+    (at 1 for the check of an unseeded build)."""
+    f = rc.stretch.fields
+    if "auto" in (f["beta_low"], f["beta_high"]):
+        scale = 1.0
+        if seed is not None:
+            probe, _ = rc.stream.build(seed, rc.steps)
+            n = max(10, min(2000, rc.steps // 4))
+            scale = successive_difference_scale(
+                [item[1] for item, _ in zip(probe, range(n))])
+        f = {**f, "beta_low": -scale, "beta_high": scale}
+    return Stretch(kind=rc.stretch.kind, **f)
 
 
-def _constant_model(spec: dict):
-    values = {float(k): float(v) for k, v in spec.get("values", {}).items()}
-    return ConstantModel(values, default=float(spec.get("default", 0.0)))
+_REQUIRED = inspect.Parameter.empty  # no default: the config must give it
+_DERIVED = object()   # a default validate_config derives from other sections
 
 
-def _build_model(cfg: dict, stream_obj):
-    spec = cfg["model"]
-    kind = spec["kind"]
-    if kind == "linear_pinball":
-        return _linear_pinball(spec, _stream_feature_count(cfg, stream_obj))
-    if kind == "oracle":
-        return stream_obj.oracle_model()
-    if kind == "replay":
-        model = _read_input("model", ReplayModel.from_csv, spec["path"])
-        missing = [t for t in spec.get("taus", (0.05, 0.95))
-                   if float(t) not in model.taus]
-        _require(not missing, "model.taus",
-                 f"levels {missing} are not replayed by {spec['path']}; "
-                 f"it has {model.taus}")
-        return model
-    return _constant_model(spec)
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _build_constructor(cfg: dict):
-    spec = cfg["constructor"]
-    kind = spec["kind"]
-    if kind == "cqr":
-        taus = cfg["model"].get("taus", (0.05, 0.95))
-        return CqrConstructor(tau_lo=float(min(taus)), tau_hi=float(max(taus)))
-    if kind == "quantile_scale":
-        return QuantileScaleConstructor()
-    heur = spec.get("heuristic", {"kind": "previous_residuals"})
-    hk = heur.get("kind", "previous_residuals")
-    if hk == "constant":
-        heuristic = ConstantHeuristic(float(heur.get("value", 1.0)))
-    elif hk == "residual_model":
-        heuristic = RunningResidualHeuristic(float(heur.get("decay", 0.1)))
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_list(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(item, v))
+
+
+class _Type(NamedTuple):
+    """A JSON type: what a value must be, its test, the value built."""
+
+    what: str
+    test: Callable
+    convert: Callable = lambda v: v
+
+    def resolve(self, value, path: str, settable: dict):
+        try:
+            if self.test(value):
+                return self.convert(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ConfigError(path, f"must be {self.what}")
+
+
+_INT = _Type("an integer", _is_int)
+_COUNT = _Type("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_NUM = _Type("a number", _is_num, float)
+_BOOL = _Type("a boolean", lambda v: isinstance(v, bool))
+_STR = _Type("a string", lambda v: isinstance(v, str))
+_STRS = _Type("a list of strings", lambda v: _is_list(v, _STR.test), list)
+_TAUS = _Type("a nonempty list of numbers", lambda v: _is_list(v, _is_num)
+              and len(v) > 0, lambda v: tuple(map(float, v)))
+_PER_RISK = _Type("a number or a list of numbers, one per risk",
+                  lambda v: _is_num(v) or _is_list(v, _is_num),
+                  lambda v: float(v) if _is_num(v) else tuple(map(float, v)))
+_BETA = _Type('a number or "auto"', lambda v: v == "auto" or _is_num(v),
+              lambda v: v if v == "auto" else float(v))
+_LEVELS = _Type("an object of numbers keyed by quantile level",
+                lambda v: isinstance(v, dict)
+                and all(map(_is_num, v.values())),
+                lambda v: {float(k): float(x) for k, x in v.items()})
+_MASK = _Type("an array of booleans", lambda v: isinstance(v, (list, tuple)),
+              lambda v: np.asarray(v, dtype=bool))
+_REGION = _Type("[row_start, row_end, col_start, col_end]",
+                lambda v: _is_list(v, _is_int) and len(v) == 4, tuple)
+_WINDOW = _Type("[start, end] with integer steps",
+                lambda v: _is_list(v, _is_int) and len(v) == 2, tuple)
+
+
+def _takes(source, **types) -> dict:
+    """name -> (type, default of ``source``, a dataclass or a callable)."""
+    if dataclasses.is_dataclass(source):
+        defaults = {f.name: f.default_factory() if callable(f.default_factory)
+                    else f.default for f in dataclasses.fields(source)}
     else:
-        heuristic = PreviousResidualsHeuristic(int(heur.get("window", 5)))
-    return ImageIntervalConstructor(heuristic)
+        defaults = {p.name: p.default
+                    for p in inspect.signature(source).parameters.values()}
+    return {name: (t, _REQUIRED if defaults[name] is dataclasses.MISSING
+                   else defaults[name]) for name, t in types.items()}
 
 
-def _build_loss(spec: dict):
-    kind = spec["kind"]
-    if kind == "binary":
-        return losses_mod.BinaryLossFn()
-    if kind == "mc":
-        return losses_mod.McLossFn(cap=int(spec.get("cap", 50)))
-    mask = spec.get("mask")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-    if kind == "image_miscoverage":
-        return losses_mod.ImageMiscoverageFn(mask=mask)
-    region = spec.get("region")
-    return losses_mod.CenterFailureFn(
-        region=tuple(region) if region else None,
-        threshold=float(spec.get("threshold", 0.6)),
-        mask=mask,
-    )
+def _resolve_fields(raw: dict, path: str, takes: dict, settable: dict,
+                    kind: str | None = None) -> dict:
+    """The fields ``takes`` declares, read from ``raw``: typed, defaults
+    filled in. A null where the default is null is the default."""
+    names = ("kind", *takes) if kind else tuple(takes)
+    what = f"{path} kind {kind!r}" if kind else "a config"
+    for name in raw:
+        _require(name in names, f"{path}.{name}".lstrip("."),
+                 f"unknown field; {what} takes {', '.join(names)}")
+    out = {}
+    for name, (ftype, default) in takes.items():
+        fpath = f"{path}.{name}".lstrip(".")
+        if name in raw and not (raw[name] is None and default is None):
+            out[name] = ftype.resolve(raw[name], fpath, settable)
+        else:
+            _require(default is not _REQUIRED, fpath, "is required")
+            # a section left out resolves to its default kind
+            out[name] = (default if isinstance(ftype, _Type)
+                         else ftype.resolve(default, fpath, settable))
+    return out
+
+
+class _Part(NamedTuple):
+    """A resolved section: its kind, and every field the kind takes."""
+
+    kind: str
+    fields: dict
+    builder: Callable | None
+
+    def build(self, *context):
+        return self.builder(*context, **self.fields)
+
+
+class _Section(NamedTuple):
+    """An object whose ``kind`` picks its fields: kind -> (fields, builder)."""
+
+    kinds: dict
+    default_kind: str | None = None
+
+    def resolve(self, value, path: str, settable: dict) -> _Part:
+        _require(isinstance(value, dict), path, "must be an object")
+        kind = value.get("kind", self.default_kind)
+        _require(isinstance(kind, str) and kind in self.kinds, f"{path}.kind",
+                 f"must be one of {tuple(self.kinds)}")
+        takes, builder = self.kinds[kind]
+        settable[path] = ("kind", *takes)
+        return _Part(kind, _resolve_fields(value, path, takes, settable, kind),
+                     builder)
+
+
+class _List(NamedTuple):
+    """A nonempty list of sections; a sweep sets none of their fields."""
+
+    item: _Section
+
+    def resolve(self, value, path: str, settable: dict) -> tuple:
+        _require(isinstance(value, list) and len(value) > 0, path,
+                 "must be a nonempty list")
+        return tuple(self.item.resolve(v, f"{path}[{i}]", {})
+                     for i, v in enumerate(value))
+
+
+def _control(t) -> dict:
+    """gamma, m, M and B of the single (t a number) and multi controllers."""
+    return {"gamma": (t, 0.05), "m": (t, -9999.0), "M": (t, 9999.0),
+            "B": (t, _DERIVED)}
+
+
+# Every model takes the levels the cqr constructor, the baseline and the
+# sweep's validation score read.
+_MODEL_TAUS = _takes(LinearPinballModel, taus=_TAUS)
+_LOSS_TARGET = {"r": (_NUM, _REQUIRED)}
+
+_TOP = {
+    "schema_version": (_Type(str(SCHEMA_VERSION), lambda v: _is_int(v)
+                             and v == SCHEMA_VERSION), _REQUIRED),
+    "steps": (_COUNT, _REQUIRED),
+    "trials": (_COUNT, _REQUIRED),
+    "seed": (_INT, 0),
+    "eval_window": (_WINDOW, None),
+    "val_window": (_WINDOW, None),
+    "out_dir": (_STR, "out"),
+    # builders: (seed, steps, **fields) -> (iterable, stream object)
+    "stream": (_Section({
+        "synthetic": (_takes(
+            SyntheticConfig, n_features=_INT, group_mean_length=_NUM,
+            group_length_std=_NUM, scale_mean=_NUM, scale_var=_NUM),
+            lambda seed, steps, **f: (synthetic_stream(
+                SyntheticConfig(seed=seed, **f), steps), None)),
+        "known_quantile": (_takes(
+            KnownQuantileConfig, n_features=_INT, slope=_NUM, intercept=_NUM,
+            noise_std=_NUM), _known_quantile_stream),
+        "image": (_takes(
+            ImageStreamConfig, height=_INT, width=_INT, base_sigma=_NUM,
+            shift_period=_INT, shift_factor=_NUM, frame_corr=_NUM),
+            lambda seed, steps, **f: (image_stream(
+                ImageStreamConfig(seed=seed, **f), steps), None)),
+        "csv": ({**_takes(
+            CsvStreamConfig, path=_STR, target_col=_STR, feature_cols=_STRS,
+            warmup=_INT, augment_time=_BOOL, timestamp_format=_STR),
+            "timestamp_col": (_STR, "")}, _csv_stream),
+    }), _REQUIRED),
+    # builders: (resolved config, stream object, **fields) -> model
+    "model": (_Section({
+        # a CSV stream's feature count is known once its file is read
+        "linear_pinball": (_takes(
+            LinearPinballModel, taus=_TAUS, lr=_NUM, fit_intercept=_BOOL,
+            n_sgd_steps=_INT), lambda rc, s, **f: LinearPinballModel(
+                s.x.shape[1] if rc.stream.kind == "csv"
+                else rc.stream.fields["n_features"], **f)),
+        "oracle": (_MODEL_TAUS, lambda rc, s, taus: s.oracle_model()),
+        "constant": ({**_MODEL_TAUS, **_takes(
+            ConstantModel, values=_LEVELS, default=_NUM)},
+            lambda rc, s, taus, **f: ConstantModel(**f)),
+        "replay": ({**_MODEL_TAUS, "path": (_STR, _REQUIRED)}, _replay_model),
+    }), _REQUIRED),
+    # builders: (model taus, **fields) -> constructor
+    "constructor": (_Section({
+        "cqr": ({}, lambda taus: CqrConstructor(min(taus), max(taus))),
+        "quantile_scale": ({}, lambda taus: QuantileScaleConstructor()),
+        "image": ({"heuristic": (_Section({
+            "constant": (_takes(ConstantHeuristic, value=_NUM),
+                         ConstantHeuristic),
+            "residual_model": (_takes(RunningResidualHeuristic, decay=_NUM),
+                               RunningResidualHeuristic),
+            "previous_residuals": (_takes(PreviousResidualsHeuristic,
+                                          window=_INT),
+                                   PreviousResidualsHeuristic),
+        }, default_kind="previous_residuals"), {})},
+            lambda taus, heuristic: ImageIntervalConstructor(
+                heuristic.build())),
+    }), _REQUIRED),
+    # builders: (**fields) -> loss function
+    "losses": (_List(_Section({
+        "binary": (_LOSS_TARGET, lambda r: losses_mod.BinaryLossFn()),
+        "mc": ({**_LOSS_TARGET, **_takes(losses_mod.McLossFn, cap=_INT)},
+               lambda r, cap: losses_mod.McLossFn(cap)),
+        "image_miscoverage": ({**_LOSS_TARGET, **_takes(
+            losses_mod.ImageMiscoverageFn, mask=_MASK)},
+            lambda r, mask: losses_mod.ImageMiscoverageFn(mask)),
+        "center_failure": ({**_LOSS_TARGET, **_takes(
+            losses_mod.CenterFailureFn, region=_REGION, threshold=_NUM,
+            mask=_MASK)}, lambda r, **f: losses_mod.CenterFailureFn(**f)),
+    })), _REQUIRED),
+    "stretch": (_Section(dict.fromkeys(STRETCH_KINDS, (_takes(
+        Stretch, beta_score=_NUM, beta_loss=_NUM, beta_low=_BETA,
+        beta_high=_BETA), None)), default_kind=Stretch.kind), {}),
+    "controller": (_Section({
+        "single": ({**_control(_NUM), "theta_init": (_NUM, _DERIVED)}, None),
+        "multi": ({**_control(_PER_RISK), **_takes(
+            engine.MultiRiskSpec, theta_init=_PER_RISK, aggregation=_STR,
+            two_sided=_BOOL)}, None),
+        "baseline_aci": ({"gamma": _control(_NUM)["gamma"],
+                          "alpha": (_NUM, _DERIVED),
+                          "window": _takes(baseline.run_aci_stream,
+                                           window_size=_COUNT)["window_size"],
+                          **_takes(baseline.run_aci_stream, warmup=_INT,
+                                   largest=_BOOL)}, None),
+    }), _REQUIRED),
+}
+
+
+class ResolvedConfig(SimpleNamespace):
+    """``validate_config``'s result: the top-level fields (a section as a
+    _Part), the controller's ``spec`` (None for the baseline), the reports'
+    ``alpha``, the trace ``layout`` and ``settable``, the sweepable fields."""
+
+
+def _check(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a value the library rejects fails."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def validate_config(cfg: dict) -> ResolvedConfig:
+    """Resolve ``cfg`` against ``_TOP``; a ConfigError names the first field
+    at fault. Each part is built once here, so that a value its library
+    rejects fails before any computation; input files fail when read."""
+    _require(isinstance(cfg, dict), "", "config must be an object")
+    settable = {"": tuple(n for n, (t, _) in _TOP.items()
+                          if isinstance(t, _Type))}
+    rc = ResolvedConfig(**_resolve_fields(cfg, "", _TOP, settable),
+                        settable=settable)
+    for key in ("eval_window", "val_window"):
+        win = getattr(rc, key)
+        _require(win is None or 1 <= win[0] <= win[1] <= rc.steps, key,
+                 f"must satisfy 1 <= start <= end <= steps={rc.steps}")
+    stream, model, constructor = rc.stream, rc.model, rc.constructor
+    losses, stretch, controller = rc.losses, rc.stretch, rc.controller
+
+    _require(model.kind != "oracle" or stream.kind == "known_quantile",
+             "model.kind", "oracle model requires the known_quantile stream")
+    _require(model.kind != "linear_pinball" or stream.kind != "image",
+             "model.kind", "linear model unsupported on image stream")
+    if model.kind == "linear_pinball":  # its feature count is the stream's
+        _check("model", LinearPinballModel, 1, **model.fields)
+    _check("constructor", constructor.build, model.fields["taus"])
+    loss_fns = [_check(f"losses[{i}]", loss.build)
+                for i, loss in enumerate(losses)]
+    _require(stream.kind != "image" or "auto" not in (
+        stretch.fields["beta_low"], stretch.fields["beta_high"]),
+        "stretch.beta_low", "auto bounds need a scalar-label stream")
+    adaptive = _check("stretch", _stretch, rc, None).is_adaptive
+
+    c, r = controller.fields, losses[0].fields["r"]
+    if c.get("B") is _DERIVED:  # each loss's declared bound
+        bounds = tuple(fn.bound for fn in loss_fns)
+        c["B"] = bounds if controller.kind == "multi" else bounds[0]
+    rc.spec = None
+    if controller.kind == "baseline_aci":
+        _require(len(losses) == 1 and losses[0].kind == "binary", "losses",
+                 "the baseline controls the binary loss only")
+        _require(constructor.kind == "cqr", "constructor.kind",
+                 "the baseline builds cqr intervals only")
+        _require(stretch.kind == "none", "stretch.kind",
+                 "the baseline applies no stretch")
+        c["alpha"] = r if c["alpha"] is _DERIVED else c["alpha"]
+        _require(c["gamma"] > 0, "controller.gamma", "must be > 0")
+        _require(0 < c["alpha"] < 1, "controller.alpha", "must be in (0, 1)")
+    elif controller.kind == "single":
+        _require(len(losses) == 1, "losses",
+                 "single controller takes exactly one loss")
+        if c["theta_init"] is _DERIVED:
+            # Quantile-scale calibration starts at -alpha: the raw model is
+            # queried at its nominal level until the data says otherwise.
+            c["theta_init"] = (-r if constructor.kind == "quantile_scale"
+                               else engine.RiskSpec.theta_init)
+        rc.spec = _check("controller", engine.RiskSpec, r=r, **c)
+    else:  # multi
+        rc.spec = _check("controller", engine.MultiRiskSpec,
+                         r=tuple(loss.fields["r"] for loss in losses), **c)
+        _require(not adaptive or len(losses) == 1, "stretch",
+                 "adaptive stretching needs a single risk: no one loss and "
+                 "target drives lambda")
+
+    # The reports' nominal miscoverage: an MC target alpha/(1-alpha)
+    # inverts to alpha = r/(1+r).
+    _require(losses[0].kind != "mc" or r > -1, "losses[0].r",
+             "an MC target must be > -1")
+    rc.alpha = (r if losses[0].kind == "binary"
+                else r / (1.0 + r) if losses[0].kind == "mc" else 0.1)
+    # k-risk traces have always recorded the set size only
+    rc.layout = ("interval" if controller.kind != "multi"
+                 and constructor.kind in ("cqr", "quantile_scale") else "size")
+    return rc
+
+
+def _resolved(cfg) -> ResolvedConfig:
+    """``cfg`` resolved; the drivers pass it on resolved already."""
+    return cfg if isinstance(cfg, ResolvedConfig) else validate_config(cfg)
 
 
 @dataclass
@@ -471,63 +501,43 @@ class ExperimentResult:
     out_dir: str | None = None
 
 
-def _nominal_alpha(cfg: dict) -> float:
-    first = cfg["losses"][0]
-    if first["kind"] == "binary":
-        return float(first["r"])
-    if first["kind"] == "mc":
-        # MC target alpha/(1-alpha) inverts to alpha = r/(1+r).
-        r = float(first["r"])
-        return r / (1.0 + r)
-    return 0.1
-
-
-def _aci_params(cfg: dict) -> dict:
-    c = cfg["controller"]
-    return {"gamma": float(c.get("gamma", 0.05)),
-            "alpha": float(c.get("alpha", cfg["losses"][0]["r"])),
-            "warmup": int(c.get("warmup", 10))}
-
-
-def run_trial(cfg: dict, trial_index: int):
+def run_trial(cfg, trial_index: int):
     """Run one seeded trial; returns (trace, kind_tag)."""
-    seed = int(cfg.get("seed", 0)) + trial_index
-    stream, stream_obj = _build_stream(cfg, seed)
-    model = _build_model(cfg, stream_obj)
-    controller = cfg["controller"]
-    kind = controller["kind"]
+    rc = _resolved(cfg)
+    seed = rc.seed + trial_index
+    stream, stream_obj = rc.stream.build(seed, rc.steps)
+    model = rc.model.build(rc, stream_obj)
+    taus = rc.model.fields["taus"]
+    kind = rc.controller.kind
 
     if kind == "baseline_aci":
-        taus = cfg["model"].get("taus", (0.05, 0.95))
+        c = rc.controller.fields
         trace = baseline.run_aci_stream(
-            stream, model, **_aci_params(cfg),
-            window_size=int(controller.get("window", 500)),
-            tau_lo=float(min(taus)), tau_hi=float(max(taus)),
-            largest=bool(controller.get("largest", False)),
-            n_steps=cfg["steps"])
+            stream, model, gamma=c["gamma"], alpha=c["alpha"],
+            warmup=c["warmup"], window_size=c["window"],
+            tau_lo=min(taus), tau_hi=max(taus), largest=c["largest"],
+            n_steps=rc.steps)
         return trace, kind
 
-    constructor = _build_constructor(cfg)
-    stretch = _build_stretch(cfg.get("stretch", {"kind": "none"}),
-                             _resolve_auto_stretch_scale(cfg, seed))
-    loss_fns = [_build_loss(s) for s in cfg["losses"]]
+    constructor = rc.constructor.build(taus)
+    stretch = _stretch(rc, seed)
+    loss_fns = [loss.build() for loss in rc.losses]
     for fn in loss_fns:
         fn.reset()
     if kind == "single":
         trace = engine.run_stream(stream, model, constructor, loss_fns[0],
-                                  _single_spec(cfg), stretch,
-                                  n_steps=cfg["steps"])
+                                  rc.spec, stretch, n_steps=rc.steps)
     else:
         trace = multirisk.run_multi_stream(stream, model, constructor,
-                                           loss_fns, _multi_spec(cfg), stretch,
-                                           n_steps=cfg["steps"])
+                                           loss_fns, rc.spec, stretch,
+                                           n_steps=rc.steps)
     return trace, kind
 
 
-def _trial_report(cfg: dict, trace) -> dict:
-    window = tuple(cfg.get("eval_window") or (1, len(trace)))
-    alpha = _nominal_alpha(cfg)
-    report = metrics.evaluate(trace, window=window, alpha=alpha).to_dict()
+def _trial_report(cfg, trace) -> dict:
+    rc = _resolved(cfg)
+    window = rc.eval_window or (1, len(trace))
+    report = metrics.evaluate(trace, window=window, alpha=rc.alpha).to_dict()
     if trace.loss.ndim == 2:
         sl = slice(window[0] - 1, window[1])
         report["mean_loss_per_risk"] = [
@@ -544,20 +554,21 @@ def _both(*results):
     return all(ok for ok, _ in results), max(viol for _, viol in results)
 
 
-def certificate_for_trace(trace, cfg: dict, kind: str, label: str) -> list:
+def certificate_for_trace(trace, cfg, kind: str, label: str) -> list:
     """Bound-check verdict lines for one trace: (name, verdict, detail).
 
     Every line comes from the k-general checks in ``engine``; each controller
     kind keeps the line names it has always written. A recursion line
     replays the update function the trial's loop applied.
     """
+    rc = _resolved(cfg)
+    spec = rc.spec
     lines = []
     bounds = []       # (name, (ok, violation)) per deterministic bound
     recursion = None  # (name, update function)
     guaranteed = True
     if kind == "single":
-        spec = _single_spec(cfg)
-        loss_fn = _build_loss(cfg["losses"][0])
+        loss_fn = rc.losses[0].build()
         guaranteed = engine.loss_contract_guaranteed(loss_fn, spec)
         lines.append((f"{label} loss_contract",
                       "GUARANTEED" if guaranteed else "NOT_GUARANTEED",
@@ -569,7 +580,6 @@ def certificate_for_trace(trace, cfg: dict, kind: str, label: str) -> list:
             ("risk_bound", engine.check_two_sided_risk_bound(trace, spec))]
         recursion = ("recursion", engine.control_update(spec))
     elif kind == "multi":
-        spec = _multi_spec(cfg)
         bounds = [
             ("upper_theta_bound", engine.check_upper_theta_bound(trace, spec)),
             ("upper_risk_bound", engine.check_upper_risk_bound(trace, spec))]
@@ -580,8 +590,9 @@ def certificate_for_trace(trace, cfg: dict, kind: str, label: str) -> list:
                 ("two_sided_risk_bound",
                  engine.check_two_sided_risk_bound(trace, spec))]
     else:  # baseline_aci
+        c = rc.controller.fields
         recursion = ("alpha_recursion",
-                     baseline.aci_update(**_aci_params(cfg)))
+                     baseline.aci_update(c["gamma"], c["alpha"], c["warmup"]))
 
     for name, (ok, viol) in bounds:
         # the bounds of a vacuous guarantee are informational
@@ -641,12 +652,12 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
     else:
         names.append("set_size")
         cols.append(trace.size)
-    rows = zip(*[col.tolist() for col in cols], trace.covered.tolist())
+    row = "%d," + "%.17g," * len(cols) + "%d\n"
+    rows = zip(range(1, len(trace) + 1), *[col.tolist() for col in cols],
+               trace.covered.tolist())
     with open(Path(path), "w", newline="") as fh:
         fh.write(",".join(["step", *names, "covered"]) + "\n")
-        for step, (*values, covered) in enumerate(rows, 1):
-            fh.write(f"{step}," + ",".join([format(v, ".17g") for v in values])
-                     + f",{int(covered)}\n")
+        fh.writelines(row % values for values in rows)
 
 
 def read_trace_csv(path):
@@ -687,12 +698,12 @@ def recompute_certificate(out_dir) -> list:
     """Re-derive the certificate lines from exported traces alone."""
     out = Path(out_dir)
     with open(out / "config.json") as fh:
-        cfg = json.load(fh)
-    kind = cfg["controller"]["kind"]
+        rc = validate_config(json.load(fh))
     lines = []
     for trial_dir in sorted(out.glob("trial_*")):
         trace = read_trace_csv(trial_dir / "trace.csv")
-        lines.extend(certificate_for_trace(trace, cfg, kind, trial_dir.name))
+        lines.extend(certificate_for_trace(trace, rc, rc.controller.kind,
+                                           trial_dir.name))
     return lines
 
 
@@ -721,40 +732,30 @@ def _aggregate_reports(reports: list) -> dict:
     return agg
 
 
-def _trace_layout(cfg: dict) -> str:
-    # k-risk traces have always recorded the set size only
-    if (cfg["controller"]["kind"] != "multi"
-            and cfg["constructor"]["kind"] in ("cqr", "quantile_scale")):
-        return "interval"
-    return "size"
-
-
 @_reads_inputs_once
 def run_experiment(cfg: dict, out_dir=None) -> ExperimentResult:
     """Run all trials, write artifacts, and assemble the certificate."""
-    validate_config(cfg)
+    rc = validate_config(cfg)
     result = ExperimentResult(config=cfg)
-    out = Path(out_dir if out_dir is not None else cfg.get("out_dir", "out"))
+    out = Path(out_dir if out_dir is not None else rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result.out_dir = str(out)
     with open(out / "config.json", "w") as fh:
         json.dump(cfg, fh, indent=2, sort_keys=True)
 
-    layout = _trace_layout(cfg)
     reports = []
     try:
-        for i in range(cfg["trials"]):
-            trace, kind = run_trial(cfg, i)
-            report = _trial_report(cfg, trace)
+        for i in range(rc.trials):
+            trace, kind = run_trial(rc, i)
+            report = _trial_report(rc, trace)
             trial_dir = out / f"trial_{i:03d}"
             trial_dir.mkdir(exist_ok=True)
-            write_trace_csv(trace, trial_dir / "trace.csv", layout)
+            write_trace_csv(trace, trial_dir / "trace.csv", rc.layout)
             with open(trial_dir / "report.json", "w") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
-            result.trials.append(TrialResult(trace, report,
-                                             int(cfg.get("seed", 0)) + i))
+            result.trials.append(TrialResult(trace, report, rc.seed + i))
             result.certificate_lines.extend(
-                certificate_for_trace(trace, cfg, kind, f"trial_{i:03d}"))
+                certificate_for_trace(trace, rc, kind, f"trial_{i:03d}"))
             reports.append(report)
     except KeyboardInterrupt:
         # Flush whatever finished, then let the interrupt propagate.
@@ -789,27 +790,12 @@ def _flush_summary(result: ExperimentResult, reports: list, out: Path) -> None:
         fh.write(certificate_text(result.certificate_lines))
 
 
-def _set_by_path(cfg: dict, dotted: str, value) -> dict:
-    node = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(dotted, "no such config field")
-        node = node[part]
-    if parts[-1] not in node and parts[-1] not in (
-            "gamma", "m", "M", "B", "theta_init", "lr", "beta_score",
-            "beta_loss", "beta_low", "beta_high", "window", "alpha"):
-        raise ConfigError(dotted, "no such config field")
-    node[parts[-1]] = value
-    return cfg
-
-
-def _val_pinball(cfg: dict, trace) -> float:
+def _val_pinball(cfg, trace) -> float:
     """Validation-window pinball loss of the calibrated interval endpoints."""
-    window = tuple(cfg.get("val_window") or cfg.get("eval_window")
-                   or (1, len(trace)))
-    taus = cfg["model"].get("taus", (0.05, 0.95))
-    tau_lo, tau_hi = float(min(taus)), float(max(taus))
+    rc = _resolved(cfg)
+    window = rc.val_window or rc.eval_window or (1, len(trace))
+    taus = rc.model.fields["taus"]
+    tau_lo, tau_hi = min(taus), max(taus)
     sl = slice(window[0] - 1, window[1])
     lo, hi, y = trace.lo[sl], trace.hi[sl], trace.y[sl]
     total = 0.0
@@ -834,17 +820,25 @@ def sweep(cfg: dict, param: str, grid: list, out_dir=None) -> dict:
     """
     if not grid:
         raise ConfigError(param, "empty sweep grid")
-    validate_config(cfg)
-    out = Path(out_dir if out_dir is not None else cfg.get("out_dir", "out"))
+    rc = validate_config(cfg)
+    # any field the section's kind takes, set in cfg or left at its default
+    section, _, name = param.rpartition(".")
+    known = rc.settable.get(section, ())
+    _require(name in known, param, "no such config field (fields to sweep "
+             f"here: {', '.join(known) or 'none'})")
+    out = Path(out_dir if out_dir is not None else rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for value in grid:
-        sub_cfg = json.loads(json.dumps(cfg))
-        _set_by_path(sub_cfg, param, value)
+        sub_cfg = node = json.loads(json.dumps(cfg))
+        for part in filter(None, section.split(".")):
+            node = node.setdefault(part, {})
+        node[name] = value
+        sub_rc = validate_config(sub_cfg)
         sub_out = out / f"sweep_{param.replace('.', '_')}_{value}"
         res = run_experiment(sub_cfg, sub_out)
-        scores = [_val_pinball(sub_cfg, t.trace) for t in res.trials]
+        scores = [_val_pinball(sub_rc, t.trace) for t in res.trials]
         rows.append({
             "value": value,
             "val_pinball": float(np.mean(scores)),

@@ -375,7 +375,8 @@ class TestReadOnce:
         with pytest.raises(ValueError, match="read-only"):
             run_experiment(cfg, tmp_path / "out")
         assert len(seen) == 1  # the first write failed; nothing changed
-        clean = ex.csv_ingest(ex._stream_config(cfg, 0))
+        clean = ex.csv_ingest(
+            ex.CsvStreamConfig(**ex.validate_config(cfg).stream.fields))
         assert float(clean.x[0, 0]) == seen[0]
 
 
@@ -718,3 +719,229 @@ class TestTraceRoundTripProperty:
         assert again == res.certificate_lines
         np.testing.assert_array_equal(back.size, trace.size)
         np.testing.assert_array_equal(back.theta_post, trace.theta_post)
+
+
+def _image_config(**overrides):
+    cfg = base_config(
+        steps=300, trials=1, eval_window=[1, 300], val_window=[101, 300],
+        stream={"kind": "image", "shift_period": 100, "shift_factor": 2.0},
+        model={"kind": "constant"},
+        constructor={"kind": "image"},
+        losses=[{"kind": "image_miscoverage", "r": 0.2}],
+        stretch={"kind": "exponential"},
+        controller={"kind": "single", "gamma": 0.05, "m": -5.0, "M": 5.0,
+                    "B": 1.0})
+    cfg.update(overrides)
+    return cfg
+
+
+class TestSchema:
+    """Every field is declared once with its type: unknown and mistyped
+    fields are config errors (exit 2) that name the field."""
+
+    def _run(self, tmp_path, cfg):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return cli_main(["run", str(path), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("change,field", [
+        ({"stream": {"kind": "synthetic", "n_feature": 3},
+          "model": {"kind": "linear_pinball"}}, "stream.n_feature"),
+        ({"controller": {"kind": "single", "gama": 0.1}}, "controller.gama"),
+        ({"controller": {"kind": "multi", "gamma": 0.05, "m": -2.0,
+                         "M": 2.0, "two_sided": "false"}},
+         "controller.two_sided"),
+        ({"stream": {"kind": "image", "height": 3.7}}, "stream.height"),
+        ({"controller": {"kind": "baseline_aci", "gamma": 0.05},
+          "constructor": {"kind": "cqr"}, "model": {"kind": "oracle"},
+          "stream": {"kind": "known_quantile"},
+          "losses": [{"kind": "binary", "r": 0.1}],
+          "stretch": {"kind": "error_adaptive", "beta_score": 0.05}},
+         "stretch.kind"),
+        ({"controller": {"kind": "baseline_aci", "gamma": 0.05},
+          "constructor": {"kind": "quantile_scale"},
+          "model": {"kind": "oracle"}, "stream": {"kind": "known_quantile"},
+          "losses": [{"kind": "binary", "r": 0.1}],
+          "stretch": {"kind": "none"}}, "constructor.kind"),
+        ({"losses": [{"kind": "mc", "r": -1, "cap": 50}],
+          "stream": {"kind": "known_quantile"}, "model": {"kind": "oracle"},
+          "constructor": {"kind": "cqr"}, "stretch": {"kind": "none"}},
+         "losses[0].r"),
+    ])
+    def test_rejected_field_exits_two(self, tmp_path, capsys, change, field):
+        cfg = _image_config()
+        cfg.update(change)
+        assert self._run(tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{field}:" in err
+
+    def test_unknown_field_lists_the_fields_of_its_kind(self, tmp_path,
+                                                        capsys):
+        cfg = base_config(stream={"kind": "synthetic", "n_feature": 3},
+                          model={"kind": "linear_pinball"})
+        assert self._run(tmp_path, cfg) == 2
+        err = capsys.readouterr().err
+        assert "unknown field" in err and "n_features" in err
+
+    def test_defaults_are_resolved(self):
+        rc = validate_config(base_config(
+            stream={"kind": "synthetic"}, model={"kind": "linear_pinball"},
+            constructor={"kind": "quantile_scale"},
+            losses=[{"kind": "mc", "r": 0.2, "cap": 20}],
+            controller={"kind": "single"}))
+        assert rc.stream.fields["n_features"] == 5
+        assert rc.model.fields["taus"] == (0.05, 0.95)
+        # B is the loss's cap; quantile-scale calibration starts at -r
+        assert (rc.spec.gamma, rc.spec.B, rc.spec.theta_init) == \
+            (0.05, 20.0, -0.2)
+        assert rc.stretch.kind == "none"
+
+
+# Valid configs of every section kind, for the schema fuzz below. No input
+# file is read by validate_config, so the CSV and replay paths need not exist.
+_FUZZ_BASES = [
+    base_config(),
+    base_config(stream={"kind": "synthetic", "n_features": 3},
+                model={"kind": "linear_pinball", "lr": 2.0,
+                       "taus": [0.05, 0.95], "fit_intercept": True,
+                       "n_sgd_steps": 1},
+                losses=[{"kind": "mc", "r": 0.11, "cap": 50}],
+                stretch={"kind": "error_adaptive", "beta_score": 0.05,
+                         "beta_loss": 0.1, "beta_low": "auto",
+                         "beta_high": "auto"},
+                controller={"kind": "single", "gamma": 0.05,
+                            "theta_init": 0.0}),
+    base_config(stream={"kind": "image", "height": 8, "width": 8},
+                model={"kind": "constant", "values": {"0.05": -1.0},
+                       "default": 0.0},
+                constructor={"kind": "image",
+                             "heuristic": {"kind": "constant", "value": 1.0}},
+                losses=[{"kind": "image_miscoverage", "r": 0.2,
+                         "mask": [[1] * 8] * 8},
+                        {"kind": "center_failure", "r": 0.1,
+                         "region": [2, 6, 2, 6], "threshold": 0.6}],
+                stretch={"kind": "exponential"},
+                controller={"kind": "multi", "gamma": [0.05, 0.1],
+                            "m": -5.0, "M": 5.0, "B": [1.0, 1.0],
+                            "theta_init": 0.0, "aggregation": "max",
+                            "two_sided": True}),
+    base_config(controller={"kind": "baseline_aci", "gamma": 0.05,
+                            "window": 100, "alpha": 0.1, "warmup": 10,
+                            "largest": False},
+                val_window=[501, 1000], out_dir="out"),
+    base_config(stream={"kind": "csv", "path": "s.csv",
+                        "timestamp_col": "timestamp", "target_col": "target",
+                        "feature_cols": ["f1"], "warmup": 100,
+                        "augment_time": True, "timestamp_format": "iso"},
+                model={"kind": "replay", "path": "p.csv", "taus": [0.05, 0.95]},
+                constructor={"kind": "quantile_scale"},
+                stretch={"kind": "score_adaptive", "beta_score": 0.1,
+                         "beta_low": -1.0, "beta_high": 1.0}),
+]
+_NAMES = sorted({key for cfg in _FUZZ_BASES for node in [cfg, *cfg.values()]
+                 if isinstance(node, dict) for key in node}
+                | {"decay", "window", "region", "mask", "cap", "B", "r"})
+_WORDS = st.sampled_from(["auto", "none", "single", "multi", "image", "csv",
+                          "replay", "constant", "mc", "baseline_aci",
+                          "previous_residuals", "residual_model", "mean"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats()
+    | st.text(max_size=4) | _WORDS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_NAMES) | st.text(max_size=4), inner,
+                      max_size=3),
+    max_leaves=8)
+
+
+def _slots(node, out):
+    """Every (container, key) pair of a config tree."""
+    for key, value in list(node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+class TestSchemaFuzz:
+    @pytest.mark.parametrize("cfg", _FUZZ_BASES)
+    def test_bases_are_valid(self, cfg):
+        validate_config(cfg)
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_mutation_is_valid_or_a_config_error(self, data):
+        cfg = json.loads(json.dumps(data.draw(st.sampled_from(_FUZZ_BASES))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            slots = _slots(cfg, [])
+            op = data.draw(st.sampled_from(["replace", "drop", "add"]))
+            if op == "add":
+                nodes = [cfg] + [c[k] for c, k in slots
+                                 if isinstance(c[k], dict)]
+                node = data.draw(st.sampled_from(nodes))
+                name = data.draw(st.sampled_from(_NAMES) | st.text(max_size=4))
+                node[name] = data.draw(_JSON)
+            else:
+                container, key = data.draw(st.sampled_from(slots))
+                if op == "drop":
+                    del container[key]
+                else:
+                    container[key] = data.draw(_JSON)
+        try:
+            validate_config(cfg)
+        except ConfigError:
+            pass
+
+
+class TestSweepAnyField:
+    def _sweep(self, tmp_path, cfg, param, *grid):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        return cli_main(["sweep", str(path), "--param", param, "--grid",
+                         *grid, "--out", str(tmp_path / "sw")])
+
+    def test_field_left_at_its_default(self, tmp_path, capsys):
+        cfg = _image_config()
+        assert "width" not in cfg["stream"]
+        assert self._sweep(tmp_path, cfg, "stream.width", "8", "16") == 0
+        sel = json.loads(capsys.readouterr().out)
+        assert sorted(r["value"] for r in sel["ranking"]) == [8, 16]
+        point = tmp_path / "sw" / "sweep_stream_width_8" / "config.json"
+        assert json.loads(point.read_text())["stream"]["width"] == 8
+
+    @pytest.mark.parametrize("param", ["controller.gama", "stream.n_feature",
+                                       "controler.gamma", "losses.r"])
+    def test_misspelled_param_exits_two(self, tmp_path, capsys, param):
+        assert self._sweep(tmp_path, _image_config(), param, "1", "2") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and param in err
+        assert not (tmp_path / "sw").exists()  # refused before any point ran
+
+
+class TestReplayTooShort:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_short_replay_file_is_a_config_error(self, tmp_path, capsys,
+                                                 command):
+        cfg = csv_config(tmp_path)
+        cfg["model"]["path"] = str(write_predictions(tmp_path / "short.csv",
+                                                     n=300))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--param", "controller.gamma", "--grid", "0.05", "0.1"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "model.path" in err
+        assert "300" in err and "400" in err
+
+    def test_stream_shorter_than_steps_needs_its_own_rows_only(self,
+                                                               tmp_path):
+        # 400 steps over a 300-row series end at the series' last row
+        cfg = csv_config(tmp_path, trials=1, eval_window=[101, 300],
+                         val_window=None)
+        cfg["stream"]["path"] = str(write_series(tmp_path / "s300.csv", 300))
+        cfg["model"]["path"] = str(write_predictions(tmp_path / "p300.csv",
+                                                     n=300))
+        res = run_experiment(cfg, tmp_path / "out")
+        assert len(res.trials[0].trace) == 300
