@@ -10,7 +10,7 @@ a window-quantile baseline, stream generators, and an experiment runner
 that certifies the finite-sample bounds on every trace it produces.
 """
 
-from .baseline import (ScoreWindow, WindowQuantileConstructor, aci_update,
+from .baseline import (WindowQuantileConstructor, aci_update,
                        empirical_quantile, run_aci_stream)
 from .engine import (MultiRiskSpec, RiskSpec, StreamTrace, check_lower_theta_bound,
                      check_recursion, check_two_sided_risk_bound,
@@ -19,20 +19,18 @@ from .engine import (MultiRiskSpec, RiskSpec, StreamTrace, check_lower_theta_bou
                      run_stream, two_sided_deviation_bound,
                      upper_deviation_bound)
 from .losses import (BinaryLossFn, CenterFailureFn, ImageMiscoverageFn,
-                     McLossFn, McState, binary_loss, center_failure,
-                     default_center_region, image_miscoverage, mc_loss)
+                     McLossFn, binary_loss, center_failure,
+                     default_center_region, image_miscoverage)
 from .metrics import (EvalReport, coverage, delta_coverage, evaluate, mc_risk,
                       miscoverage_streaks, msl)
 from .models import (ConstantModel, LinearPinballModel, OracleModel,
                      ReplayModel, pinball_grad, pinball_loss)
 from .multirisk import run_multi_stream
-from .sets import (EMPTY_SET, FULL_SPACE, ClassCumulativeConstructor,
-                   ClassThresholdConstructor, ConstantHeuristic,
-                   CqrConstructor, ImageIntervalConstructor, Interval,
-                   IntervalGrid, LabelSet, PreviousResidualsHeuristic,
-                   QuantileScaleConstructor, RunningResidualHeuristic,
-                   class_cumulative_set, class_threshold_set, cqr_interval,
-                   cqr_score, image_interval, quantile_scale_interval)
+from .sets import (EMPTY_SET, FULL_SPACE, ConstantHeuristic, CqrConstructor,
+                   ImageIntervalConstructor, Interval, IntervalGrid,
+                   PreviousResidualsHeuristic, QuantileScaleConstructor,
+                   RunningResidualHeuristic, cqr_interval, cqr_score,
+                   image_interval, quantile_scale_interval)
 from .stretching import Stretch, clip
 from .streams import (CsvStream, CsvStreamConfig, ImageStreamConfig,
                       KnownQuantileConfig, KnownQuantileStream,

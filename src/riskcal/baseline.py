@@ -23,35 +23,15 @@ from .losses import BinaryLossFn
 from .sets import FULL_SPACE, cqr_interval, cqr_score
 
 
-class ScoreWindow:
-    """FIFO buffer of the ``capacity`` most recent conformity scores."""
+def empirical_quantile(scores, level: float, largest: bool = False) -> float:
+    """The ceil(level * (n+1))-th smallest of a sequence of scores.
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._buf = deque(maxlen=capacity)
-
-    def push(self, score: float) -> None:
-        self._buf.append(float(score))
-
-    def scores(self) -> list[float]:
-        return list(self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-
-def empirical_quantile(window, level: float, largest: bool = False) -> float:
-    """The ceil(level * (n+1))-th smallest score of the window.
-
-    The index is clipped below at 1; when it exceeds the window size the
-    +inf sentinel is returned (construct the full space). ``largest=True``
+    The index is clipped below at 1; when it exceeds the number of scores
+    the +inf sentinel is returned (construct the full space). ``largest=True``
     selects the k-th *largest* element instead, the literal reading of the
     textual rule this implements; the default smallest-index convention is
     the one standard conformal practice uses.
     """
-    scores = window.scores() if isinstance(window, ScoreWindow) else list(window)
     n = len(scores)
     if n == 0:
         raise ValueError("empty score window")
@@ -79,7 +59,9 @@ class WindowQuantileConstructor:
     def __init__(self, window_size: int = 500, tau_lo: float = 0.05,
                  tau_hi: float = 0.95, warmup: int = 10,
                  largest: bool = False):
-        self.window = ScoreWindow(window_size)
+        if window_size < 1:
+            raise ValueError("window_size must be >= 1")
+        self.window = deque(maxlen=window_size)
         self.tau_lo = tau_lo
         self.tau_hi = tau_hi
         self.warmup = warmup
@@ -95,7 +77,7 @@ class WindowQuantileConstructor:
             return FULL_SPACE
         if math.isnan(q_lo) or math.isnan(q_hi):
             raise RuntimeError("model produced non-finite quantile output")
-        if len(self.window) == 0:
+        if not self.window:
             return FULL_SPACE
         q = empirical_quantile(self.window, 1.0 - alpha_t, self.largest)
         return FULL_SPACE if math.isinf(q) else cqr_interval(q_lo, q_hi, q)
@@ -105,7 +87,7 @@ class WindowQuantileConstructor:
 
     def observe(self, x, y, model):
         q_lo, q_hi = self._q
-        self.window.push(cqr_score(q_lo, q_hi, y))
+        self.window.append(cqr_score(q_lo, q_hi, y))
         self._t += 1
 
 

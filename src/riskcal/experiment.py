@@ -34,9 +34,9 @@ import numpy as np
 
 from . import baseline, engine, losses as losses_mod, metrics, multirisk
 from .models import ConstantModel, LinearPinballModel, ReplayModel, pinball_loss
-from .sets import (ConstantHeuristic, CqrConstructor, ImageIntervalConstructor,
-                   PreviousResidualsHeuristic, QuantileScaleConstructor,
-                   RunningResidualHeuristic)
+from .sets import (FULL_SPACE, ConstantHeuristic, CqrConstructor,
+                   ImageIntervalConstructor, PreviousResidualsHeuristic,
+                   QuantileScaleConstructor, RunningResidualHeuristic)
 from .stretching import STRETCH_KINDS, Stretch
 from .streams import (CsvInputError, CsvStreamConfig, ImageStreamConfig,
                       KnownQuantileConfig, KnownQuantileStream,
@@ -150,7 +150,7 @@ def _stretch(rc, seed: int | None) -> Stretch:
     successive label difference over a warm-up prefix of the trial's stream
     (at 1 for the check of an unseeded build)."""
     f = rc.stretch.fields
-    if "auto" in (f["beta_low"], f["beta_high"]):
+    if "auto" in f.values():
         scale = 1.0
         if seed is not None:
             probe, _ = rc.stream.build(seed, rc.steps)
@@ -315,15 +315,15 @@ _TOP = {
     # builders: (seed, steps, **fields) -> (iterable, stream object)
     "stream": (_Section({
         "synthetic": (_takes(
-            SyntheticConfig, n_features=_INT, group_mean_length=_NUM,
+            SyntheticConfig, n_features=_COUNT, group_mean_length=_NUM,
             group_length_std=_NUM, scale_mean=_NUM, scale_var=_NUM),
             lambda seed, steps, **f: (synthetic_stream(
                 SyntheticConfig(seed=seed, **f), steps), None)),
         "known_quantile": (_takes(
-            KnownQuantileConfig, n_features=_INT, slope=_NUM, intercept=_NUM,
+            KnownQuantileConfig, n_features=_COUNT, slope=_NUM, intercept=_NUM,
             noise_std=_NUM), _known_quantile_stream),
         "image": (_takes(
-            ImageStreamConfig, height=_INT, width=_INT, base_sigma=_NUM,
+            ImageStreamConfig, height=_COUNT, width=_COUNT, base_sigma=_NUM,
             shift_period=_INT, shift_factor=_NUM, frame_corr=_NUM),
             lambda seed, steps, **f: (image_stream(
                 ImageStreamConfig(seed=seed, **f), steps), None)),
@@ -374,9 +374,14 @@ _TOP = {
             losses_mod.CenterFailureFn, region=_REGION, threshold=_NUM,
             mask=_MASK)}, lambda r, **f: losses_mod.CenterFailureFn(**f)),
     })), _REQUIRED),
-    "stretch": (_Section(dict.fromkeys(STRETCH_KINDS, (_takes(
-        Stretch, beta_score=_NUM, beta_loss=_NUM, beta_low=_BETA,
-        beta_high=_BETA), None)), default_kind=Stretch.kind), {}),
+    # each kind takes the beta_* fields its update reads
+    "stretch": (_Section({
+        **dict.fromkeys(STRETCH_KINDS, ({}, None)),
+        "score_adaptive": (_takes(Stretch, beta_score=_NUM, beta_low=_BETA,
+                                  beta_high=_BETA), None),
+        "error_adaptive": (_takes(Stretch, beta_score=_NUM, beta_loss=_NUM,
+                                  beta_low=_BETA, beta_high=_BETA), None),
+    }, default_kind=Stretch.kind), {}),
     "controller": (_Section({
         "single": ({**_control(_NUM), "theta_init": (_NUM, _DERIVED)}, None),
         "multi": ({**_control(_PER_RISK), **_takes(
@@ -431,9 +436,19 @@ def validate_config(cfg: dict) -> ResolvedConfig:
     _check("constructor", constructor.build, model.fields["taus"])
     loss_fns = [_check(f"losses[{i}]", loss.build)
                 for i, loss in enumerate(losses)]
-    _require(stream.kind != "image" or "auto" not in (
-        stretch.fields["beta_low"], stretch.fields["beta_high"]),
-        "stretch.beta_low", "auto bounds need a scalar-label stream")
+    if stream.kind == "image":  # each image loss checks its mask and region
+        frame = np.broadcast_to(0.0, (stream.fields["height"],
+                                      stream.fields["width"]))  # no copy
+        for i, loss in enumerate(losses):
+            f = loss.fields
+            if "mask" in f:
+                _check(f"losses[{i}].mask", losses_mod.image_miscoverage,
+                       frame, FULL_SPACE, f["mask"])
+            if loss.kind == "center_failure":
+                _check(f"losses[{i}].region", losses_mod.center_failure,
+                       frame, FULL_SPACE, f["region"], mask=f["mask"])
+    _require(stream.kind != "image" or "auto" not in stretch.fields.values(),
+             "stretch.beta_low", "auto bounds need a scalar-label stream")
     adaptive = _check("stretch", _stretch, rc, None).is_adaptive
 
     c, r = controller.fields, losses[0].fields["r"]
@@ -502,36 +517,29 @@ class ExperimentResult:
 
 
 def run_trial(cfg, trial_index: int):
-    """Run one seeded trial; returns (trace, kind_tag)."""
+    """Run one seeded trial; returns its trace."""
     rc = _resolved(cfg)
     seed = rc.seed + trial_index
     stream, stream_obj = rc.stream.build(seed, rc.steps)
     model = rc.model.build(rc, stream_obj)
     taus = rc.model.fields["taus"]
-    kind = rc.controller.kind
 
-    if kind == "baseline_aci":
+    if rc.controller.kind == "baseline_aci":
         c = rc.controller.fields
-        trace = baseline.run_aci_stream(
+        return baseline.run_aci_stream(
             stream, model, gamma=c["gamma"], alpha=c["alpha"],
             warmup=c["warmup"], window_size=c["window"],
             tau_lo=min(taus), tau_hi=max(taus), largest=c["largest"],
             n_steps=rc.steps)
-        return trace, kind
 
     constructor = rc.constructor.build(taus)
     stretch = _stretch(rc, seed)
     loss_fns = [loss.build() for loss in rc.losses]
-    for fn in loss_fns:
-        fn.reset()
-    if kind == "single":
-        trace = engine.run_stream(stream, model, constructor, loss_fns[0],
-                                  rc.spec, stretch, n_steps=rc.steps)
-    else:
-        trace = multirisk.run_multi_stream(stream, model, constructor,
-                                           loss_fns, rc.spec, stretch,
-                                           n_steps=rc.steps)
-    return trace, kind
+    if rc.controller.kind == "single":
+        return engine.run_stream(stream, model, constructor, loss_fns[0],
+                                 rc.spec, stretch, n_steps=rc.steps)
+    return multirisk.run_multi_stream(stream, model, constructor, loss_fns,
+                                      rc.spec, stretch, n_steps=rc.steps)
 
 
 def _trial_report(cfg, trace) -> dict:
@@ -554,7 +562,7 @@ def _both(*results):
     return all(ok for ok, _ in results), max(viol for _, viol in results)
 
 
-def certificate_for_trace(trace, cfg, kind: str, label: str) -> list:
+def certificate_for_trace(trace, cfg, label: str) -> list:
     """Bound-check verdict lines for one trace: (name, verdict, detail).
 
     Every line comes from the k-general checks in ``engine``; each controller
@@ -562,7 +570,7 @@ def certificate_for_trace(trace, cfg, kind: str, label: str) -> list:
     replays the update function the trial's loop applied.
     """
     rc = _resolved(cfg)
-    spec = rc.spec
+    spec, kind = rc.spec, rc.controller.kind
     lines = []
     bounds = []       # (name, (ok, violation)) per deterministic bound
     recursion = None  # (name, update function)
@@ -702,8 +710,7 @@ def recompute_certificate(out_dir) -> list:
     lines = []
     for trial_dir in sorted(out.glob("trial_*")):
         trace = read_trace_csv(trial_dir / "trace.csv")
-        lines.extend(certificate_for_trace(trace, rc, rc.controller.kind,
-                                           trial_dir.name))
+        lines.extend(certificate_for_trace(trace, rc, trial_dir.name))
     return lines
 
 
@@ -746,7 +753,7 @@ def run_experiment(cfg: dict, out_dir=None) -> ExperimentResult:
     reports = []
     try:
         for i in range(rc.trials):
-            trace, kind = run_trial(rc, i)
+            trace = run_trial(rc, i)
             report = _trial_report(rc, trace)
             trial_dir = out / f"trial_{i:03d}"
             trial_dir.mkdir(exist_ok=True)
@@ -755,7 +762,7 @@ def run_experiment(cfg: dict, out_dir=None) -> ExperimentResult:
                 json.dump(report, fh, indent=2, sort_keys=True)
             result.trials.append(TrialResult(trace, report, rc.seed + i))
             result.certificate_lines.extend(
-                certificate_for_trace(trace, rc, kind, f"trial_{i:03d}"))
+                certificate_for_trace(trace, rc, f"trial_{i:03d}"))
             reports.append(report)
     except KeyboardInterrupt:
         # Flush whatever finished, then let the interrupt propagate.

@@ -8,8 +8,6 @@ the one stateful loss (its value depends on the current run of misses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sets import EMPTY_SET, FULL_SPACE, IntervalGrid
@@ -18,27 +16,6 @@ from .sets import EMPTY_SET, FULL_SPACE, IntervalGrid
 def binary_loss(y, prediction_set) -> float:
     """0-1 miscoverage: 1 if y falls outside the set, else 0."""
     return 0.0 if prediction_set.contains(y) else 1.0
-
-
-@dataclass(frozen=True)
-class McState:
-    """Length of the current run of consecutive miscoverage events."""
-
-    counter: int = 0
-
-
-def mc_loss(state: McState, y, prediction_set, cap: int | None = None):
-    """Miscoverage-counter loss: 0 on coverage, else previous counter + 1.
-
-    Returns ``(loss, new_state)``. When ``cap`` is set the emitted loss is
-    truncated at ``cap`` (the raw counter is unbounded, which would break the
-    bounded-loss contract), while the underlying run length keeps counting.
-    """
-    if prediction_set.contains(y):
-        return 0.0, McState(0)
-    counter = state.counter + 1
-    value = float(counter) if cap is None else float(min(counter, cap))
-    return value, McState(counter)
 
 
 def image_miscoverage(y, prediction_set, mask=None) -> float:
@@ -100,6 +77,14 @@ def center_failure(y, prediction_set, region=None, threshold: float = 0.6,
     r0, r1, c0, c1 = region
     if not (0 <= r0 < r1 <= y.shape[0] and 0 <= c0 < c1 <= y.shape[1]):
         raise ValueError(f"center region {region} does not fit grid {y.shape}")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != y.shape:
+            raise ValueError(f"mask shape {mask.shape} != grid shape {y.shape}")
+        sub = mask[r0:r1, c0:c1]
+        n = int(sub.sum())
+        if n == 0:
+            raise ValueError("center region has no valid pixels")
     if prediction_set is EMPTY_SET:
         frac = 0.0
     elif prediction_set is FULL_SPACE:
@@ -107,10 +92,6 @@ def center_failure(y, prediction_set, region=None, threshold: float = 0.6,
     else:
         covered = prediction_set.pixel_covered(y)[r0:r1, c0:c1]
         if mask is not None:
-            sub = np.asarray(mask, dtype=bool)[r0:r1, c0:c1]
-            n = int(sub.sum())
-            if n == 0:
-                raise ValueError("center region has no valid pixels")
             frac = float(np.sum(covered & sub)) / n
         else:
             frac = float(covered.mean())
@@ -136,12 +117,12 @@ class BinaryLossFn:
     def __call__(self, y, prediction_set) -> float:
         return binary_loss(y, prediction_set)
 
-    def reset(self) -> None:
-        pass
-
 
 class McLossFn:
-    """Miscoverage counter capped at ``cap`` (the declared bound)."""
+    """Miscoverage-counter loss: 0 on coverage, else the length of the
+    current run of consecutive misses, truncated at ``cap`` (the declared
+    bound; the raw counter is unbounded). The run keeps counting past the
+    cap."""
 
     full_space_loss = 0.0
     empty_set_loss_min = 1.0
@@ -151,14 +132,14 @@ class McLossFn:
             raise ValueError("cap must be >= 1")
         self.cap = cap
         self.bound = float(cap)
-        self._state = McState(0)
+        self._run = 0
 
     def __call__(self, y, prediction_set) -> float:
-        value, self._state = mc_loss(self._state, y, prediction_set, self.cap)
-        return value
-
-    def reset(self) -> None:
-        self._state = McState(0)
+        if prediction_set.contains(y):
+            self._run = 0
+            return 0.0
+        self._run += 1
+        return float(min(self._run, self.cap))
 
 
 class ImageMiscoverageFn:
@@ -171,9 +152,6 @@ class ImageMiscoverageFn:
 
     def __call__(self, y, prediction_set) -> float:
         return image_miscoverage(y, prediction_set, self.mask)
-
-    def reset(self) -> None:
-        pass
 
 
 class CenterFailureFn:
@@ -191,6 +169,3 @@ class CenterFailureFn:
     def __call__(self, y, prediction_set) -> float:
         return center_failure(y, prediction_set, self.region, self.threshold,
                               self.mask)
-
-    def reset(self) -> None:
-        pass

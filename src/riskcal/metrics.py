@@ -119,8 +119,8 @@ class EvalReport:
         return d
 
 
-def evaluate(trace, window: tuple | None = None, alpha: float = 0.1,
-             mc_cap: int | None = None) -> EvalReport:
+def evaluate(trace, window: tuple | None = None,
+             alpha: float = 0.1) -> EvalReport:
     """Evaluate a trace over a window of 1-based step indices (inclusive).
 
     The window is a report parameter, not a property of the run; it defaults
@@ -157,7 +157,7 @@ def evaluate(trace, window: tuple | None = None, alpha: float = 0.1,
 
     return EvalReport(
         coverage=coverage(cov),
-        mc_risk=mc_risk(cov, mc_cap),
+        mc_risk=mc_risk(cov),
         msl=msl(cov),
         delta_coverage=dc,
         mean_loss=mean_loss,

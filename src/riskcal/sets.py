@@ -1,10 +1,10 @@
 """Prediction sets and the functions that construct them.
 
-A prediction set is one of: a real interval, a finite label set, a grid of
-per-pixel intervals, or one of the two sentinels ``EMPTY_SET`` / ``FULL_SPACE``.
-The sentinels exist so the calibration engine can clamp to a set whose loss is
-known a priori (empty -> always miscovered, full -> always covered), which is
-what makes the long-run risk guarantee unconditional.
+A prediction set is one of: a real interval, a grid of per-pixel intervals,
+or one of the two sentinels ``EMPTY_SET`` / ``FULL_SPACE``. The sentinels
+exist so the calibration engine can clamp to a set whose loss is known a
+priori (empty -> always miscovered, full -> always covered), which is what
+makes the long-run risk guarantee unconditional.
 
 Constructors are kept monotone in the calibration adjustment: a larger
 adjustment never produces a smaller set. The control loop relies on this.
@@ -65,19 +65,6 @@ class Interval:
 
     def size(self) -> float:
         return self.hi - self.lo
-
-
-@dataclass(slots=True)
-class LabelSet:
-    """Finite set of class labels (1-based label indices)."""
-
-    members: frozenset
-
-    def contains(self, y) -> bool:
-        return y in self.members
-
-    def size(self) -> float:
-        return float(len(self.members))
 
 
 @dataclass(slots=True)
@@ -151,57 +138,6 @@ def quantile_scale_interval(model, x, theta: float, tau_floor: float = 1e-12):
     if lo > hi:
         return EMPTY_SET
     return Interval(lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# Classification constructors
-# ---------------------------------------------------------------------------
-
-def _check_probs(probs) -> np.ndarray:
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probability vector must be 1-D and nonempty")
-    if np.any(p < 0) or not np.isfinite(p).all():
-        raise ValueError("probabilities must be finite and nonnegative")
-    if abs(float(p.sum()) - 1.0) > 1e-6:
-        raise ValueError(f"probabilities sum to {p.sum():.8f}, expected 1")
-    return p
-
-
-def class_threshold_set(probs, thr: float):
-    """All labels whose probability is at least ``thr`` (labels are 1..K)."""
-    p = _check_probs(probs)
-    if thr <= 0.0:
-        return FULL_SPACE
-    if thr > 1.0:
-        return EMPTY_SET
-    members = frozenset(int(i) + 1 for i in np.nonzero(p >= thr)[0])
-    if not members:
-        return EMPTY_SET
-    return LabelSet(members)
-
-
-def class_cumulative_set(probs, level: float):
-    """Smallest prefix of labels, sorted by descending probability, whose
-    cumulative mass reaches ``level``.
-
-    Ties in the sort are broken by ascending label index so traces stay
-    deterministic. level <= 0 gives the empty set, level > 1 the full space.
-    """
-    p = _check_probs(probs)
-    if level <= 0.0:
-        return EMPTY_SET
-    if level > 1.0:
-        return FULL_SPACE
-    order = np.lexsort((np.arange(p.size), -p))
-    total = 0.0
-    members = []
-    for idx in order:
-        members.append(int(idx) + 1)
-        total += float(p[idx])
-        if total >= level:
-            break
-    return LabelSet(frozenset(members))
 
 
 # ---------------------------------------------------------------------------
@@ -341,36 +277,6 @@ class QuantileScaleConstructor:
     def build(self, x, adj, model):
         # adj is the stretched calibration parameter; tau = -adj.
         return quantile_scale_interval(model, x, adj, self.tau_floor)
-
-    def score(self, x, y, model):
-        return None
-
-    def observe(self, x, y, model):
-        pass
-
-
-class ClassThresholdConstructor:
-    """Labels whose predicted probability clears -adj (larger adj, lower bar)."""
-
-    scored = False
-
-    def build(self, x, adj, model):
-        return class_threshold_set(model.predict_proba(x), -adj)
-
-    def score(self, x, y, model):
-        return None
-
-    def observe(self, x, y, model):
-        pass
-
-
-class ClassCumulativeConstructor:
-    """Descending-probability prefix with cumulative mass >= 1 - adj."""
-
-    scored = False
-
-    def build(self, x, adj, model):
-        return class_cumulative_set(model.predict_proba(x), 1.0 - adj)
 
     def score(self, x, y, model):
         return None

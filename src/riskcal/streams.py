@@ -183,9 +183,6 @@ class KnownQuantileStream:
             yield x, y
             t += 1
 
-    def __iter__(self):
-        return self.generate()
-
 
 # ---------------------------------------------------------------------------
 # Synthetic image stream

@@ -1,10 +1,11 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from riskcal.baseline import (ScoreWindow, WindowQuantileConstructor,
-                              aci_update, empirical_quantile, run_aci_stream)
+from riskcal.baseline import (WindowQuantileConstructor, aci_update,
+                              empirical_quantile, run_aci_stream)
 from riskcal.engine import check_recursion
 from riskcal.losses import binary_loss
 from riskcal.models import ConstantModel, LinearPinballModel
@@ -16,16 +17,12 @@ from riskcal.streams import (KnownQuantileConfig, KnownQuantileStream,
 
 class TestEmpiricalQuantile:
     def test_direct_count(self):
-        w = ScoreWindow(10)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            w.push(v)
+        w = deque([1.0, 2.0, 3.0, 4.0], maxlen=10)
         # ceil(0.5 * 5) = 3rd smallest
         assert empirical_quantile(w, 0.5) == 3.0
 
     def test_overflow_sentinel(self):
-        w = ScoreWindow(10)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            w.push(v)
+        w = deque([1.0, 2.0, 3.0, 4.0], maxlen=10)
         # level * (n+1) > n -> full-space behavior
         assert math.isinf(empirical_quantile(w, 0.9))
 
@@ -40,7 +37,7 @@ class TestEmpiricalQuantile:
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):
-            empirical_quantile(ScoreWindow(5), 0.5)
+            empirical_quantile(deque(maxlen=5), 0.5)
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(0)
@@ -56,13 +53,22 @@ class TestEmpiricalQuantile:
             assert empirical_quantile(scores, level) == expected
 
 
-class TestScoreWindow:
+class TestQuantileWindow:
+    """The constructor's window of recent scores."""
+
     def test_strict_oldest_first_eviction(self):
-        w = ScoreWindow(3)
-        for v in (1.0, 2.0, 3.0, 4.0, 5.0):
-            w.push(v)
-        assert w.scores() == [3.0, 4.0, 5.0]
-        assert len(w) == 3
+        model = ConstantModel({0.05: -1.0, 0.95: 1.0})
+        ctor = WindowQuantileConstructor(window_size=3, warmup=1)
+        for y in (1.0, 2.0, 3.0, 4.0, 5.0):
+            ctor.build(None, 0.1, model)
+            ctor.observe(None, y, model)
+        # each score is y - 1 against the constant [-1, 1] interval
+        assert list(ctor.window) == [2.0, 3.0, 4.0]
+        assert len(ctor.window) == 3
+
+    def test_window_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="window_size"):
+            WindowQuantileConstructor(window_size=0)
 
     def test_window_content_is_last_n_scores(self):
         # replay-verified: after T steps the window holds the scores of
@@ -77,7 +83,7 @@ class TestScoreWindow:
             ctor.build(x, 0.1, model)
             ctor.observe(x, y, model)
             expected_scores.append(cqr_score(-1.0, 1.0, y))
-        assert ctor.window.scores() == expected_scores[-n:]
+        assert list(ctor.window) == expected_scores[-n:]
 
 
 def _aci_step(ctor, alpha_t, y, model, gamma=0.05, alpha=0.1):
@@ -97,7 +103,7 @@ class TestAciStep:
     def _ctor(self, scores, capacity):
         ctor = WindowQuantileConstructor(window_size=capacity, warmup=0)
         for v in scores:
-            ctor.window.push(v)
+            ctor.window.append(v)
         return ctor
 
     def test_error_at_alpha_is_fixed_point(self):

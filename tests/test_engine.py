@@ -46,9 +46,6 @@ class _ConstantLoss:
     def __call__(self, y, s):
         return self.value
 
-    def reset(self):
-        pass
-
 
 def _step(spec, theta, loss):
     """One application of the update function the loop runs."""
@@ -272,9 +269,6 @@ class TestRunStream:
             def __call__(self, y, s):
                 self.calls += 1
                 return bad if self.calls == 3 else 0.0
-
-            def reset(self):
-                pass
 
         with pytest.raises(ValueError, match="at step 3"):
             run_stream(_iid_stream(0, 10), ConstantModel({0.05: 2, 0.95: 4}),

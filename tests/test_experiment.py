@@ -107,7 +107,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kind", ["class_threshold", "class_cumulative"])
     def test_classification_constructors_not_in_config(self, kind):
-        # no config model has predict_proba, so these could never run
+        # no config model gives class probabilities, so these could never run
         with pytest.raises(ConfigError, match="constructor.kind"):
             validate_config(base_config(constructor={"kind": kind}))
 
@@ -735,9 +735,18 @@ def _image_config(**overrides):
     return cfg
 
 
+def _center_failure(**fields):
+    """Two image risks, the second a center_failure loss with ``fields``."""
+    return {"losses": [{"kind": "image_miscoverage", "r": 0.2},
+                       {"kind": "center_failure", "r": 0.1, **fields}],
+            "controller": {"kind": "multi", "gamma": 0.05, "m": -5.0,
+                           "M": 5.0}}
+
+
 class TestSchema:
     """Every field is declared once with its type: unknown and mistyped
-    fields are config errors (exit 2) that name the field."""
+    fields, and values the run cannot use, are config errors (exit 2) that
+    name the field."""
 
     def _run(self, tmp_path, cfg):
         path = tmp_path / "config.json"
@@ -767,6 +776,33 @@ class TestSchema:
           "stream": {"kind": "known_quantile"}, "model": {"kind": "oracle"},
           "constructor": {"kind": "cqr"}, "stretch": {"kind": "none"}},
          "losses[0].r"),
+        # a stretch kind takes only the beta_* fields its update reads
+        ({"stretch": {"kind": "exponential", "beta_score": 0.3}},
+         "stretch.beta_score"),
+        ({"stretch": {"kind": "none", "beta_low": -1.0}}, "stretch.beta_low"),
+        ({"stretch": {"kind": "exp_linear_zone", "beta_high": 1.0}},
+         "stretch.beta_high"),
+        ({"stream": {"kind": "known_quantile"}, "model": {"kind": "oracle"},
+          "constructor": {"kind": "cqr"},
+          "losses": [{"kind": "binary", "r": 0.1}],
+          "stretch": {"kind": "score_adaptive", "beta_score": 0.1,
+                      "beta_loss": 0.3}}, "stretch.beta_loss"),
+        # sizes and feature counts are counts
+        ({"stream": {"kind": "image", "height": 0}}, "stream.height"),
+        ({"stream": {"kind": "image", "width": 0}}, "stream.width"),
+        ({"stream": {"kind": "synthetic", "n_features": 0},
+          "model": {"kind": "linear_pinball"}}, "stream.n_features"),
+        ({"stream": {"kind": "known_quantile", "n_features": 0},
+          "model": {"kind": "oracle"}}, "stream.n_features"),
+        # an image loss's mask and center region fit the 16x16 grid
+        ({"losses": [{"kind": "image_miscoverage", "r": 0.2,
+                      "mask": [[True, True], [True, True]]}]},
+         "losses[0].mask"),
+        (_center_failure(mask=[[True, True], [True, True]]), "losses[1].mask"),
+        (_center_failure(region=[10, 20, 0, 4]), "losses[1].region"),
+        # valid pixels in rows 0-1 only, outside the default region
+        (_center_failure(mask=[[i < 2] * 16 for i in range(16)]),
+         "losses[1].region"),
     ])
     def test_rejected_field_exits_two(self, tmp_path, capsys, change, field):
         cfg = _image_config()

@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from riskcal.losses import (BinaryLossFn, CenterFailureFn, ImageMiscoverageFn,
-                            McLossFn, McState, binary_loss, center_failure,
-                            default_center_region, image_miscoverage, mc_loss)
+                            McLossFn, binary_loss, center_failure,
+                            default_center_region, image_miscoverage)
 from riskcal.sets import EMPTY_SET, FULL_SPACE, Interval, IntervalGrid
 
 
@@ -26,14 +28,11 @@ class TestBinaryLoss:
 
 
 class TestMcLoss:
-    def _run(self, flags, cap=None):
-        state = McState()
-        out = []
-        for covered in flags:
-            s = FULL_SPACE if covered else EMPTY_SET
-            value, state = mc_loss(state, 0.0, s, cap)
-            out.append(value)
-        return out
+    def _run(self, flags, cap=50):
+        # no run below reaches the default cap unless a test sets one
+        fn = McLossFn(cap)
+        return [fn(0.0, FULL_SPACE if covered else EMPTY_SET)
+                for covered in flags]
 
     def test_recursion(self):
         assert self._run([1, 0, 0, 1]) == [0.0, 1.0, 2.0, 0.0]
@@ -129,6 +128,19 @@ class TestCenterFailure:
         with pytest.raises(ValueError):
             center_failure(np.zeros((10, 10)), g, region=(5, 5, 0, 5))
 
+    def test_mask_must_match_the_grid(self):
+        # a larger mask would slice to the region's shape and pass unnoticed
+        with pytest.raises(ValueError, match="mask shape"):
+            center_failure(np.zeros((10, 10)), FULL_SPACE,
+                           mask=np.ones((20, 20), bool))
+
+    def test_mask_without_valid_center_pixels_rejected_on_any_set(self):
+        mask = np.ones((10, 10), bool)
+        mask[2:8, 2:8] = False  # covers the default region, rows and cols 2-6
+        for s in (EMPTY_SET, FULL_SPACE):
+            with pytest.raises(ValueError, match="no valid pixels"):
+                center_failure(np.zeros((10, 10)), s, mask=mask)
+
     def test_default_region_middle_half(self):
         assert default_center_region((16, 16)) == (4, 12, 4, 12)
         # one dimension below 50: fall back to the middle half of each
@@ -156,10 +168,9 @@ class TestLossContract:
             y = rng.normal() if not isinstance(
                 fn, (ImageMiscoverageFn, CenterFailureFn)) \
                 else rng.normal(size=(10, 10))
-            fn.reset()
-            assert fn(y, FULL_SPACE) <= fn.full_space_loss
-            fn.reset()
-            assert fn(y, EMPTY_SET) >= fn.empty_set_loss_min
+            # a fresh copy per call: the MC counter starts from an empty run
+            assert copy.deepcopy(fn)(y, FULL_SPACE) <= fn.full_space_loss
+            assert copy.deepcopy(fn)(y, EMPTY_SET) >= fn.empty_set_loss_min
         for r in rng.uniform(0.01, 0.99, size=20):
             assert fn.full_space_loss < r < fn.empty_set_loss_min
 
@@ -176,9 +187,7 @@ class TestBinaryDominatedByMc:
         # proposition restated: 1{miss} <= MC_t step by step, any sequence
         rng = np.random.default_rng(11)
         flags = rng.uniform(size=1000) < 0.8
-        state = McState()
+        mc = McLossFn(cap=len(flags))  # no run can reach the cap
         for covered in flags:
             s = FULL_SPACE if covered else EMPTY_SET
-            b = binary_loss(0.0, s)
-            m, state = mc_loss(state, 0.0, s)
-            assert b <= m
+            assert binary_loss(0.0, s) <= mc(0.0, s)

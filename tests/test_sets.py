@@ -5,9 +5,8 @@ import pytest
 
 from riskcal.models import ConstantModel, OracleModel
 from riskcal.sets import (EMPTY_SET, FULL_SPACE, ConstantHeuristic,
-                          CqrConstructor, Interval, IntervalGrid, LabelSet,
-                          PreviousResidualsHeuristic, class_cumulative_set,
-                          class_threshold_set, cqr_interval, cqr_score,
+                          CqrConstructor, Interval, IntervalGrid,
+                          PreviousResidualsHeuristic, cqr_interval, cqr_score,
                           image_interval, quantile_scale_interval)
 
 
@@ -75,69 +74,6 @@ class TestQuantileScale:
         s = quantile_scale_interval(self.model, None, -1.0)
         assert s.lo == pytest.approx(s.hi)
         assert s.lo == pytest.approx(self.model.predict(None, 0.5))
-
-
-class TestClassThreshold:
-    def test_basic(self):
-        assert class_threshold_set([0.5, 0.3, 0.2], 0.25) == \
-            LabelSet(frozenset({1, 2}))
-
-    def test_nonpositive_threshold_is_full_space(self):
-        assert class_threshold_set([0.5, 0.3, 0.2], 0.0) is FULL_SPACE
-        assert class_threshold_set([0.5, 0.3, 0.2], -3.0) is FULL_SPACE
-
-    def test_threshold_above_one_is_empty(self):
-        assert class_threshold_set([0.5, 0.3, 0.2], 1.1) is EMPTY_SET
-
-    def test_malformed_probabilities(self):
-        with pytest.raises(ValueError):
-            class_threshold_set([0.5, 0.6], 0.5)
-        with pytest.raises(ValueError):
-            class_threshold_set([0.9, 0.2, -0.1], 0.5)
-
-
-class TestClassCumulative:
-    def test_prefix_rule(self):
-        # 0.5 < 0.7 <= 0.8 so two labels are needed
-        assert class_cumulative_set([0.5, 0.3, 0.2], 0.7) == \
-            LabelSet(frozenset({1, 2}))
-
-    def test_single_label_suffices(self):
-        assert class_cumulative_set([0.5, 0.3, 0.2], 0.5) == \
-            LabelSet(frozenset({1}))
-
-    def test_level_bounds(self):
-        assert class_cumulative_set([0.5, 0.5], 0.0) is EMPTY_SET
-        assert class_cumulative_set([0.5, 0.5], 1.2) is FULL_SPACE
-
-    def _brute_force(self, probs, level):
-        # smallest prefix of the descending sort reaching the level
-        order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
-        total, members = 0.0, set()
-        for i in order:
-            members.add(i + 1)
-            total += probs[i]
-            if total >= level:
-                return members
-        return members
-
-    def test_matches_exhaustive_prefix_oracle(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            p = rng.dirichlet(np.ones(6))
-            got = class_cumulative_set(p, 0.9)
-            assert got.members == frozenset(self._brute_force(list(p), 0.9))
-
-    def test_minimality(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            p = rng.dirichlet(np.ones(5))
-            level = rng.uniform(0.2, 0.99)
-            got = class_cumulative_set(p, level)
-            mass = sum(p[i - 1] for i in got.members)
-            assert mass >= level
-            weakest = min(got.members, key=lambda i: p[i - 1])
-            assert mass - p[weakest - 1] < level
 
 
 class TestImageInterval:
@@ -223,19 +159,6 @@ class TestConstructorMonotonicity:
             t1, t2 = sorted(rng.uniform(-1.0, -0.01, size=2))
             assert self._subset(quantile_scale_interval(model, None, t1),
                                 quantile_scale_interval(model, None, t2), probe)
-
-    def test_classification_monotone(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            p = rng.dirichlet(np.ones(5))
-            t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
-            s_small = class_threshold_set(p, t2)
-            s_big = class_threshold_set(p, t1)
-            probe = range(1, 6)
-            assert self._subset(s_small, s_big, probe)
-            c_small = class_cumulative_set(p, t1)
-            c_big = class_cumulative_set(p, t2)
-            assert self._subset(c_small, c_big, probe)
 
 
 class TestSentinels:
