@@ -302,6 +302,7 @@ def _control(t) -> dict:
 # sweep's validation score read.
 _MODEL_TAUS = _takes(LinearPinballModel, taus=_TAUS)
 _LOSS_TARGET = {"r": (_NUM, _REQUIRED)}
+_IMAGE_LOSSES = ("image_miscoverage", "center_failure")
 
 _TOP = {
     "schema_version": (_Type(str(SCHEMA_VERSION), lambda v: _is_int(v)
@@ -431,25 +432,40 @@ def validate_config(cfg: dict) -> ResolvedConfig:
              "model.kind", "oracle model requires the known_quantile stream")
     _require(model.kind != "linear_pinball" or stream.kind != "image",
              "model.kind", "linear model unsupported on image stream")
+    # grids go with image constructors and losses, scalar labels with the rest
+    image = stream.kind == "image"
+    labels = "an image stream" if image else f"the scalar {stream.kind} stream"
+    _require((constructor.kind == "image") == image, "constructor.kind",
+             f"{constructor.kind!r} does not fit {labels}")
+    for i, loss in enumerate(losses):
+        _require((loss.kind in _IMAGE_LOSSES) == image, f"losses[{i}].kind",
+                 f"{loss.kind!r} does not fit {labels}")
+    _require(constructor.kind != "quantile_scale"
+             or model.kind in ("oracle", "constant"), "constructor.kind",
+             f"'quantile_scale' queries the model at every level; "
+             f"{model.kind!r} answers only its taus")
     if model.kind == "linear_pinball":  # its feature count is the stream's
         _check("model", LinearPinballModel, 1, **model.fields)
-    _check("constructor", constructor.build, model.fields["taus"])
+    scored = _check("constructor", constructor.build,
+                    model.fields["taus"]).scored
     loss_fns = [_check(f"losses[{i}]", loss.build)
                 for i, loss in enumerate(losses)]
-    if stream.kind == "image":  # each image loss checks its mask and region
+    if image:  # each image loss checks its mask and region
         frame = np.broadcast_to(0.0, (stream.fields["height"],
                                       stream.fields["width"]))  # no copy
         for i, loss in enumerate(losses):
             f = loss.fields
-            if "mask" in f:
-                _check(f"losses[{i}].mask", losses_mod.image_miscoverage,
-                       frame, FULL_SPACE, f["mask"])
+            _check(f"losses[{i}].mask", losses_mod.image_miscoverage,
+                   frame, FULL_SPACE, f["mask"])
             if loss.kind == "center_failure":
                 _check(f"losses[{i}].region", losses_mod.center_failure,
                        frame, FULL_SPACE, f["region"], mask=f["mask"])
-    _require(stream.kind != "image" or "auto" not in stretch.fields.values(),
+    _require(not image or "auto" not in stretch.fields.values(),
              "stretch.beta_low", "auto bounds need a scalar-label stream")
     adaptive = _check("stretch", _stretch, rc, None).is_adaptive
+    _require(not adaptive or scored, "stretch.kind",
+             f"{stretch.kind!r} needs a constructor with a conformity score "
+             f"(cqr), not {constructor.kind!r}")
 
     c, r = controller.fields, losses[0].fields["r"]
     if c.get("B") is _DERIVED:  # each loss's declared bound
@@ -486,6 +502,12 @@ def validate_config(cfg: dict) -> ResolvedConfig:
     # inverts to alpha = r/(1+r).
     _require(losses[0].kind != "mc" or r > -1, "losses[0].r",
              "an MC target must be > -1")
+    if rc.spec is not None:  # the loop aborts on a loss above its B
+        B = rc.spec.B if controller.kind == "multi" else (rc.spec.B,)
+        for i, (b, fn) in enumerate(zip(B, loss_fns)):
+            _require(b >= fn.bound, "controller.B",
+                     f"{b} is below the declared bound {fn.bound} of "
+                     f"losses[{i}]")
     rc.alpha = (r if losses[0].kind == "binary"
                 else r / (1.0 + r) if losses[0].kind == "mc" else 0.1)
     # k-risk traces have always recorded the set size only

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -67,28 +68,59 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class IntervalGrid:
     """Per-pixel closed intervals [lo, hi] over a 2-D grid.
 
     Individual pixels may be inverted (lo > hi); such pixels contain nothing,
     which is exactly how a negative adjustment shows up in image losses.
+
+    The bounds are read-only float arrays that the grid owns (anything else
+    is copied once), and the coverage grid of the last label seen is kept,
+    keyed by the label's bytes: ``contains`` and the image losses of one step
+    share one comparison, and a label changed in place gets a fresh one.
     """
 
     lo: np.ndarray
     hi: np.ndarray
+    _key: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
+    _covered: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+    def __post_init__(self):
+        for name in ("lo", "hi"):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == float
+                    and a.flags.owndata and not a.flags.writeable):
+                a = np.array(a, dtype=float)
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
 
     def pixel_covered(self, y: np.ndarray) -> np.ndarray:
-        """Boolean grid: which pixels of ``y`` fall inside their interval."""
-        return (self.lo <= y) & (y <= self.hi)
+        """Read-only boolean grid: which pixels of ``y`` fall inside their
+        interval."""
+        y = np.asarray(y)
+        # compared with ==, never hashed: hashing a label's bytes costs more
+        # than computing its grid again
+        key = (y.dtype, y.shape, y.tobytes())
+        if key != self._key:
+            covered = (self.lo <= y) & (y <= self.hi)
+            covered.flags.writeable = False
+            object.__setattr__(self, "_key", key)
+            object.__setattr__(self, "_covered", covered)
+        return self._covered
 
     def contains(self, y) -> bool:
         """Whole-grid coverage: every pixel inside its interval."""
-        return bool(np.all(self.pixel_covered(y)))
+        return bool(self.pixel_covered(y).all())
 
     def size(self) -> float:
         """Mean per-pixel width, inverted pixels counted as width 0."""
-        return float(np.mean(np.maximum(self.hi - self.lo, 0.0)))
+        d = self.hi - self.lo
+        np.maximum(d, 0.0, out=d)
+        # the sum and the division np.mean makes, in one buffer
+        return float(d.sum() / d.size)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +185,18 @@ def image_interval(pred: np.ndarray, l_map: np.ndarray, u_map: np.ndarray,
     if pred.shape != l_map.shape or pred.shape != u_map.shape:
         raise ValueError(
             f"shape mismatch: pred {pred.shape}, l {l_map.shape}, u {u_map.shape}")
-    if np.any(l_map < 0) or np.any(u_map < 0):
+    # a map holding NaN has a NaN minimum, and NaN < 0 is False: it passes,
+    # as under np.any(map < 0)
+    if pred.size and (l_map.min() < 0 or u_map.min() < 0):
         raise ValueError("uncertainty maps must be nonnegative")
-    return IntervalGrid(pred - lam * l_map, pred + lam * u_map)
+    # each bound is built in the buffer of its product, then frozen
+    lo = np.multiply(l_map, lam)
+    np.subtract(pred, lo, out=lo)
+    hi = np.multiply(u_map, lam)
+    np.add(pred, hi, out=hi)
+    lo.flags.writeable = False
+    hi.flags.writeable = False
+    return IntervalGrid(lo, hi)
 
 
 class ConstantHeuristic:
@@ -212,21 +253,35 @@ class PreviousResidualsHeuristic:
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self._plus = deque(maxlen=window)
-        self._minus = deque(maxlen=window)
+        # one (2, h, w) frame per step: r+ above r-
+        self._frames = deque(maxlen=window)
 
     def maps(self, shape):
-        if not self._plus:
+        if not self._frames:
             z = np.zeros(shape, dtype=float)
             return z, z.copy()
-        l_map = np.mean(self._plus, axis=0)
-        u_map = np.mean(self._minus, axis=0)
-        return l_map, u_map
+        mean = _window_mean(self._frames)
+        return mean[0], mean[1]
 
     def update(self, pred: np.ndarray, y: np.ndarray) -> None:
-        resid = np.asarray(pred, dtype=float) - np.asarray(y, dtype=float)
-        self._plus.append(np.maximum(resid, 0.0))
-        self._minus.append(np.maximum(-resid, 0.0))
+        pred = np.asarray(pred, dtype=float)
+        frame = np.empty((2, *pred.shape))
+        resid = np.subtract(pred, np.asarray(y, dtype=float), out=frame[0])
+        np.negative(resid, out=frame[1])
+        np.maximum(frame, 0.0, out=frame)
+        self._frames.append(frame)
+
+
+def _window_mean(frames) -> np.ndarray:
+    """The bits of ``np.mean(frames, axis=0)`` without stacking the frames:
+    a fresh sum of the frames, oldest to newest, divided by their count.
+    The sum starts as ``0.0 + first frame``, as the reduction's does, so a
+    -0.0 pixel reads back as 0.0."""
+    acc = frames[0] + 0.0
+    for frame in islice(frames, 1, None):
+        acc += frame
+    acc /= len(frames)
+    return acc
 
 
 # ---------------------------------------------------------------------------

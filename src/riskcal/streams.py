@@ -229,8 +229,13 @@ def image_stream(config: ImageStreamConfig, n_steps: int | None = None):
         else:
             sigma = config.base_sigma
         z = rng.normal()
-        noise = sigma * (rho * z + w_pixel * rng.normal(size=shape))
-        yield base, base + noise
+        # base + sigma * (rho * z + w_pixel * noise), in the drawn buffer
+        noise = rng.normal(size=shape)
+        noise *= w_pixel
+        noise += rho * z
+        noise *= sigma
+        noise += base
+        yield base, noise
         t += 1
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 import warnings
 from datetime import datetime, timedelta
 
@@ -735,6 +736,13 @@ def _image_config(**overrides):
     return cfg
 
 
+# the scalar parts that replace _image_config's image ones
+_SCALAR = {"stream": {"kind": "synthetic"}, "model": {"kind": "linear_pinball"},
+           "constructor": {"kind": "cqr"},
+           "losses": [{"kind": "binary", "r": 0.1}],
+           "stretch": {"kind": "none"}}
+
+
 def _center_failure(**fields):
     """Two image risks, the second a center_failure loss with ``fields``."""
     return {"losses": [{"kind": "image_miscoverage", "r": 0.2},
@@ -803,6 +811,35 @@ class TestSchema:
         # valid pixels in rows 0-1 only, outside the default region
         (_center_failure(mask=[[i < 2] * 16 for i in range(16)]),
          "losses[1].region"),
+        # an adaptive stretch needs a constructor with a conformity score
+        ({**_SCALAR, "model": {"kind": "constant"},
+          "constructor": {"kind": "quantile_scale"},
+          "stretch": {"kind": "score_adaptive", "beta_score": 0.1}},
+         "stretch.kind"),
+        ({"stretch": {"kind": "error_adaptive", "beta_score": 0.05,
+                      "beta_low": -1.0, "beta_high": 1.0}}, "stretch.kind"),
+        # grids go with image constructors and losses, scalars with the rest
+        ({**_SCALAR, "losses": [{"kind": "image_miscoverage", "r": 0.2}]},
+         "losses[0].kind"),
+        ({**_SCALAR, "losses": [{"kind": "binary", "r": 0.1},
+                                {"kind": "center_failure", "r": 0.1}],
+          "controller": {"kind": "multi", "gamma": 0.05}}, "losses[1].kind"),
+        ({**_SCALAR, "constructor": {"kind": "image"}}, "constructor.kind"),
+        ({"constructor": {"kind": "cqr"},
+          "losses": [{"kind": "binary", "r": 0.1}]}, "constructor.kind"),
+        ({"constructor": {"kind": "quantile_scale"}}, "constructor.kind"),
+        # quantile_scale queries levels a pinball model does not track
+        ({**_SCALAR, "constructor": {"kind": "quantile_scale"}},
+         "constructor.kind"),
+        ({"losses": [{"kind": "binary", "r": 0.5}]}, "losses[0].kind"),
+        ({"losses": [{"kind": "mc", "r": 0.5, "cap": 5}],
+          "controller": {"kind": "single", "gamma": 0.05}}, "losses[0].kind"),
+        # B covers each loss's declared bound
+        ({**_SCALAR, "losses": [{"kind": "mc", "r": 0.11, "cap": 5}]},
+         "controller.B"),
+        ({**_center_failure(), "controller": {
+            "kind": "multi", "gamma": 0.05, "m": -5.0, "M": 5.0,
+            "B": [1.0, 0.5]}}, "controller.B"),
     ])
     def test_rejected_field_exits_two(self, tmp_path, capsys, change, field):
         cfg = _image_config()
@@ -821,7 +858,7 @@ class TestSchema:
 
     def test_defaults_are_resolved(self):
         rc = validate_config(base_config(
-            stream={"kind": "synthetic"}, model={"kind": "linear_pinball"},
+            stream={"kind": "synthetic"}, model={"kind": "constant"},
             constructor={"kind": "quantile_scale"},
             losses=[{"kind": "mc", "r": 0.2, "cap": 20}],
             controller={"kind": "single"}))
@@ -870,7 +907,7 @@ _FUZZ_BASES = [
                         "feature_cols": ["f1"], "warmup": 100,
                         "augment_time": True, "timestamp_format": "iso"},
                 model={"kind": "replay", "path": "p.csv", "taus": [0.05, 0.95]},
-                constructor={"kind": "quantile_scale"},
+                constructor={"kind": "cqr"},
                 stretch={"kind": "score_adaptive", "beta_score": 0.1,
                          "beta_low": -1.0, "beta_high": 1.0}),
 ]
@@ -899,10 +936,69 @@ def _slots(node, out):
     return out
 
 
+# Every kind of every part, with fields that fit it; no input file is read.
+_KINDS = {
+    "stream": [{"kind": "synthetic", "n_features": 2},
+               {"kind": "known_quantile"},
+               {"kind": "image", "height": 8, "width": 8}],
+    "model": [{"kind": "linear_pinball"}, {"kind": "oracle"},
+              {"kind": "constant"}],
+    "constructor": [{"kind": "cqr"}, {"kind": "quantile_scale"},
+                    {"kind": "image"}],
+    "stretch": [{"kind": "none"}, {"kind": "exponential"},
+                {"kind": "exp_linear_zone"},
+                {"kind": "score_adaptive", "beta_score": 0.1},
+                {"kind": "error_adaptive", "beta_score": 0.05,
+                 "beta_loss": 0.1, "beta_low": "auto", "beta_high": "auto"}],
+}
+_LOSS_KINDS = [{"kind": "binary", "r": 0.1}, {"kind": "mc", "r": 0.11,
+                                               "cap": 5},
+               {"kind": "image_miscoverage", "r": 0.2},
+               {"kind": "center_failure", "r": 0.1}]
+_B = st.sampled_from([0.5, 1.0, 5.0])
+
+
+@st.composite
+def _controllers(draw):
+    kind = draw(st.sampled_from(["single", "multi", "baseline_aci"]))
+    if kind == "baseline_aci":
+        return {"kind": kind, "gamma": 0.05, "window": 20, "warmup": 5}
+    c = {"kind": kind, "gamma": 0.05, "m": -5.0, "M": 5.0}
+    if draw(st.booleans()):  # else B is each loss's declared bound
+        c["B"] = draw(_B if kind == "single" else
+                      _B | st.lists(_B, min_size=1, max_size=2))
+    return c
+
+
 class TestSchemaFuzz:
     @pytest.mark.parametrize("cfg", _FUZZ_BASES)
     def test_bases_are_valid(self, cfg):
         validate_config(cfg)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_kinds_run_or_are_a_config_error(self, data):
+        # a config that validates runs; part kinds that do not fit each
+        # other are config errors, never a failure at some step
+        cfg = json.loads(json.dumps(data.draw(st.sampled_from(
+            [c for c in _FUZZ_BASES if c["stream"]["kind"] != "csv"]))))
+        for part, kinds in _KINDS.items():  # the base's part half the time
+            cfg[part] = data.draw(st.sampled_from([cfg[part]])
+                                  | st.sampled_from(kinds))
+        cfg["losses"] = data.draw(st.sampled_from([cfg["losses"]])
+                                  | st.lists(st.sampled_from(_LOSS_KINDS),
+                                             min_size=1, max_size=2))
+        cfg["controller"] = data.draw(st.sampled_from([cfg["controller"]])
+                                      | _controllers())
+        cfg.update(steps=60, trials=1, eval_window=None, val_window=None)
+        try:
+            validate_config(cfg)
+        except ConfigError:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            result = run_experiment(cfg, out)
+        assert len(result.trials) == 1
+        assert len(result.trials[0].trace) == 60
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(data=st.data())

@@ -1,13 +1,19 @@
+import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
+from riskcal.losses import CenterFailureFn, ImageMiscoverageFn
 from riskcal.models import ConstantModel, OracleModel
+from riskcal.multirisk import MultiRiskSpec, run_multi_stream
 from riskcal.sets import (EMPTY_SET, FULL_SPACE, ConstantHeuristic,
-                          CqrConstructor, Interval, IntervalGrid,
-                          PreviousResidualsHeuristic, cqr_interval, cqr_score,
-                          image_interval, quantile_scale_interval)
+                          CqrConstructor, ImageIntervalConstructor, Interval,
+                          IntervalGrid, PreviousResidualsHeuristic,
+                          _window_mean, cqr_interval, cqr_score, image_interval,
+                          quantile_scale_interval)
+from riskcal.streams import ImageStreamConfig, _smooth_field, image_stream
 
 
 class TestCqrInterval:
@@ -176,3 +182,208 @@ class TestSentinels:
     def test_grid_size_clamps_inverted(self):
         g = IntervalGrid(np.array([[0.0, 2.0]]), np.array([[1.0, 1.0]]))
         assert g.size() == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# The image fast path against frozen copies of the formulas it replaced.
+# Exported traces and the benchmark digests depend on these bits.
+# ---------------------------------------------------------------------------
+
+class _FrozenPreviousResiduals:
+    """PreviousResidualsHeuristic as it was: two deques, np.mean maps."""
+
+    def __init__(self, window):
+        self._plus = deque(maxlen=window)
+        self._minus = deque(maxlen=window)
+
+    def maps(self, shape):
+        if not self._plus:
+            z = np.zeros(shape, dtype=float)
+            return z, z.copy()
+        return np.mean(self._plus, axis=0), np.mean(self._minus, axis=0)
+
+    def update(self, pred, y):
+        resid = np.asarray(pred, dtype=float) - np.asarray(y, dtype=float)
+        self._plus.append(np.maximum(resid, 0.0))
+        self._minus.append(np.maximum(-resid, 0.0))
+
+
+def _frozen_size(lo, hi):
+    return float(np.mean(np.maximum(hi - lo, 0.0)))
+
+
+def _frozen_rejects(l_map, u_map):
+    return bool(np.any(l_map < 0) or np.any(u_map < 0))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _awkward_frames(rng, shape, n):
+    """(pred, y) pairs with exact ties (a -0.0 residual), signed zeros,
+    tiny and huge magnitudes, infinities and NaN."""
+    for _ in range(n):
+        pred = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300,
+                                                             size=shape)
+        y = pred + rng.normal(size=shape)
+        tie = rng.random(shape) < 0.2
+        y[tie] = pred[tie]
+        pred[rng.random(shape) < 0.1] = -0.0
+        y[rng.random(shape) < 0.05] = np.inf
+        y[rng.random(shape) < 0.05] = np.nan
+        yield pred, y
+
+
+class TestImageFastPathBitEquivalence:
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+    def test_window_maps_match_np_mean(self, window):
+        # from the empty window through partly filled ones to full windows
+        rng = np.random.default_rng(window)
+        new = PreviousResidualsHeuristic(window)
+        old = _FrozenPreviousResiduals(window)
+        shape = (6, 7)
+        for step, (pred, y) in enumerate(_awkward_frames(rng, shape, 12)):
+            for a, b in zip(new.maps(shape), old.maps(shape)):
+                assert a.shape == b.shape and _bits(a) == _bits(b), step
+            new.update(pred, y)
+            old.update(pred, y)
+
+    def test_window_mean_of_signed_zeros_and_nan(self):
+        # np.mean's reduction starts from 0.0, so -0.0 pixels read back 0.0
+        rng = np.random.default_rng(11)
+        for n in range(1, 6):
+            frames = deque(rng.choice([-0.0, 0.0, 1.5, -2.0, np.nan, np.inf],
+                                      size=(n, 4, 4)))
+            assert _bits(_window_mean(frames)) == \
+                _bits(np.mean(frames, axis=0))
+
+    def test_size_with_inverted_pixels(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            shape = tuple(rng.integers(1, 9, size=2))
+            lo = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5)
+            hi = lo + rng.normal(size=shape)  # about half the pixels invert
+            hi.flat[0] = lo.flat[0] - 1.0
+            g = IntervalGrid(lo, hi)
+            assert _bits(g.size()) == _bits(_frozen_size(lo, hi))
+
+    @pytest.mark.parametrize("l_val,u_val", [
+        (1.0, 1.0), (0.0, -0.0), (-1e-300, 1.0), (1.0, -2.0), (np.nan, 1.0),
+        (1.0, np.nan), (np.nan, -1.0), (-np.inf, 1.0), (np.inf, np.inf)])
+    def test_image_interval_verdict_and_bounds(self, l_val, u_val):
+        pred = np.arange(12.0).reshape(3, 4)
+        l_map, u_map = np.ones((3, 4)), np.full((3, 4), 2.0)
+        l_map[1, 2], u_map[2, 3] = l_val, u_val
+        if _frozen_rejects(l_map, u_map):
+            with pytest.raises(ValueError, match="nonnegative"):
+                image_interval(pred, l_map, u_map, 0.7)
+            return
+        with np.errstate(invalid="ignore"):
+            g = image_interval(pred, l_map, u_map, 0.7)
+            assert _bits(g.lo) == _bits(pred - 0.7 * l_map)
+            assert _bits(g.hi) == _bits(pred + 0.7 * u_map)
+
+    def test_image_interval_passes_an_empty_grid(self):
+        empty = np.zeros((0, 3))
+        assert not _frozen_rejects(empty, empty)
+        assert image_interval(empty, empty, empty, 1.0).lo.shape == (0, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("shift_period,frame_corr",
+                             [(0, 0.5), (7, 0.0), (7, 1.0), (3, 0.7)])
+    def test_image_stream_frames(self, seed, shift_period, frame_corr):
+        cfg = ImageStreamConfig(seed=seed, height=5, width=9,
+                                shift_period=shift_period, shift_factor=2.5,
+                                frame_corr=frame_corr)
+        old = _frozen_image_stream(cfg, 30)
+        for (p, y), (p0, y0) in zip(image_stream(cfg, 30), old, strict=True):
+            assert _bits(p) == _bits(p0) and _bits(y) == _bits(y0)
+
+
+def _frozen_image_stream(config, n_steps):
+    """image_stream as it was: the noise built in fresh temporaries."""
+    rng = np.random.default_rng(config.seed)
+    base = _smooth_field(config.height, config.width)
+    rho = config.frame_corr
+    w_pixel = math.sqrt(max(0.0, 1.0 - rho ** 2))
+    for t in range(n_steps):
+        if config.shift_period and (t // config.shift_period) % 2 == 1:
+            sigma = config.base_sigma * config.shift_factor
+        else:
+            sigma = config.base_sigma
+        z = rng.normal()
+        noise = sigma * (rho * z + w_pixel * rng.normal(size=base.shape))
+        yield base, base + noise
+
+
+class TestCoverageMemo:
+    """One coverage grid per label, never a stale one."""
+
+    def _grid(self):
+        pred = np.linspace(-0.4, 0.4, 12).reshape(3, 4)
+        return image_interval(pred, np.ones((3, 4)), np.ones((3, 4)), 0.5)
+
+    def test_label_mutated_in_place_gets_a_fresh_grid(self):
+        g = self._grid()
+        y = np.zeros((3, 4))
+        first = g.pixel_covered(y)
+        assert first.all()
+        y[0, 0] = 10.0  # same object, new content
+        second = g.pixel_covered(y)
+        np.testing.assert_array_equal(second, (g.lo <= y) & (y <= g.hi))
+        assert not second[0, 0] and second.sum() == 11
+        assert not g.contains(y)
+
+    def test_equal_labels_share_one_grid(self):
+        g = self._grid()
+        y = np.zeros((3, 4))
+        shared = g.pixel_covered(y)
+        assert g.pixel_covered(y.copy()) is shared
+        # the same bytes under another dtype or shape are another label
+        assert g.pixel_covered(y.astype(np.int64)) is not shared
+        assert g.pixel_covered(y.reshape(1, 3, 4)).shape == (1, 3, 4)
+
+    def test_bounds_and_grid_are_read_only(self):
+        g = self._grid()
+        with pytest.raises(ValueError, match="read-only"):
+            g.lo[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            g.hi[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            g.pixel_covered(np.zeros((3, 4)))[0, 0] = False
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.lo = np.zeros((3, 4))
+
+    def test_grid_owns_bounds_passed_in(self):
+        lo, hi = np.zeros((2, 2)), np.ones((2, 2))
+        g = IntervalGrid(lo, hi)
+        y = np.full((2, 2), 0.5)
+        assert g.contains(y)
+        lo[0, 0] = 0.9  # the caller's array, not the grid's
+        assert g.contains(y) and lo.flags.writeable
+
+    def test_one_image_step_compares_once(self, monkeypatch):
+        # contains and both image losses of a step read one coverage grid
+        evaluations, calls, grids = {}, {}, []
+        compare = IntervalGrid.pixel_covered
+
+        def spy(grid, y):
+            covered = compare(grid, y)
+            calls[id(grid)] = calls.get(id(grid), 0) + 1
+            evaluations.setdefault(id(grid), set()).add(id(covered))
+            grids.append((grid, covered))  # keeps every id alive
+            return covered
+
+        monkeypatch.setattr(IntervalGrid, "pixel_covered", spy)
+        spec = MultiRiskSpec(r=(0.2, 0.1), gamma=0.05, m=-5.0, M=5.0,
+                             B=(1.0, 1.0), two_sided=True)
+        cfg = ImageStreamConfig(seed=0, height=12, width=12, shift_period=20,
+                                shift_factor=2.0)
+        trace = run_multi_stream(
+            image_stream(cfg, 60), ConstantModel({}),
+            ImageIntervalConstructor(PreviousResidualsHeuristic(5)),
+            [ImageMiscoverageFn(), CenterFailureFn()], spec, n_steps=60)
+        assert len(trace) == 60 and len(calls) == 60
+        assert set(calls.values()) == {3}
+        assert all(len(ids) == 1 for ids in evaluations.values())
