@@ -19,8 +19,7 @@ from .engine import (MultiRiskSpec, RiskSpec, StreamTrace, check_lower_theta_bou
                      run_stream, two_sided_deviation_bound,
                      upper_deviation_bound)
 from .losses import (BinaryLossFn, CenterFailureFn, ImageMiscoverageFn,
-                     McLossFn, binary_loss, center_failure,
-                     default_center_region, image_miscoverage)
+                     McLossFn, default_center_region)
 from .metrics import (EvalReport, coverage, delta_coverage, evaluate, mc_risk,
                       miscoverage_streaks, msl)
 from .models import (ConstantModel, LinearPinballModel, OracleModel,

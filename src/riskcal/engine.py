@@ -30,33 +30,6 @@ from .sets import EMPTY_SET, FULL_SPACE, Interval
 from .stretching import Stretch
 
 
-@dataclass(frozen=True)
-class RiskSpec:
-    """Target and safety parameters governing one controlled risk.
-
-    r is the target long-run loss level, gamma the (fixed) step size,
-    m < M the safeguard thresholds on theta, B the declared loss bound and
-    theta_init the starting parameter.
-    """
-
-    r: float
-    gamma: float
-    m: float
-    M: float
-    B: float = 1.0
-    theta_init: float = 0.0
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not self.m < self.M:
-            raise ValueError(f"need m < M, got m={self.m}, M={self.M}")
-        if not self.B > 0:
-            raise ValueError(f"B must be > 0, got {self.B}")
-        if not -self.B <= self.r <= self.B:
-            raise ValueError(f"target r={self.r} outside [-B, B]=[{-self.B}, {self.B}]")
-
-
 def _as_tuple(v, k: int, name: str):
     if np.isscalar(v):
         return (float(v),) * k
@@ -70,9 +43,11 @@ def _as_tuple(v, k: int, name: str):
 class MultiRiskSpec:
     """Per-risk targets, step sizes, bounds and safeguards for k risks.
 
-    ``aggregation`` collapses the stretched coordinates into the one scalar
-    the set constructor consumes (mean or max). The empty-set safeguard is
-    active only when ``two_sided`` is declared.
+    Each risk needs gamma_i > 0, m_i < M_i, B_i > 0 and a target inside its
+    loss bound, -B_i <= r_i <= B_i. ``aggregation`` collapses the stretched
+    coordinates into the one scalar the set constructor consumes (mean or
+    max). The empty-set safeguard is active only when ``two_sided`` is
+    declared.
     """
 
     r: tuple
@@ -95,13 +70,18 @@ class MultiRiskSpec:
         object.__setattr__(self, "B", _as_tuple(self.B, k, "B"))
         theta0 = self.theta_init if self.theta_init else (0.0,) * k
         object.__setattr__(self, "theta_init", _as_tuple(theta0, k, "theta_init"))
-        for i in range(k):
-            if not self.gamma[i] > 0:
-                raise ValueError(f"gamma[{i}] must be > 0")
-            if not self.m[i] < self.M[i]:
-                raise ValueError(f"need m[{i}] < M[{i}]")
-            if not self.B[i] > 0:
-                raise ValueError(f"B[{i}] must be > 0")
+        # each test is False for a NaN too
+        for i, (r, g, m, M, B) in enumerate(zip(self.r, self.gamma, self.m,
+                                                self.M, self.B)):
+            if not g > 0:
+                raise ValueError(f"gamma[{i}] must be > 0, got {g}")
+            if not m < M:
+                raise ValueError(f"need m[{i}] < M[{i}], got m={m}, M={M}")
+            if not B > 0:
+                raise ValueError(f"B[{i}] must be > 0, got {B}")
+            if not -B <= r <= B:
+                raise ValueError(
+                    f"target r[{i}]={r} outside [-B, B]=[{-B}, {B}]")
         if self.aggregation not in ("mean", "max"):
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
 
@@ -109,14 +89,33 @@ class MultiRiskSpec:
     def k(self) -> int:
         return len(self.r)
 
+    @property
+    def risks(self) -> "MultiRiskSpec":
+        """The per-risk view the loop and the checks read: this spec."""
+        return self
 
-def _per_risk(spec) -> MultiRiskSpec:
-    """A RiskSpec as the one-risk, two-sided MultiRiskSpec it is."""
-    if isinstance(spec, MultiRiskSpec):
-        return spec
-    return MultiRiskSpec(r=(spec.r,), gamma=(spec.gamma,), m=(spec.m,),
-                         M=(spec.M,), B=(spec.B,), theta_init=(spec.theta_init,),
-                         two_sided=True)
+
+@dataclass(frozen=True)
+class RiskSpec:
+    """Target and safety parameters governing one controlled risk.
+
+    r is the target long-run loss level, gamma the (fixed) step size,
+    m < M the safeguard thresholds on theta, B the declared loss bound and
+    theta_init the starting parameter. ``risks`` is the spec as the
+    one-risk, two-sided MultiRiskSpec it is; building it is the validation.
+    """
+
+    r: float
+    gamma: float
+    m: float
+    M: float
+    B: float = 1.0
+    theta_init: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "risks", MultiRiskSpec(
+            r=(self.r,), gamma=(self.gamma,), m=(self.m,), M=(self.M,),
+            B=(self.B,), theta_init=(self.theta_init,), two_sided=True))
 
 
 def control_update(spec):
@@ -127,7 +126,7 @@ def control_update(spec):
     ``theta`` and ``losses`` hold one entry per risk: floats inside the loop,
     whole trace columns when ``check_recursion`` replays a run.
     """
-    risks = _per_risk(spec)
+    risks = spec.risks
     r, gamma = risks.r, risks.gamma
     if risks.k == 1:
         # the same arithmetic without the per-coordinate comprehension,
@@ -211,7 +210,7 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     bounds, starting parameter and aggregation; ``update(t, theta, losses)``
     maps the parameter tuple before step t (0-based) to the one after it.
     """
-    risks = _per_risk(spec)
+    risks = spec.risks
     k = risks.k
     if len(loss_fns) != k:
         raise ValueError(f"got {len(loss_fns)} losses for {k} risks")
@@ -364,7 +363,7 @@ def upper_deviation_bound(spec, i: int, T):
     array of horizons."""
     if np.any(np.asarray(T) < 1):
         raise ValueError(f"T must be >= 1, got {T}")
-    s = _per_risk(spec)
+    s = spec.risks
     d = (s.M[i] + 2.0 * s.gamma[i] * s.B[i] - s.theta_init[i]) / s.gamma[i]
     return d / T
 
@@ -376,7 +375,7 @@ def two_sided_deviation_bound(spec, i: int, T):
     horizons."""
     if np.any(np.asarray(T) < 1):
         raise ValueError(f"T must be >= 1, got {T}")
-    s = _per_risk(spec)
+    s = spec.risks
     m_lo = s.m[i] - 2.0 * s.gamma[i] * s.B[i]
     m_hi = s.M[i] + 2.0 * s.gamma[i] * s.B[i]
     t0 = s.theta_init[i]
@@ -400,7 +399,7 @@ def check_upper_theta_bound(trace: StreamTrace, spec, eps: float = 1e-9):
     when the bound holds."""
     if len(trace) == 0:
         return True, 0.0
-    s = _per_risk(spec)
+    s = spec.risks
     hi = np.asarray(s.M) + 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
     viol = max(float(np.max(_thetas(trace) - hi)), 0.0)
     return viol <= eps, viol
@@ -411,7 +410,7 @@ def check_lower_theta_bound(trace: StreamTrace, spec, eps: float = 1e-9):
     two-sided control."""
     if len(trace) == 0:
         return True, 0.0
-    s = _per_risk(spec)
+    s = spec.risks
     lo = np.asarray(s.m) - 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
     viol = max(float(np.max(lo - _thetas(trace))), 0.0)
     return viol <= eps, viol
@@ -430,7 +429,7 @@ def check_upper_risk_bound(trace: StreamTrace, spec, eps: float = 1e-9):
     """mean loss_i over every prefix <= r_i + D_i/T for every risk i."""
     if len(trace) == 0:
         return True, 0.0
-    s = _per_risk(spec)
+    s = spec.risks
     means, bounds = _prefix_means(trace, s, upper_deviation_bound)
     viol = max(float(np.max(means - (np.asarray(s.r) + bounds))), 0.0)
     return viol <= eps, viol
@@ -441,7 +440,7 @@ def check_two_sided_risk_bound(trace: StreamTrace, spec, eps: float = 1e-9):
     every risk i; holds for two-sided control."""
     if len(trace) == 0:
         return True, 0.0
-    s = _per_risk(spec)
+    s = spec.risks
     means, bounds = _prefix_means(trace, s, two_sided_deviation_bound)
     viol = max(float(np.max(np.abs(means - np.asarray(s.r)) - bounds)), 0.0)
     return viol <= eps, viol

@@ -24,6 +24,7 @@ import functools
 import inspect
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,7 +185,7 @@ class _Type(NamedTuple):
     test: Callable
     convert: Callable = lambda v: v
 
-    def resolve(self, value, path: str, settable: dict):
+    def resolve(self, value, path: str):
         try:
             if self.test(value):
                 return self.convert(value)
@@ -230,7 +231,7 @@ def _takes(source, **types) -> dict:
                    else defaults[name]) for name, t in types.items()}
 
 
-def _resolve_fields(raw: dict, path: str, takes: dict, settable: dict,
+def _resolve_fields(raw: dict, path: str, takes: dict,
                     kind: str | None = None) -> dict:
     """The fields ``takes`` declares, read from ``raw``: typed, defaults
     filled in. A null where the default is null is the default."""
@@ -243,12 +244,12 @@ def _resolve_fields(raw: dict, path: str, takes: dict, settable: dict,
     for name, (ftype, default) in takes.items():
         fpath = f"{path}.{name}".lstrip(".")
         if name in raw and not (raw[name] is None and default is None):
-            out[name] = ftype.resolve(raw[name], fpath, settable)
+            out[name] = ftype.resolve(raw[name], fpath)
         else:
             _require(default is not _REQUIRED, fpath, "is required")
             # a section left out resolves to its default kind
             out[name] = (default if isinstance(ftype, _Type)
-                         else ftype.resolve(default, fpath, settable))
+                         else ftype.resolve(default, fpath))
     return out
 
 
@@ -269,26 +270,24 @@ class _Section(NamedTuple):
     kinds: dict
     default_kind: str | None = None
 
-    def resolve(self, value, path: str, settable: dict) -> _Part:
+    def resolve(self, value, path: str) -> _Part:
         _require(isinstance(value, dict), path, "must be an object")
         kind = value.get("kind", self.default_kind)
         _require(isinstance(kind, str) and kind in self.kinds, f"{path}.kind",
                  f"must be one of {tuple(self.kinds)}")
         takes, builder = self.kinds[kind]
-        settable[path] = ("kind", *takes)
-        return _Part(kind, _resolve_fields(value, path, takes, settable, kind),
-                     builder)
+        return _Part(kind, _resolve_fields(value, path, takes, kind), builder)
 
 
 class _List(NamedTuple):
-    """A nonempty list of sections; a sweep sets none of their fields."""
+    """A nonempty list of sections."""
 
     item: _Section
 
-    def resolve(self, value, path: str, settable: dict) -> tuple:
+    def resolve(self, value, path: str) -> tuple:
         _require(isinstance(value, list) and len(value) > 0, path,
                  "must be a nonempty list")
-        return tuple(self.item.resolve(v, f"{path}[{i}]", {})
+        return tuple(self.item.resolve(v, f"{path}[{i}]")
                      for i, v in enumerate(value))
 
 
@@ -401,15 +400,20 @@ _TOP = {
 class ResolvedConfig(SimpleNamespace):
     """``validate_config``'s result: the top-level fields (a section as a
     _Part), the controller's ``spec`` (None for the baseline), the reports'
-    ``alpha``, the trace ``layout`` and ``settable``, the sweepable fields."""
+    ``alpha`` and the trace ``layout``."""
 
 
 def _check(path: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; a value the library rejects fails."""
+    """``build(*args, **kwargs)``; a value the library rejects fails, at the
+    field the error names if it names one."""
     try:
         return build(*args, **kwargs)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+        fld = getattr(exc, "field", None)
+        raise ConfigError(f"{path}.{fld}" if fld else path, str(exc)) from exc
+
+
+_EXP_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
 def validate_config(cfg: dict) -> ResolvedConfig:
@@ -417,10 +421,7 @@ def validate_config(cfg: dict) -> ResolvedConfig:
     at fault. Each part is built once here, so that a value its library
     rejects fails before any computation; input files fail when read."""
     _require(isinstance(cfg, dict), "", "config must be an object")
-    settable = {"": tuple(n for n, (t, _) in _TOP.items()
-                          if isinstance(t, _Type))}
-    rc = ResolvedConfig(**_resolve_fields(cfg, "", _TOP, settable),
-                        settable=settable)
+    rc = ResolvedConfig(**_resolve_fields(cfg, "", _TOP))
     for key in ("eval_window", "val_window"):
         win = getattr(rc, key)
         _require(win is None or 1 <= win[0] <= win[1] <= rc.steps, key,
@@ -450,16 +451,11 @@ def validate_config(cfg: dict) -> ResolvedConfig:
                     model.fields["taus"]).scored
     loss_fns = [_check(f"losses[{i}]", loss.build)
                 for i, loss in enumerate(losses)]
-    if image:  # each image loss checks its mask and region
+    if image:  # each image loss checks its mask and region on a blank frame
         frame = np.broadcast_to(0.0, (stream.fields["height"],
                                       stream.fields["width"]))  # no copy
-        for i, loss in enumerate(losses):
-            f = loss.fields
-            _check(f"losses[{i}].mask", losses_mod.image_miscoverage,
-                   frame, FULL_SPACE, f["mask"])
-            if loss.kind == "center_failure":
-                _check(f"losses[{i}].region", losses_mod.center_failure,
-                       frame, FULL_SPACE, f["region"], mask=f["mask"])
+        for i, fn in enumerate(loss_fns):
+            _check(f"losses[{i}]", fn, frame, FULL_SPACE)
     _require(not image or "auto" not in stretch.fields.values(),
              "stretch.beta_low", "auto bounds need a scalar-label stream")
     adaptive = _check("stretch", _stretch, rc, None).is_adaptive
@@ -503,22 +499,23 @@ def validate_config(cfg: dict) -> ResolvedConfig:
     _require(losses[0].kind != "mc" or r > -1, "losses[0].r",
              "an MC target must be > -1")
     if rc.spec is not None:  # the loop aborts on a loss above its B
-        B = rc.spec.B if controller.kind == "multi" else (rc.spec.B,)
-        for i, (b, fn) in enumerate(zip(B, loss_fns)):
+        risks = rc.spec.risks
+        for i, (b, fn) in enumerate(zip(risks.B, loss_fns)):
             _require(b >= fn.bound, "controller.B",
                      f"{b} is below the declared bound {fn.bound} of "
                      f"losses[{i}]")
+        if stretch.kind == "error_adaptive":
+            # its update takes exp(beta_loss * |loss - r|), and |loss| <= B
+            x = stretch.fields["beta_loss"] * (risks.B[0] + abs(risks.r[0]))
+            _require(x <= _EXP_MAX, "stretch.beta_loss",
+                     f"beta_loss * max|loss - r| = {x:.6g} overflows exp "
+                     f"(the limit is {_EXP_MAX:.6g})")
     rc.alpha = (r if losses[0].kind == "binary"
                 else r / (1.0 + r) if losses[0].kind == "mc" else 0.1)
     # k-risk traces have always recorded the set size only
     rc.layout = ("interval" if controller.kind != "multi"
                  and constructor.kind in ("cqr", "quantile_scale") else "size")
     return rc
-
-
-def _resolved(cfg) -> ResolvedConfig:
-    """``cfg`` resolved; the drivers pass it on resolved already."""
-    return cfg if isinstance(cfg, ResolvedConfig) else validate_config(cfg)
 
 
 @dataclass
@@ -538,9 +535,8 @@ class ExperimentResult:
     out_dir: str | None = None
 
 
-def run_trial(cfg, trial_index: int):
+def run_trial(rc: ResolvedConfig, trial_index: int):
     """Run one seeded trial; returns its trace."""
-    rc = _resolved(cfg)
     seed = rc.seed + trial_index
     stream, stream_obj = rc.stream.build(seed, rc.steps)
     model = rc.model.build(rc, stream_obj)
@@ -564,8 +560,7 @@ def run_trial(cfg, trial_index: int):
                                       rc.spec, stretch, n_steps=rc.steps)
 
 
-def _trial_report(cfg, trace) -> dict:
-    rc = _resolved(cfg)
+def _trial_report(rc: ResolvedConfig, trace) -> dict:
     window = rc.eval_window or (1, len(trace))
     report = metrics.evaluate(trace, window=window, alpha=rc.alpha).to_dict()
     if trace.loss.ndim == 2:
@@ -584,14 +579,13 @@ def _both(*results):
     return all(ok for ok, _ in results), max(viol for _, viol in results)
 
 
-def certificate_for_trace(trace, cfg, label: str) -> list:
+def certificate_for_trace(trace, rc: ResolvedConfig, label: str) -> list:
     """Bound-check verdict lines for one trace: (name, verdict, detail).
 
     Every line comes from the k-general checks in ``engine``; each controller
     kind keeps the line names it has always written. A recursion line
     replays the update function the trial's loop applied.
     """
-    rc = _resolved(cfg)
     spec, kind = rc.spec, rc.controller.kind
     lines = []
     bounds = []       # (name, (ok, violation)) per deterministic bound
@@ -819,9 +813,8 @@ def _flush_summary(result: ExperimentResult, reports: list, out: Path) -> None:
         fh.write(certificate_text(result.certificate_lines))
 
 
-def _val_pinball(cfg, trace) -> float:
+def _val_pinball(rc: ResolvedConfig, trace) -> float:
     """Validation-window pinball loss of the calibrated interval endpoints."""
-    rc = _resolved(cfg)
     window = rc.val_window or rc.eval_window or (1, len(trace))
     taus = rc.model.fields["taus"]
     tau_lo, tau_hi = min(taus), max(taus)
@@ -837,34 +830,47 @@ def _val_pinball(cfg, trace) -> float:
     return total / max(len(y), 1)
 
 
+def _sweep_point(cfg: dict, param: str, value) -> tuple:
+    """``cfg`` with the field ``param`` set to ``value``, and its resolution.
+    The field may be left out of ``cfg``; a field its section's kind does not
+    take is an unknown field."""
+    point = node = json.loads(json.dumps(cfg))
+    section, _, name = param.rpartition(".")
+    try:
+        for part in filter(None, section.split(".")):
+            node = node.setdefault(part, {})
+        node[name] = value
+    except (AttributeError, TypeError):  # a path through a list or a value
+        raise ConfigError(param, "no such config field") from None
+    try:
+        return point, validate_config(point)
+    except ConfigError as exc:
+        raise ConfigError(param, f"at {value!r}: {exc}") from exc
+
+
 @_reads_inputs_once
 def sweep(cfg: dict, param: str, grid: list, out_dir=None) -> dict:
     """Grid sweep over one config field, ranked by validation pinball loss.
 
-    Every grid point reruns the full experiment with the same seeds; ties in
-    the validation score select the smaller parameter value. The points
-    share one read of each CSV stream; a point whose ``stream`` section
-    differs (a ``stream.*`` sweep) reads its own. Returns the ranking table
-    and writes ranking.csv / sweep.json under the out dir.
+    ``param`` is any field of a section's kind, set in ``cfg`` or left at its
+    default; every point is validated before the first one runs. Every grid
+    point reruns the full experiment with the same seeds; ties in the
+    validation score select the smaller parameter value. The points share
+    one read of each CSV stream; a point whose ``stream`` section differs (a
+    ``stream.*`` sweep) reads its own. Returns the ranking table and writes
+    ranking.csv / sweep.json under the out dir.
     """
     if not grid:
         raise ConfigError(param, "empty sweep grid")
     rc = validate_config(cfg)
-    # any field the section's kind takes, set in cfg or left at its default
-    section, _, name = param.rpartition(".")
-    known = rc.settable.get(section, ())
-    _require(name in known, param, "no such config field (fields to sweep "
-             f"here: {', '.join(known) or 'none'})")
+    _require(param not in _TOP or isinstance(_TOP[param][0], _Type), param,
+             "is a section; sweep one of its fields")
+    points = [_sweep_point(cfg, param, value) for value in grid]
     out = Path(out_dir if out_dir is not None else rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for value in grid:
-        sub_cfg = node = json.loads(json.dumps(cfg))
-        for part in filter(None, section.split(".")):
-            node = node.setdefault(part, {})
-        node[name] = value
-        sub_rc = validate_config(sub_cfg)
+    for value, (sub_cfg, sub_rc) in zip(grid, points):
         sub_out = out / f"sweep_{param.replace('.', '_')}_{value}"
         res = run_experiment(sub_cfg, sub_out)
         scores = [_val_pinball(sub_rc, t.trace) for t in res.trials]

@@ -31,18 +31,10 @@ def miscoverage_streaks(covered) -> list[int]:
     c = np.asarray(covered, dtype=bool)
     if c.size == 0:
         raise ValueError("empty coverage sequence")
-    streaks = []
-    run = 0
-    for flag in c:
-        if flag:
-            if run:
-                streaks.append(run)
-            run = 0
-        else:
-            run += 1
-    if run:
-        streaks.append(run)
-    return streaks
+    # a run starts where a miss follows a cover and ends where a cover
+    # follows a miss; the padding closes the runs at both ends
+    edges = np.flatnonzero(np.diff(np.concatenate(([True], c, [True]))))
+    return (edges[1::2] - edges[::2]).tolist()
 
 
 def msl(covered) -> float:
@@ -54,19 +46,15 @@ def msl(covered) -> float:
 
 
 def mc_risk(covered, cap: int | None = None) -> float:
-    """Mean of the miscoverage-counter sequence implied by coverage flags."""
-    c = np.asarray(covered, dtype=bool)
-    if c.size == 0:
-        raise ValueError("empty coverage sequence")
-    total = 0.0
-    counter = 0
-    for flag in c:
-        if flag:
-            counter = 0
-        else:
-            counter += 1
-            total += counter if cap is None else min(counter, cap)
-    return total / c.size
+    """Mean of the miscoverage-counter sequence implied by coverage flags.
+
+    A run of L misses contributes 1 + 2 + ... + L, each term capped at
+    ``cap``; the sums are exact integers.
+    """
+    runs = np.asarray(miscoverage_streaks(covered), dtype=np.int64)
+    capped = runs if cap is None else np.minimum(runs, cap)
+    total = int(np.sum(capped * (capped + 1) // 2 + (runs - capped) * capped))
+    return total / len(covered)
 
 
 def delta_coverage(covered, groups, alpha: float) -> float:

@@ -99,14 +99,31 @@ def successive_difference_scale(ys) -> float:
     return float(np.mean(np.abs(np.diff(ys))))
 
 
+def _warmup_statistics(x: np.ndarray, y: np.ndarray, names):
+    """Mean and population std of the warm-up rows ``x`` (one column per
+    name) and of their targets ``y``. A column or a target that is constant
+    over the warm-up is left unscaled (mean 0, std 1), with a warning."""
+    x_mean = x.mean(axis=0)
+    x_std = x.std(axis=0)
+    for j, name in enumerate(names):
+        if x_std[j] == 0.0:
+            warnings.warn(f"column {name!r} constant over warm-up; left unscaled")
+            x_mean[j], x_std[j] = 0.0, 1.0
+    y_mean, y_std = float(y.mean()), float(y.std())
+    if y_std == 0.0:
+        warnings.warn("target constant over warm-up; left unscaled")
+        y_mean, y_std = 0.0, 1.0
+    return x_mean, x_std, y_mean, y_std
+
+
 def standardize_stream(points, warmup: int):
     """Standardize a labeled stream by statistics of its first ``warmup``
-    points (population std), then yield every point in original order.
+    points, then yield every point in original order.
 
-    Matches the CSV ingestion convention: statistics never use data beyond
-    the warm-up window, constant coordinates are left unscaled, and the
-    warm-up points themselves are emitted standardized. Only the warm-up
-    prefix is buffered.
+    The statistics are the ones CSV ingestion computes: they never use
+    data beyond the warm-up window, constant coordinates and a constant
+    target are left unscaled, and the warm-up points themselves are emitted
+    standardized. Only the warm-up prefix is buffered.
     """
     if warmup < 1:
         raise ValueError("warmup must be >= 1")
@@ -120,12 +137,8 @@ def standardize_stream(points, warmup: int):
         return
     xs = np.asarray([np.atleast_1d(p[0]) for p in head], dtype=float)
     ys = np.asarray([p[1] for p in head], dtype=float)
-    x_mean = xs.mean(axis=0)
-    x_std = xs.std(axis=0)
-    x_std[x_std == 0.0] = 1.0
-    x_mean[xs.std(axis=0) == 0.0] = 0.0
-    y_mean = float(ys.mean())
-    y_std = float(ys.std()) or 1.0
+    x_mean, x_std, y_mean, y_std = _warmup_statistics(
+        xs, ys, range(xs.shape[1]))
 
     def scale(item):
         x, y = item[0], item[1]
@@ -393,20 +406,8 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
     X = np.asarray(feats, dtype=float)
     y = np.asarray(targets, dtype=float)
 
-    x_mean = X[:warmup].mean(axis=0)
-    x_std = X[:warmup].std(axis=0)  # population std
-    for j, col in enumerate(feature_cols):
-        if x_std[j] == 0.0:
-            warnings.warn(f"column {col!r} constant over warm-up; left unscaled")
-            x_std[j] = 1.0
-            x_mean[j] = 0.0
-    y_mean = float(y[:warmup].mean())
-    y_std = float(y[:warmup].std())
-    if y_std == 0.0:
-        warnings.warn("target constant over warm-up; left unscaled")
-        y_std = 1.0
-        y_mean = 0.0
-
+    x_mean, x_std, y_mean, y_std = _warmup_statistics(
+        X[:warmup], y[:warmup], feature_cols)
     X = (X - x_mean) / x_std
     y = (y - y_mean) / y_std
     names = list(feature_cols)

@@ -7,7 +7,7 @@ import pytest
 from riskcal.baseline import (WindowQuantileConstructor, aci_update,
                               empirical_quantile, run_aci_stream)
 from riskcal.engine import check_recursion
-from riskcal.losses import binary_loss
+from riskcal.losses import BinaryLossFn
 from riskcal.models import ConstantModel, LinearPinballModel
 from riskcal.sets import FULL_SPACE, Interval, cqr_interval, cqr_score
 from riskcal.streams import (KnownQuantileConfig, KnownQuantileStream,
@@ -90,7 +90,7 @@ def _aci_step(ctor, alpha_t, y, model, gamma=0.05, alpha=0.1):
     """One baseline step through the constructor and update the loop runs:
     (announced set, new alpha_t, err)."""
     pred_set = ctor.build(None, alpha_t, model)
-    err = binary_loss(y, pred_set)
+    err = BinaryLossFn()(y, pred_set)
     ctor.observe(None, y, model)
     (new_alpha,) = aci_update(gamma, alpha, warmup=0)(0, (alpha_t,), (err,))
     return pred_set, new_alpha, err

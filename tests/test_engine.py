@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from riskcal.engine import (RiskSpec, check_lower_theta_bound,
+from riskcal.engine import (MultiRiskSpec, RiskSpec, check_lower_theta_bound,
                             check_recursion, check_two_sided_risk_bound,
                             check_upper_risk_bound, check_upper_theta_bound,
                             control_update, loss_contract_guaranteed,
@@ -31,6 +32,31 @@ class TestRiskSpec:
             RiskSpec(r=0.1, gamma=0.1, m=-1, M=1, B=-1.0)
         with pytest.raises(ValueError):
             RiskSpec(r=2.0, gamma=0.1, m=-1, M=1, B=1.0)
+
+
+_SCALARS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0,
+                            1.5, -1.5]) | st.floats(-3.0, 3.0)
+
+
+class TestOneValidator:
+    @settings(max_examples=500, deadline=None, database=None,
+              derandomize=True)
+    @given(r=_SCALARS, gamma=_SCALARS, m=_SCALARS, M=_SCALARS, B=_SCALARS)
+    def test_single_and_one_risk_multi_accept_the_same_specs(self, r, gamma,
+                                                              m, M, B):
+        def accepts(make):
+            try:
+                make()
+            except ValueError:
+                return False
+            return True
+
+        single = accepts(lambda: RiskSpec(r=r, gamma=gamma, m=m, M=M, B=B))
+        multi = accepts(lambda: MultiRiskSpec(
+            r=(r,), gamma=(gamma,), m=(m,), M=(M,), B=(B,), two_sided=True))
+        # the rule, NaN included: each comparison with a NaN is False
+        assert single == multi == (gamma > 0 and m < M and B > 0
+                                   and -B <= r <= B)
 
 
 class _ConstantLoss:

@@ -715,7 +715,8 @@ class TestTraceRoundTripProperty:
         trace = res.trials[0].trace
         # the label and group are not exported; neither enters the report
         # of a group-free stream
-        assert json.dumps(_trial_report(cfg, back), sort_keys=True) == \
+        assert json.dumps(_trial_report(validate_config(cfg), back),
+                          sort_keys=True) == \
             json.dumps(res.trials[0].report, sort_keys=True)
         assert again == res.certificate_lines
         np.testing.assert_array_equal(back.size, trace.size)
@@ -840,6 +841,14 @@ class TestSchema:
         ({**_center_failure(), "controller": {
             "kind": "multi", "gamma": 0.05, "m": -5.0, "M": 5.0,
             "B": [1.0, 0.5]}}, "controller.B"),
+        # exp(beta_loss * |loss - r|) must not overflow
+        ({**_SCALAR, "stretch": {"kind": "error_adaptive", "beta_score": 0.05,
+                                 "beta_loss": 1e9, "beta_low": -1.0,
+                                 "beta_high": 1.0}}, "stretch.beta_loss"),
+        # each target lies inside its loss bound, as for a single risk
+        ({"losses": [{"kind": "image_miscoverage", "r": 1.5}],
+          "controller": {"kind": "multi", "gamma": 0.05, "m": -5.0,
+                         "M": 5.0, "two_sided": True}}, "controller"),
     ])
     def test_rejected_field_exits_two(self, tmp_path, capsys, change, field):
         cfg = _image_config()
@@ -1042,12 +1051,19 @@ class TestSweepAnyField:
         assert json.loads(point.read_text())["stream"]["width"] == 8
 
     @pytest.mark.parametrize("param", ["controller.gama", "stream.n_feature",
-                                       "controler.gamma", "losses.r"])
+                                       "controler.gamma", "losses.r",
+                                       "losses[0].r"])
     def test_misspelled_param_exits_two(self, tmp_path, capsys, param):
         assert self._sweep(tmp_path, _image_config(), param, "1", "2") == 2
         err = capsys.readouterr().err
         assert "config error" in err and param in err
         assert not (tmp_path / "sw").exists()  # refused before any point ran
+
+    def test_section_param_exits_two(self, tmp_path, capsys):
+        assert self._sweep(tmp_path, _image_config(), "stretch",
+                           '{"kind": "none"}', '{"kind": "exponential"}') == 2
+        assert "stretch: is a section" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
 
 class TestReplayTooShort:

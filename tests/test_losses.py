@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from riskcal.losses import (BinaryLossFn, CenterFailureFn, ImageMiscoverageFn,
-                            McLossFn, binary_loss, center_failure,
-                            default_center_region, image_miscoverage)
+                            McLossFn, default_center_region)
 from riskcal.sets import EMPTY_SET, FULL_SPACE, Interval, IntervalGrid
 
 
@@ -15,16 +14,16 @@ def _grid(lo, hi):
 
 class TestBinaryLoss:
     def test_inside(self):
-        assert binary_loss(3.0, Interval(2.0, 4.0)) == 0.0
+        assert BinaryLossFn()(3.0, Interval(2.0, 4.0)) == 0.0
 
     def test_empty_set_always_misses(self):
-        assert binary_loss(3.0, EMPTY_SET) == 1.0
+        assert BinaryLossFn()(3.0, EMPTY_SET) == 1.0
 
     def test_outside(self):
-        assert binary_loss(5.0, Interval(2.0, 4.0)) == 1.0
+        assert BinaryLossFn()(5.0, Interval(2.0, 4.0)) == 1.0
 
     def test_full_space_always_covers(self):
-        assert binary_loss(1e12, FULL_SPACE) == 0.0
+        assert BinaryLossFn()(1e12, FULL_SPACE) == 0.0
 
 
 class TestMcLoss:
@@ -51,11 +50,11 @@ class TestImageMiscoverage:
     def test_quarter(self):
         g = _grid(np.zeros((2, 2)), np.ones((2, 2)))
         y = np.array([[0.5, 0.5], [0.5, 2.0]])
-        assert image_miscoverage(y, g) == 0.25
+        assert ImageMiscoverageFn()(y, g) == 0.25
 
     def test_all_inside(self):
         g = _grid(np.zeros((2, 2)), np.ones((2, 2)))
-        assert image_miscoverage(np.full((2, 2), 0.5), g) == 0.0
+        assert ImageMiscoverageFn()(np.full((2, 2), 0.5), g) == 0.0
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(17)
@@ -76,12 +75,12 @@ class TestImageMiscoverage:
                     if not (lo[i, j] <= y[i, j] <= hi[i, j]):
                         miss += 1
             expected = miss / valid
-            assert image_miscoverage(y, _grid(lo, hi), mask) == pytest.approx(expected)
+            got = ImageMiscoverageFn(mask)(y, _grid(lo, hi))
+            assert got == pytest.approx(expected)
 
     def test_zero_valid_pixels(self):
-        g = _grid(np.zeros((2, 2)), np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            image_miscoverage(np.zeros((2, 2)), g, mask=np.zeros((2, 2), bool))
+        with pytest.raises(ValueError, match="no valid pixels"):
+            ImageMiscoverageFn(mask=np.zeros((2, 2), bool))
 
     def test_one_pixel_grid_equals_binary(self):
         rng = np.random.default_rng(4)
@@ -89,13 +88,13 @@ class TestImageMiscoverage:
             lo = rng.normal()
             hi = lo + rng.uniform(0, 2)
             y = rng.normal()
-            got = image_miscoverage(np.array([[y]]), _grid([[lo]], [[hi]]))
-            assert got == binary_loss(y, Interval(lo, hi))
+            got = ImageMiscoverageFn()(np.array([[y]]), _grid([[lo]], [[hi]]))
+            assert got == BinaryLossFn()(y, Interval(lo, hi))
 
     def test_sentinels(self):
         y = np.zeros((2, 2))
-        assert image_miscoverage(y, EMPTY_SET) == 1.0
-        assert image_miscoverage(y, FULL_SPACE) == 0.0
+        assert ImageMiscoverageFn()(y, EMPTY_SET) == 1.0
+        assert ImageMiscoverageFn()(y, FULL_SPACE) == 0.0
 
 
 class TestCenterFailure:
@@ -112,34 +111,34 @@ class TestCenterFailure:
 
     def test_fires_below_threshold(self):
         g = self._grid_with_center_coverage(0.56)  # 14/25 = 56%
-        assert center_failure(np.zeros((10, 10)), g) == 1.0
+        assert CenterFailureFn()(np.zeros((10, 10)), g) == 1.0
 
     def test_full_coverage_passes(self):
         g = self._grid_with_center_coverage(1.0)
-        assert center_failure(np.zeros((10, 10)), g) == 0.0
+        assert CenterFailureFn()(np.zeros((10, 10)), g) == 0.0
 
     def test_exactly_at_threshold_fires(self):
         # 15/25 = 60% exactly; the indicator uses <=
         g = self._grid_with_center_coverage(0.6)
-        assert center_failure(np.zeros((10, 10)), g) == 1.0
+        assert CenterFailureFn()(np.zeros((10, 10)), g) == 1.0
 
     def test_empty_region_rejected(self):
         g = self._grid_with_center_coverage(1.0)
         with pytest.raises(ValueError):
-            center_failure(np.zeros((10, 10)), g, region=(5, 5, 0, 5))
+            CenterFailureFn(region=(5, 5, 0, 5))(np.zeros((10, 10)), g)
 
     def test_mask_must_match_the_grid(self):
         # a larger mask would slice to the region's shape and pass unnoticed
         with pytest.raises(ValueError, match="mask shape"):
-            center_failure(np.zeros((10, 10)), FULL_SPACE,
-                           mask=np.ones((20, 20), bool))
+            CenterFailureFn(mask=np.ones((20, 20), bool))(
+                np.zeros((10, 10)), FULL_SPACE)
 
     def test_mask_without_valid_center_pixels_rejected_on_any_set(self):
         mask = np.ones((10, 10), bool)
         mask[2:8, 2:8] = False  # covers the default region, rows and cols 2-6
         for s in (EMPTY_SET, FULL_SPACE):
             with pytest.raises(ValueError, match="no valid pixels"):
-                center_failure(np.zeros((10, 10)), s, mask=mask)
+                CenterFailureFn(mask=mask)(np.zeros((10, 10)), s)
 
     def test_default_region_middle_half(self):
         assert default_center_region((16, 16)) == (4, 12, 4, 12)
@@ -153,8 +152,8 @@ class TestCenterFailure:
 
     def test_sentinels(self):
         y = np.zeros((10, 10))
-        assert center_failure(y, EMPTY_SET) == 1.0
-        assert center_failure(y, FULL_SPACE) == 0.0
+        assert CenterFailureFn()(y, EMPTY_SET) == 1.0
+        assert CenterFailureFn()(y, FULL_SPACE) == 0.0
 
 
 class TestLossContract:
@@ -190,4 +189,4 @@ class TestBinaryDominatedByMc:
         mc = McLossFn(cap=len(flags))  # no run can reach the cap
         for covered in flags:
             s = FULL_SPACE if covered else EMPTY_SET
-            assert binary_loss(0.0, s) <= mc(0.0, s)
+            assert BinaryLossFn()(0.0, s) <= mc(0.0, s)

@@ -71,6 +71,32 @@ class TestMcRisk:
         with pytest.raises(ValueError):
             mc_risk([])
 
+    def test_equals_the_counter_loop(self):
+        # the run lengths and the closed form per run, against the scans
+        # they replace, bit for bit
+        def streaks_loop(seq):
+            streaks, run = [], 0
+            for flag in seq:
+                if flag and run:
+                    streaks.append(run)
+                run = 0 if flag else run + 1
+            return streaks + [run] if run else streaks
+
+        def mc_loop(seq, cap):
+            total, counter = 0.0, 0
+            for flag in seq:
+                counter = 0 if flag else counter + 1
+                total += 0 if flag else (counter if cap is None
+                                         else min(counter, cap))
+            return total / len(seq)
+
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            seq = rng.uniform(size=rng.integers(1, 200)) < rng.uniform(0, 1)
+            assert miscoverage_streaks(seq) == streaks_loop(seq)
+            for cap in (None, 1, 2, 5, 50):
+                assert mc_risk(seq, cap) == mc_loop(seq, cap)
+
 
 class TestDeltaCoverage:
     def test_exact_groups_zero(self):

@@ -13,14 +13,13 @@ _EXPORTS = [
     "PreviousResidualsHeuristic", "QuantileScaleConstructor", "ReplayModel",
     "RiskSpec", "RunningResidualHeuristic", "StreamTrace", "Stretch",
     "SyntheticConfig", "WindowQuantileConstructor", "aci_update",
-    "baseline", "binary_loss", "center_failure", "check_lower_theta_bound",
-    "check_recursion", "check_two_sided_risk_bound",
-    "check_upper_risk_bound", "check_upper_theta_bound", "clip",
-    "control_update", "coverage", "cqr_interval", "cqr_score", "csv_ingest",
-    "default_center_region", "delta_coverage", "empirical_quantile",
-    "engine", "evaluate", "image_interval", "image_miscoverage",
-    "image_stream", "loss_contract_guaranteed", "losses", "mc_risk",
-    "metrics", "miscoverage_streaks", "models", "msl", "multirisk",
+    "baseline", "check_lower_theta_bound", "check_recursion",
+    "check_two_sided_risk_bound", "check_upper_risk_bound",
+    "check_upper_theta_bound", "clip", "control_update", "coverage",
+    "cqr_interval", "cqr_score", "csv_ingest", "default_center_region",
+    "delta_coverage", "empirical_quantile", "engine", "evaluate",
+    "image_interval", "image_stream", "loss_contract_guaranteed", "losses",
+    "mc_risk", "metrics", "miscoverage_streaks", "models", "msl", "multirisk",
     "pinball_grad", "pinball_loss", "quantile_scale_interval", "risk_bound",
     "run_aci_stream", "run_multi_stream", "run_stream", "sets", "streams",
     "stretching", "synthetic_step", "synthetic_stream",

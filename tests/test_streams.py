@@ -82,6 +82,26 @@ class TestStandardizeStream:
         out = list(standardize_stream(pts, warmup=2))
         assert [g for _, _, g in out] == [7, 8]
 
+    def test_matches_csv_ingestion(self, tmp_path):
+        # a constant feature and a target constant over the warm-up: both
+        # readers leave them unscaled and agree bit for bit on every row
+        rng = np.random.default_rng(2)
+        rows = [(rng.normal(), 3.0, 5.0 if i < 4 else rng.normal())
+                for i in range(8)]
+        path = tmp_path / "stream.csv"
+        path.write_text("ts,a,b,target\n" + "".join(
+            f"{i},{a!r},{b!r},{y!r}\n" for i, (a, b, y) in enumerate(rows)))
+        with pytest.warns(UserWarning, match="constant"):
+            cs = csv_ingest(CsvStreamConfig(str(path), "ts", "target",
+                                            ["a", "b"], warmup=4,
+                                            augment_time=False))
+        with pytest.warns(UserWarning, match="constant"):
+            out = list(standardize_stream(
+                [(np.array([a, b]), y) for a, b, y in rows], warmup=4))
+        np.testing.assert_array_equal(np.array([x for x, _ in out]), cs.x)
+        np.testing.assert_array_equal([y for _, y in out], cs.y)
+        assert cs.x[0][1] == 3.0 and cs.y[0] == 5.0
+
 
 class TestSuccessiveDifferenceScale:
     def test_hand_value(self):
