@@ -14,6 +14,7 @@ generalize to other losses.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 
 import numpy as np
@@ -21,6 +22,19 @@ import numpy as np
 from .engine import RiskSpec, StreamTrace, _run
 from .losses import BinaryLossFn
 from .sets import FULL_SPACE, cqr_interval, cqr_score
+
+
+def _rank(level: float, n: int, largest: bool):
+    """0-based position, in ascending order of n scores, of the
+    ceil(level * (n+1))-th smallest (``largest``: largest) score; None when
+    that rank exceeds n, which means the full space. A rank below 1 is
+    clipped to 1."""
+    k = math.ceil(level * (n + 1))
+    if k > n:
+        return None
+    if k < 1:
+        k = 1
+    return (n - k) if largest else (k - 1)
 
 
 def empirical_quantile(scores, level: float, largest: bool = False) -> float:
@@ -35,12 +49,9 @@ def empirical_quantile(scores, level: float, largest: bool = False) -> float:
     n = len(scores)
     if n == 0:
         raise ValueError("empty score window")
-    k = math.ceil(level * (n + 1))
-    if k > n:
+    idx = _rank(level, n, largest)
+    if idx is None:
         return math.inf
-    if k < 1:
-        k = 1
-    idx = (n - k) if largest else (k - 1)
     return float(np.partition(np.asarray(scores, dtype=float), idx)[idx])
 
 
@@ -51,7 +62,10 @@ class WindowQuantileConstructor:
     CQR interval of the model's two quantiles widened by that window
     quantile. The first ``warmup`` steps announce the full space while the
     window fills; every step's score enters the window (evicting the oldest
-    at capacity) once its label is observed.
+    at capacity) once its label is observed. ``window`` holds the scores
+    oldest first; a sorted copy beside it, which only ``observe`` keeps in
+    step, lets ``build`` read the order statistic by index. A NaN score has
+    no place in that order and is rejected.
     """
 
     scored = False
@@ -62,6 +76,7 @@ class WindowQuantileConstructor:
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
         self.window = deque(maxlen=window_size)
+        self._sorted = []
         self.tau_lo = tau_lo
         self.tau_hi = tau_hi
         self.warmup = warmup
@@ -77,9 +92,13 @@ class WindowQuantileConstructor:
             return FULL_SPACE
         if math.isnan(q_lo) or math.isnan(q_hi):
             raise RuntimeError("model produced non-finite quantile output")
-        if not self.window:
+        ordered = self._sorted
+        if not ordered:
             return FULL_SPACE
-        q = empirical_quantile(self.window, 1.0 - alpha_t, self.largest)
+        idx = _rank(1.0 - alpha_t, len(ordered), self.largest)
+        if idx is None:
+            return FULL_SPACE
+        q = ordered[idx]
         return FULL_SPACE if math.isinf(q) else cqr_interval(q_lo, q_hi, q)
 
     def score(self, x, y, model):
@@ -87,7 +106,16 @@ class WindowQuantileConstructor:
 
     def observe(self, x, y, model):
         q_lo, q_hi = self._q
-        self.window.append(cqr_score(q_lo, q_hi, y))
+        s = cqr_score(q_lo, q_hi, y)
+        if s != s:
+            raise ValueError(
+                f"NaN conformity score at step {self._t + 1}: the window "
+                "quantile cannot order it")
+        window, ordered = self.window, self._sorted
+        if len(window) == window.maxlen:
+            del ordered[bisect_left(ordered, window[0])]
+        window.append(s)
+        insort(ordered, s)
         self._t += 1
 
 
@@ -108,6 +136,13 @@ def aci_update(gamma: float, alpha: float, warmup: int):
     return update
 
 
+def aci_spec(gamma: float, alpha: float) -> RiskSpec:
+    """The baseline's controller: target alpha, step gamma, no safeguards,
+    alpha_0 = alpha. Building it validates gamma."""
+    return RiskSpec(r=alpha, gamma=gamma, m=-math.inf, M=math.inf,
+                    theta_init=alpha)
+
+
 def run_aci_stream(stream, model, gamma: float, alpha: float,
                    window_size: int = 500, tau_lo: float = 0.05,
                    tau_hi: float = 0.95, warmup: int = 10,
@@ -123,8 +158,7 @@ def run_aci_stream(stream, model, gamma: float, alpha: float,
     calibration parameter. ``stream`` takes the same forms as in
     ``engine.run_stream``.
     """
-    spec = RiskSpec(r=alpha, gamma=gamma, m=-math.inf, M=math.inf,
-                    theta_init=alpha)
+    spec = aci_spec(gamma, alpha)
     constructor = WindowQuantileConstructor(window_size, tau_lo, tau_hi,
                                             warmup, largest)
     return _run(stream, model, constructor, (BinaryLossFn(),), spec,

@@ -43,11 +43,11 @@ def _as_tuple(v, k: int, name: str):
 class MultiRiskSpec:
     """Per-risk targets, step sizes, bounds and safeguards for k risks.
 
-    Each risk needs gamma_i > 0, m_i < M_i, B_i > 0 and a target inside its
-    loss bound, -B_i <= r_i <= B_i. ``aggregation`` collapses the stretched
-    coordinates into the one scalar the set constructor consumes (mean or
-    max). The empty-set safeguard is active only when ``two_sided`` is
-    declared.
+    Each risk needs a finite gamma_i > 0, m_i < M_i, B_i > 0, a finite
+    theta_init_i and a target inside its loss bound, -B_i <= r_i <= B_i.
+    ``aggregation`` collapses the stretched coordinates into the one scalar
+    the set constructor consumes (mean or max). The empty-set safeguard is
+    active only when ``two_sided`` is declared.
     """
 
     r: tuple
@@ -71,10 +71,12 @@ class MultiRiskSpec:
         theta0 = self.theta_init if self.theta_init else (0.0,) * k
         object.__setattr__(self, "theta_init", _as_tuple(theta0, k, "theta_init"))
         # each test is False for a NaN too
-        for i, (r, g, m, M, B) in enumerate(zip(self.r, self.gamma, self.m,
-                                                self.M, self.B)):
-            if not g > 0:
-                raise ValueError(f"gamma[{i}] must be > 0, got {g}")
+        for i, (r, g, m, M, B, t0) in enumerate(zip(
+                self.r, self.gamma, self.m, self.M, self.B, self.theta_init)):
+            if not 0 < g < math.inf:
+                raise ValueError(f"gamma[{i}] must be finite and > 0, got {g}")
+            if not -math.inf < t0 < math.inf:
+                raise ValueError(f"theta_init[{i}] must be finite, got {t0}")
             if not m < M:
                 raise ValueError(f"need m[{i}] < M[{i}], got m={m}, M={M}")
             if not B > 0:
@@ -169,33 +171,7 @@ class StreamTrace:
         return len(self.loss)
 
 
-class _IteratorAdapter:
-    """Present a plain (x, y[, group]) iterable through the adaptive protocol."""
-
-    __slots__ = ("_it", "_pending")
-
-    def __init__(self, iterable):
-        self._it = iter(iterable)
-        self._pending = None
-
-    def next_x(self):
-        try:
-            item = next(self._it)
-        except StopIteration:
-            return _STOP
-        if len(item) == 3:
-            x, y, group = item
-        else:
-            x, y = item
-            group = -1
-        self._pending = (y, group)
-        return x
-
-    def reveal(self, prediction_set):
-        return self._pending
-
-
-_STOP = object()
+_STOP = object()  # what an adaptive stream's next_x returns at its end
 
 
 def _mean(values) -> float:
@@ -209,6 +185,9 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     ``spec`` (a RiskSpec or a MultiRiskSpec) gives the safeguards, loss
     bounds, starting parameter and aggregation; ``update(t, theta, losses)``
     maps the parameter tuple before step t (0-based) to the one after it.
+    The per-risk pieces (safeguard tests, aggregation, loss and bound check)
+    and the stream protocol are chosen once, before the loop; with one risk
+    the pieces are comparisons on bound scalars.
     """
     risks = spec.risks
     k = risks.k
@@ -225,14 +204,22 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
             "adaptive stretching needs a single risk: no one loss and target "
             f"drives lambda, got {k} risks")
 
-    src = stream if hasattr(stream, "next_x") else _IteratorAdapter(stream)
+    # a plain (x, y[, group]) iterable carries its label in the item; an
+    # adaptive stream reveals it after seeing the announced set
+    plain = not hasattr(stream, "next_x")
+    if plain:
+        items = iter(stream)
+    else:
+        next_x, reveal = stream.next_x, stream.reveal
 
     M = risks.M
     # one-sided control declares no empty-set safeguard
     m = risks.m if risks.two_sided else (-math.inf,) * k
     B = risks.B
-    # the mean and the max of one value are that value
-    aggregate = _mean if risks.aggregation == "mean" and k > 1 else max
+    one = k == 1
+    if one:
+        (M0,), (m0,), (B0,), (loss_fn,) = M, m, B, loss_fns
+    aggregate = _mean if risks.aggregation == "mean" else max
     r_first = risks.r[0]
 
     losses_rec: list[float] = []
@@ -251,32 +238,56 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     prev_loss = 0.0
 
     while n_steps is None or t < n_steps:
-        x = src.next_x()
-        if x is _STOP:
-            break
+        if plain:
+            item = next(items, _STOP)
+            if item is _STOP:
+                break
+            # the label stays in this frame until the set is announced
+            if len(item) == 3:
+                x, y, group = item
+            else:
+                x, y = item
+                group = -1
+        else:
+            x = next_x()
+            if x is _STOP:
+                break
 
         if prev_score is not None:
             stretch = stretch.updated(prev_score, prev_loss, r_first)
 
+        if one:
+            th = theta[0]
+            over, under = th > M0, th < m0
+        else:
+            over, under = any(map(gt, theta, M)), any(map(lt, theta, m))
         # When both safeguards fire the full space wins: conservatism keeps
         # the upper-side guarantee intact.
-        if any(map(gt, theta, M)):
+        if over:
             pred_set = FULL_SPACE
-        elif any(map(lt, theta, m)):
+        elif under:
             pred_set = EMPTY_SET
         else:
             pred_set = constructor.build(
-                x, aggregate(map(stretch.apply, theta)), model)
+                x, stretch.apply(th) if one
+                else aggregate(map(stretch.apply, theta)), model)
 
-        revealed = src.reveal(pred_set)
-        if isinstance(revealed, tuple):
-            y, group = revealed
-        else:
-            y, group = revealed, -1
+        if not plain:
+            revealed = reveal(pred_set)
+            if isinstance(revealed, tuple):
+                y, group = revealed
+            else:
+                y, group = revealed, -1
 
-        losses = [fn(y, pred_set) for fn in loss_fns]
         # |loss_i| <= B_i is False for a NaN loss too
-        if not all(map(le, map(abs, losses), B)):
+        if one:
+            loss = loss_fn(y, pred_set)
+            losses = (loss,)
+            bad = not -B0 <= loss <= B0
+        else:
+            losses = [fn(y, pred_set) for fn in loss_fns]
+            bad = not all(map(le, map(abs, losses), B))
+        if bad:
             i = next(i for i in range(k) if not -B[i] <= losses[i] <= B[i])
             raise ValueError(
                 f"loss {losses[i]} outside declared bound [-{B[i]}, {B[i]}] "

@@ -329,7 +329,7 @@ _TOP = {
                 ImageStreamConfig(seed=seed, **f), steps), None)),
         "csv": ({**_takes(
             CsvStreamConfig, path=_STR, target_col=_STR, feature_cols=_STRS,
-            warmup=_INT, augment_time=_BOOL, timestamp_format=_STR),
+            warmup=_COUNT, augment_time=_BOOL, timestamp_format=_STR),
             "timestamp_col": (_STR, "")}, _csv_stream),
     }), _REQUIRED),
     # builders: (resolved config, stream object, **fields) -> model
@@ -476,8 +476,8 @@ def validate_config(cfg: dict) -> ResolvedConfig:
         _require(stretch.kind == "none", "stretch.kind",
                  "the baseline applies no stretch")
         c["alpha"] = r if c["alpha"] is _DERIVED else c["alpha"]
-        _require(c["gamma"] > 0, "controller.gamma", "must be > 0")
         _require(0 < c["alpha"] < 1, "controller.alpha", "must be in (0, 1)")
+        _check("controller", baseline.aci_spec, c["gamma"], c["alpha"])
     elif controller.kind == "single":
         _require(len(losses) == 1, "losses",
                  "single controller takes exactly one loss")

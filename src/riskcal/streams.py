@@ -46,7 +46,7 @@ class SyntheticConfig:
 def synthetic_step(y_prev: float, x: np.ndarray, eps: float, omega: float,
                    beta: np.ndarray) -> float:
     """One response draw: y = y_prev/2 + omega^2*|beta.x| + 2*sin(2*x_1*eps)."""
-    return 0.5 * y_prev + omega ** 2 * abs(float(beta @ x)) \
+    return 0.5 * y_prev + omega ** 2 * abs(float(beta.dot(x))) \
         + 2.0 * math.sin(2.0 * x[0] * eps)
 
 
@@ -71,14 +71,14 @@ def synthetic_stream(config: SyntheticConfig, n_steps: int | None = None):
             group += 1
             remaining = max(1, int(round(rng.normal(
                 config.group_mean_length, config.group_length_std))))
-            raw = rng.uniform(0.0, 1.0, size=p)
+            raw = rng.random(p)
             beta = raw / np.abs(raw).sum()
             if group % 2 == 0:
                 omega = rng.normal(config.scale_mean, scale_std)
             else:
                 omega = 1.0
-        x = rng.uniform(0.0, 1.0, size=p)
-        eps = rng.normal()
+        x = rng.random(p)
+        eps = rng.standard_normal()
         y = synthetic_step(y_prev, x, eps, omega, beta)
         yield x, y, group
         y_prev = y
@@ -191,8 +191,8 @@ class KnownQuantileStream:
         p = self.config.n_features
         t = 0
         while n_steps is None or t < n_steps:
-            x = rng.uniform(0.0, 1.0, size=p)
-            y = self.mu(x) + self.sigma(x) * rng.normal()
+            x = rng.random(p)
+            y = self.mu(x) + self.sigma(x) * rng.standard_normal()
             yield x, y
             t += 1
 
@@ -241,9 +241,9 @@ def image_stream(config: ImageStreamConfig, n_steps: int | None = None):
             sigma = config.base_sigma * config.shift_factor
         else:
             sigma = config.base_sigma
-        z = rng.normal()
+        z = rng.standard_normal()
         # base + sigma * (rho * z + w_pixel * noise), in the drawn buffer
-        noise = rng.normal(size=shape)
+        noise = rng.standard_normal(shape)
         noise *= w_pixel
         noise += rho * z
         noise *= sigma

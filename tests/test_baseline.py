@@ -3,6 +3,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskcal.baseline import (WindowQuantileConstructor, aci_update,
                               empirical_quantile, run_aci_stream)
@@ -86,6 +88,16 @@ class TestQuantileWindow:
         assert list(ctor.window) == expected_scores[-n:]
 
 
+def _observe_score(ctor, v, alpha_t=0.1):
+    """One build-and-observe step of ``ctor`` whose score is exactly ``v``:
+    against the crossed quantiles (v, -v) the label 0 scores
+    max(v - 0, 0 - (-v)) = v. Returns the announced set."""
+    model = ConstantModel({0.05: v, 0.95: -v})
+    pred_set = ctor.build(None, alpha_t, model)
+    ctor.observe(None, 0.0, model)
+    return pred_set
+
+
 def _aci_step(ctor, alpha_t, y, model, gamma=0.05, alpha=0.1):
     """One baseline step through the constructor and update the loop runs:
     (announced set, new alpha_t, err)."""
@@ -96,6 +108,47 @@ def _aci_step(ctor, alpha_t, y, model, gamma=0.05, alpha=0.1):
     return pred_set, new_alpha, err
 
 
+# a small pool, so windows hold ties, and both zeros
+_SCORES = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+
+
+class TestSortedWindow:
+    """The constructor reads its quantile from a sorted copy of the window;
+    it must announce what ``empirical_quantile`` of the window gives."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(n=st.integers(1, 8), largest=st.booleans(), data=st.data())
+    def test_announced_set_matches_empirical_quantile(self, n, largest,
+                                                      data):
+        ctor = WindowQuantileConstructor(window_size=n, warmup=0,
+                                         largest=largest)
+        # alpha_t outside [0, 1] and near its ends clips the rank below 1
+        # and lifts it above n
+        alphas = st.floats(-0.5, 1.5) | st.sampled_from(
+            [0.0, 1.0, 1.0 / (n + 1), 1.0 - 1.0 / (n + 1)])
+        for _ in range(data.draw(st.integers(1, 3 * n + 3))):
+            v, alpha_t = data.draw(_SCORES), data.draw(alphas)
+            window = list(ctor.window)
+            got = _observe_score(ctor, v, alpha_t)
+            q = (empirical_quantile(window, 1.0 - alpha_t, largest)
+                 if window else math.inf)
+            if math.isinf(q):
+                assert got is FULL_SPACE
+            else:
+                assert got == cqr_interval(v, -v, q)
+            assert sorted(ctor.window) == ctor._sorted
+
+    def test_nan_score_is_rejected(self):
+        model = ConstantModel({0.05: -1.0, 0.95: 1.0})
+        ctor = WindowQuantileConstructor(window_size=3, warmup=0)
+        _observe_score(ctor, 0.5)
+        ctor.build(None, 0.1, model)
+        with pytest.raises(ValueError, match="NaN conformity score"):
+            ctor.observe(None, math.nan, model)
+        assert list(ctor.window) == [0.5]
+
+
 class TestAciStep:
     def setup_method(self):
         self.model = ConstantModel({0.05: -1.0, 0.95: 1.0})
@@ -103,7 +156,7 @@ class TestAciStep:
     def _ctor(self, scores, capacity):
         ctor = WindowQuantileConstructor(window_size=capacity, warmup=0)
         for v in scores:
-            ctor.window.append(v)
+            _observe_score(ctor, v)
         return ctor
 
     def test_error_at_alpha_is_fixed_point(self):

@@ -41,9 +41,10 @@ _SCALARS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0,
 class TestOneValidator:
     @settings(max_examples=500, deadline=None, database=None,
               derandomize=True)
-    @given(r=_SCALARS, gamma=_SCALARS, m=_SCALARS, M=_SCALARS, B=_SCALARS)
-    def test_single_and_one_risk_multi_accept_the_same_specs(self, r, gamma,
-                                                              m, M, B):
+    @given(r=_SCALARS, gamma=_SCALARS, m=_SCALARS, M=_SCALARS, B=_SCALARS,
+           theta_init=_SCALARS)
+    def test_single_and_one_risk_multi_accept_the_same_specs(
+            self, r, gamma, m, M, B, theta_init):
         def accepts(make):
             try:
                 make()
@@ -51,12 +52,15 @@ class TestOneValidator:
                 return False
             return True
 
-        single = accepts(lambda: RiskSpec(r=r, gamma=gamma, m=m, M=M, B=B))
+        single = accepts(lambda: RiskSpec(r=r, gamma=gamma, m=m, M=M, B=B,
+                                          theta_init=theta_init))
         multi = accepts(lambda: MultiRiskSpec(
-            r=(r,), gamma=(gamma,), m=(m,), M=(M,), B=(B,), two_sided=True))
+            r=(r,), gamma=(gamma,), m=(m,), M=(M,), B=(B,),
+            theta_init=(theta_init,), two_sided=True))
         # the rule, NaN included: each comparison with a NaN is False
-        assert single == multi == (gamma > 0 and m < M and B > 0
-                                   and -B <= r <= B)
+        assert single == multi == (0 < gamma < math.inf and m < M and B > 0
+                                   and -B <= r <= B
+                                   and math.isfinite(theta_init))
 
 
 class _ConstantLoss:

@@ -744,6 +744,17 @@ _SCALAR = {"stream": {"kind": "synthetic"}, "model": {"kind": "linear_pinball"},
            "stretch": {"kind": "none"}}
 
 
+# a CSV stream with a replayed model; no file is read before the config
+# resolves
+_CSV_FIELDS = {"stream": {"kind": "csv", "path": "s.csv",
+                          "timestamp_col": "timestamp",
+                          "target_col": "target", "warmup": 10},
+               "model": {"kind": "replay", "path": "p.csv"},
+               "constructor": {"kind": "cqr"},
+               "losses": [{"kind": "binary", "r": 0.1}],
+               "stretch": {"kind": "none"}}
+
+
 def _center_failure(**fields):
     """Two image risks, the second a center_failure loss with ``fields``."""
     return {"losses": [{"kind": "image_miscoverage", "r": 0.2},
@@ -849,6 +860,21 @@ class TestSchema:
         ({"losses": [{"kind": "image_miscoverage", "r": 1.5}],
           "controller": {"kind": "multi", "gamma": 0.05, "m": -5.0,
                          "M": 5.0, "two_sided": True}}, "controller"),
+        # every risk's step size and starting parameter are finite; the
+        # baseline's spec is validated like the controllers'
+        ({"controller": {"kind": "single", "gamma": 0.05,
+                         "theta_init": math.nan}}, "controller"),
+        ({"controller": {"kind": "single", "gamma": math.inf}},
+         "controller"),
+        ({"controller": {"kind": "multi", "gamma": 0.05,
+                         "theta_init": [math.inf]}}, "controller"),
+        ({**_SCALAR, "controller": {"kind": "baseline_aci",
+                                    "gamma": math.inf}}, "controller"),
+        # the CSV warm-up is a count of rows
+        ({**_CSV_FIELDS, "stream": {**_CSV_FIELDS["stream"], "warmup": 0}},
+         "stream.warmup"),
+        ({**_CSV_FIELDS, "stream": {**_CSV_FIELDS["stream"], "warmup": -5}},
+         "stream.warmup"),
     ])
     def test_rejected_field_exits_two(self, tmp_path, capsys, change, field):
         cfg = _image_config()

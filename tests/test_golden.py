@@ -6,8 +6,10 @@ stretching and "auto" bounds; the multi-risk controller two-sided and
 one-sided; and the window-quantile baseline. A two-point sweep covers the CSV
 stream with replayed predictions. The models are the oracle, the constant
 and the replay model, whose outputs do not go through BLAS, so the digests
-do not depend on the BLAS build. A change that alters any exported byte fails
-here; a deliberate change must re-record the digests and say why.
+do not depend on the BLAS build. The synthetic, known-quantile and image
+generators are pinned item by item as well. A change that alters any
+exported byte or generated item fails here; a deliberate change must
+re-record the digests and say why.
 """
 
 import hashlib
@@ -18,6 +20,9 @@ import numpy as np
 import pytest
 
 from riskcal.experiment import run_experiment, sweep
+from riskcal.streams import (ImageStreamConfig, KnownQuantileConfig,
+                             KnownQuantileStream, SyntheticConfig,
+                             image_stream, synthetic_stream)
 
 
 def _config(steps, controller, **sections):
@@ -213,3 +218,61 @@ def test_csv_replay_sweep_matches_golden_digests(tmp_path):
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in files}
     assert got == SWEEP_DIGESTS
+
+
+def _items_digest(items):
+    """sha256 over every field of every item, each as float64 bytes."""
+    h = hashlib.sha256()
+    for item in items:
+        for value in item:
+            h.update(np.asarray(value, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+# Generator output, item by item: the draws behind every synthetic workload.
+# Each synthetic stream crosses several group boundaries (about every 500
+# steps), so the schedule, beta and omega draws are pinned too. Unlike the
+# digests above, the 5-feature synthetic ones take beta.x through the BLAS
+# dot product, whose summation order a different BLAS build may change.
+STREAMS = {
+    "synthetic_p1_seed0": lambda: synthetic_stream(
+        SyntheticConfig(seed=0, n_features=1), 2000),
+    "synthetic_p1_seed1": lambda: synthetic_stream(
+        SyntheticConfig(seed=1, n_features=1), 2000),
+    "synthetic_p5_seed0": lambda: synthetic_stream(
+        SyntheticConfig(seed=0, n_features=5), 2000),
+    "synthetic_p5_seed1": lambda: synthetic_stream(
+        SyntheticConfig(seed=1, n_features=5), 2000),
+    "known_quantile_seed0": lambda: KnownQuantileStream(
+        KnownQuantileConfig(seed=0)).generate(1000),
+    "known_quantile_seed1": lambda: KnownQuantileStream(
+        KnownQuantileConfig(seed=1, n_features=3)).generate(1000),
+    "image_seed0": lambda: image_stream(
+        ImageStreamConfig(seed=0, shift_period=50, shift_factor=2.0), 200),
+    "image_seed1": lambda: image_stream(
+        ImageStreamConfig(seed=1, height=8, width=12, frame_corr=0.7), 200),
+}
+
+STREAM_DIGESTS = {
+    "image_seed0":
+        "94b5fdc1e1d93e017dd8d75e4a5265027e4c023dccc4efb925340c9b7a1c5e9a",
+    "image_seed1":
+        "2e09dd5c734afb7c1626181e70bf8ad6f4a38ba8dcd195b555fe91b002b15471",
+    "known_quantile_seed0":
+        "11628574f38bd425cd0afd1ca03fcfda359b64864716258cec775ea03726db05",
+    "known_quantile_seed1":
+        "9f831634efb9477b7cae50343c00fca62878309b14f2e4c0867a59b924701a11",
+    "synthetic_p1_seed0":
+        "a06b88d2469ed519a62d3a665ff4d8314dd7b6e6f8692bd2a82ee6b0e860180e",
+    "synthetic_p1_seed1":
+        "3711408824402b2dddc4be95098f666569c2b3a4d92560c3d7220a01e05afb52",
+    "synthetic_p5_seed0":
+        "021b2ce27f4f2454b3f5804a8b33a61f216da9ac12e62923d195374cf9186398",
+    "synthetic_p5_seed1":
+        "489d8263d6067768ebfb1cb9c3ae39a1aaf7d16e44bab077ed14c971947dd88d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_stream_items_match_golden_digests(name):
+    assert _items_digest(STREAMS[name]()) == STREAM_DIGESTS[name]
