@@ -10,10 +10,11 @@ Artifacts per run directory:
     certificate.txt      PASS/FAIL per deterministic bound check
 
 Trials execute sequentially in trial order; each trial derives its own seed
-(base seed + trial index) and shares no mutable state with the others, so
+(base seed + trial index) and starts from the same state as the others, so
 identical configs produce byte-identical artifacts. One driver call
-(``run_experiment``, or ``sweep`` with all its points) reads each CSV stream
-once; its trials and points share that read-only snapshot of the file.
+(``run_experiment``, or ``sweep`` with all its points) reads each input file
+once: its trials and points share one read-only snapshot of each CSV stream,
+and each trial rewinds the one replayed model to its first row.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baseline, engine, losses as losses_mod, metrics, multirisk
-from .models import ConstantModel, LinearPinballModel, ReplayModel, pinball_loss
+from .models import ConstantModel, LinearPinballModel, ReplayModel
 from .sets import (FULL_SPACE, ConstantHeuristic, CqrConstructor,
                    ImageIntervalConstructor, PreviousResidualsHeuristic,
                    QuantileScaleConstructor, RunningResidualHeuristic)
@@ -67,20 +68,20 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-# The CSV streams read by the driver call in progress, keyed by their
-# resolved ``stream`` section; None outside a driver call.
+# The input files read by the driver call in progress, keyed by the section
+# that reads them and what selects the read; None outside a driver call.
 _INPUTS: contextvars.ContextVar = contextvars.ContextVar(
     "riskcal_inputs", default=None)
 
 
 def _reads_inputs_once(driver):
-    """Make one call of ``driver`` read each CSV stream once.
+    """Make one call of ``driver`` read each input file once.
 
     The outermost driver call (a sweep, or a run_experiment outside one)
     owns the scope and nested calls share it, so the auto-stretch probes,
     trials and grid points of one call iterate one read-only CsvStream per
-    distinct ``stream`` section. Nothing outlives the call: the next call
-    reads the file again.
+    distinct ``stream`` section and replay one ReplayModel per ``model.path``.
+    Nothing outlives the call: the next call reads the files again.
     """
     @functools.wraps(driver)
     def scoped(*args, **kwargs):
@@ -94,11 +95,17 @@ def _reads_inputs_once(driver):
     return scoped
 
 
-def _read_input(section: str, read, arg):
-    """``read(arg)`` for an input file the config section names; a file
-    that cannot be read or does not fit the config is a ConfigError."""
+def _read_input(section: str, read, arg, key):
+    """``read(arg)`` for an input file the config section names, once per
+    driver call and ``key``; a file that cannot be read or does not fit the
+    config is a ConfigError."""
+    memo = _INPUTS.get()
+    memo = {} if memo is None else memo
+    key = (section, key)
+    if key in memo:
+        return memo[key]
     try:
-        return read(arg)
+        memo[key] = read(arg)
     except OSError as exc:
         raise ConfigError(f"{section}.path",
                           f"cannot read {exc.filename}: "
@@ -106,6 +113,7 @@ def _read_input(section: str, read, arg):
     except ValueError as exc:
         fld = exc.field if isinstance(exc, CsvInputError) else "path"
         raise ConfigError(f"{section}.{fld}", str(exc)) from exc
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +132,15 @@ def _known_quantile_stream(seed: int, steps: int, **f):
 
 def _csv_stream(seed: int, steps: int, **f):
     # the file is the stream; the driver call reads it once
-    memo = _INPUTS.get()
-    memo = {} if memo is None else memo
-    key = json.dumps(f, sort_keys=True)
-    if key not in memo:
-        memo[key] = _read_input("stream", csv_ingest, CsvStreamConfig(**f))
-    cs = memo[key]
+    cs = _read_input("stream", csv_ingest, CsvStreamConfig(**f),
+                     json.dumps(f, sort_keys=True))
     return iter(cs), cs
 
 
 def _replay_model(rc, stream_obj, taus, path):
-    model = _read_input("model", ReplayModel.from_csv, path)
+    # the driver call reads the file once; each trial replays it from row 0
+    model = _read_input("model", ReplayModel.from_csv, path, path)
+    model.rewind()
     missing = [t for t in taus if t not in model.taus]
     _require(not missing, "model.taus", f"levels {missing} are not "
              f"replayed by {path}; it has {model.taus}")
@@ -428,6 +434,8 @@ def validate_config(cfg: dict) -> ResolvedConfig:
                  f"must satisfy 1 <= start <= end <= steps={rc.steps}")
     stream, model, constructor = rc.stream, rc.model, rc.constructor
     losses, stretch, controller = rc.losses, rc.stretch, rc.controller
+    if stream.kind != "csv":  # a generator's config checks its numbers
+        _check("stream", stream.build, rc.seed, rc.steps)
 
     _require(model.kind != "oracle" or stream.kind == "known_quantile",
              "model.kind", "oracle model requires the known_quantile stream")
@@ -813,21 +821,31 @@ def _flush_summary(result: ExperimentResult, reports: list, out: Path) -> None:
         fh.write(certificate_text(result.certificate_lines))
 
 
+def _pinball_terms(y: np.ndarray, yhat: np.ndarray, tau: float) -> np.ndarray:
+    """``models.pinball_loss`` of each row, with the same formula."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    d = y - yhat
+    return np.where(d > 0, tau * d, (1.0 - tau) * -d)
+
+
 def _val_pinball(rc: ResolvedConfig, trace) -> float:
-    """Validation-window pinball loss of the calibrated interval endpoints."""
+    """Validation-window pinball loss of the calibrated interval endpoints:
+    the mean over the window's rows of the two endpoints' mean loss, inf if
+    an endpoint or a label is not finite."""
     window = rc.val_window or rc.eval_window or (1, len(trace))
     taus = rc.model.fields["taus"]
-    tau_lo, tau_hi = min(taus), max(taus)
     sl = slice(window[0] - 1, window[1])
     lo, hi, y = trace.lo[sl], trace.hi[sl], trace.y[sl]
-    total = 0.0
-    for i in range(len(y)):
-        if not (math.isfinite(lo[i]) and math.isfinite(hi[i])
-                and math.isfinite(y[i])):
-            return math.inf
-        total += 0.5 * (pinball_loss(y[i], lo[i], tau_lo)
-                        + pinball_loss(y[i], hi[i], tau_hi))
-    return total / max(len(y), 1)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()
+            and np.isfinite(y).all()):
+        return math.inf
+    terms = 0.5 * (_pinball_terms(y, lo, min(taus))
+                   + _pinball_terms(y, hi, max(taus)))
+    # cumsum adds left to right from 0.0, as a running total does; the
+    # pairwise sum of np.sum could differ in the last bits
+    total = np.cumsum(np.concatenate(([0.0], terms)))[-1]
+    return float(total) / max(len(y), 1)
 
 
 def _sweep_point(cfg: dict, param: str, value) -> tuple:

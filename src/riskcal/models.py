@@ -59,8 +59,9 @@ class LinearPinballModel:
                  fit_intercept: bool = True, n_sgd_steps: int = 1):
         if n_features < 1:
             raise ValueError("n_features must be >= 1")
-        if lr < 0:
-            raise ValueError("learning rate must be nonnegative")
+        if not (math.isfinite(lr) and lr >= 0):
+            raise ValueError(f"learning rate must be finite and "
+                             f"nonnegative, got {lr}")
         if n_sgd_steps < 1:
             raise ValueError("n_sgd_steps must be >= 1")
         self.taus = tuple(float(t) for t in taus)
@@ -204,6 +205,11 @@ class ReplayModel:
         data = data.reshape(-1, len(cols))
         return cls({float(header[i][2:]): data[:, j]
                     for j, i in enumerate(cols)})
+
+    def rewind(self) -> None:
+        """Move the cursor back to the first row, for a run that replays the
+        rows from the start."""
+        self._t = 0
 
     def predict(self, x, tau: float) -> float:
         if self._t >= self.n_steps:

@@ -21,6 +21,21 @@ from .models import OracleModel
 _NA_TOKENS = {"", "na", "nan", "null", "none"}
 
 
+def _check_numbers(config, finite=(), nonnegative=()) -> None:
+    """Reject a generator config whose ``finite`` fields are not finite, or
+    whose ``nonnegative`` fields are not finite and >= 0."""
+    if config.n_features < 1:
+        raise ValueError("n_features must be >= 1")
+    for name in finite:
+        if not math.isfinite(getattr(config, name)):
+            raise ValueError(f"{name} must be finite, "
+                             f"got {getattr(config, name)}")
+    for name in nonnegative:
+        if not 0.0 <= getattr(config, name) < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, "
+                             f"got {getattr(config, name)}")
+
+
 # ---------------------------------------------------------------------------
 # Synthetic tabular stream (group-wise shifts)
 # ---------------------------------------------------------------------------
@@ -41,6 +56,10 @@ class SyntheticConfig:
     group_length_std: float = 10.0
     scale_mean: float = 20.0
     scale_var: float = 10.0
+
+    def __post_init__(self):
+        _check_numbers(self, finite=("group_mean_length", "scale_mean"),
+                       nonnegative=("group_length_std", "scale_var"))
 
 
 def synthetic_step(y_prev: float, x: np.ndarray, eps: float, omega: float,
@@ -168,6 +187,9 @@ class KnownQuantileConfig:
     slope: float = 2.0
     intercept: float = 0.0
     noise_std: float = 1.0
+
+    def __post_init__(self):
+        _check_numbers(self, finite=("slope", "intercept", "noise_std"))
 
 
 class KnownQuantileStream:
@@ -350,50 +372,56 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
     groups: list[int] = []
 
     with open(config.path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise CsvInputError("path", f"{config.path}: missing header row")
+        # a name the header repeats reads its last column
+        index = {name: j for j, name in enumerate(header)}
         feature_cols = list(config.feature_cols)
         if not feature_cols:
             reserved = {config.target_col, config.timestamp_col}
-            feature_cols = [c for c in reader.fieldnames if c not in reserved]
+            feature_cols = [c for c in header if c not in reserved]
         needed = [("target_col", config.target_col)]
         needed += [("feature_cols", c) for c in feature_cols]
         if config.augment_time or config.timestamp_col:
             needed.append(("timestamp_col", config.timestamp_col))
         for fld, col in needed:
-            if col not in reader.fieldnames:
+            if col not in index:
                 raise CsvInputError(
                     fld, f"{config.path}: column {col!r} not in header")
+        value_cols = [(col, index[col])
+                      for col in [config.target_col] + feature_cols]
+        ts_col = index.get(config.timestamp_col)
 
-        for idx, row in enumerate(reader, start=1):
-            values = {}
-            missing = None
-            for col in [config.target_col] + feature_cols:
-                raw = (row.get(col) or "").strip()
+        # blank lines are skipped and not counted; a short row's missing
+        # cells are empty
+        for idx, row in enumerate(filter(None, reader), start=1):
+            n = len(row)
+            values = []
+            for col, j in value_cols:
+                raw = row[j].strip() if j < n else ""
                 if raw.lower() in _NA_TOKENS:
-                    missing = col
+                    warnings.warn(
+                        f"row {idx} rejected: missing value in column {col!r}")
                     break
                 try:
-                    values[col] = float(raw)
+                    values.append(float(raw))
                 except ValueError as exc:
                     raise CsvInputError(
                         "path",
                         f"row {idx}, column {col!r}: cannot parse {raw!r}"
                     ) from exc
-            if missing is not None:
-                warnings.warn(
-                    f"row {idx} rejected: missing value in column {missing!r}")
-                continue
-            if config.augment_time:
-                ts = _parse_timestamp((row.get(config.timestamp_col) or "").strip(),
-                                      config.timestamp_format, idx)
-                times.append(_time_features(ts))
-                groups.append(ts.weekday())
             else:
-                groups.append(-1)
-            feats.append([values[c] for c in feature_cols])
-            targets.append(values[config.target_col])
+                if config.augment_time:
+                    raw = row[ts_col].strip() if ts_col < n else ""
+                    ts = _parse_timestamp(raw, config.timestamp_format, idx)
+                    times.append(_time_features(ts))
+                    groups.append(ts.weekday())
+                else:
+                    groups.append(-1)
+                targets.append(values[0])
+                feats.append(values[1:])
 
     if not feats:
         raise CsvInputError("path", f"{config.path}: no usable rows")

@@ -17,7 +17,7 @@ the risk guarantee visibly intact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 STRETCH_KINDS = ("none", "exponential", "exp_linear_zone",
                  "score_adaptive", "error_adaptive")
@@ -26,8 +26,11 @@ _ADAPTIVE = ("score_adaptive", "error_adaptive")
 
 
 def clip(x: float, lo: float, hi: float) -> float:
-    """max(min(x, hi), lo), exactly."""
-    return max(min(x, hi), lo)
+    """max(min(x, hi), lo), exactly: the same operand for every input, NaN
+    and signed zeros included, by the two comparisons min and max make."""
+    if hi < x:
+        x = hi
+    return lo if lo > x else x
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,9 @@ class Stretch:
     """One stretching function plus the internal state of the adaptive kinds.
 
     beta_score scales the score term, beta_loss the loss-distance exponent,
-    and [beta_low, beta_high] is the hard clipping range for ``lam``.
+    and [beta_low, beta_high] is the hard clipping range for ``lam``. The
+    range may be infinite (no clip); beta_score, beta_loss and lam are
+    finite.
     """
 
     kind: str = "none"
@@ -48,6 +53,10 @@ class Stretch:
     def __post_init__(self):
         if self.kind not in STRETCH_KINDS:
             raise ValueError(f"unknown stretch kind: {self.kind!r}")
+        for name in ("beta_score", "beta_loss", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)}")
         if self.beta_low > 0 or self.beta_high < 0:
             raise ValueError("need beta_low <= 0 <= beta_high")
         if not self.beta_low <= self.lam <= self.beta_high:
@@ -82,13 +91,24 @@ class Stretch:
         loss term; the error-adaptive kind amplifies the score by how far the
         previous loss was from the target risk.
         """
-        if self.kind == "score_adaptive":
+        kind = self.kind
+        if kind == "score_adaptive":
             step = self.beta_score * score
-        elif self.kind == "error_adaptive":
+        elif kind == "error_adaptive":
             step = self.beta_score * score * math.exp(
                 self.beta_loss * abs(prev_loss - r))
         else:
             return self
-        lam = clip(self.lam - step, self.beta_low, self.beta_high)
-        return replace(self, lam=lam)
+        lo, hi = self.beta_low, self.beta_high
+        lam = clip(self.lam - step, lo, hi)
+        if not lo <= lam <= hi:  # a NaN step
+            raise ValueError(
+                f"stretch update gave lam={lam}, outside [{lo}, {hi}]")
+        # every other field was validated when self was built, so the
+        # successor copies them and skips __init__ and __post_init__
+        new = object.__new__(type(self))
+        fields = new.__dict__
+        fields.update(self.__dict__)
+        fields["lam"] = lam
+        return new
 

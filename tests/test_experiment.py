@@ -381,6 +381,154 @@ class TestReadOnce:
         assert float(clean.x[0, 0]) == seen[0]
 
 
+class TestReplayReadOnce:
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """The path of every replay file load, in call order."""
+        import riskcal.experiment as ex
+        calls = []
+
+        class Counting(ex.ReplayModel):
+            @classmethod
+            def from_csv(cls, path):
+                calls.append(path)
+                return super().from_csv(path)
+
+        monkeypatch.setattr(ex, "ReplayModel", Counting)
+        return calls
+
+    @staticmethod
+    def _config(tmp_path, **overrides):
+        """csv_config with 1,200 distinct replay rows for 400-step trials,
+        so a trial that did not start at row 0 would read other rows."""
+        preds = tmp_path / "rows.csv"
+        with open(preds, "w") as fh:
+            fh.write("q_0.05,q_0.95\n")
+            for t in range(1200):
+                fh.write(f"{-2.0 - 1e-3 * t!r},{2.0 + 1e-3 * t!r}\n")
+        return csv_config(tmp_path, model={"kind": "replay",
+                                           "path": str(preds),
+                                           "taus": [0.05, 0.95]},
+                          **overrides)
+
+    def test_run_loads_once_and_each_trial_starts_at_row_0(self, tmp_path,
+                                                           loads):
+        cfg = self._config(tmp_path)
+        res = run_experiment(cfg, tmp_path / "out")
+        assert loads == [cfg["model"]["path"]]
+        # the stream is the file, so only the replay cursor could tell the
+        # trials apart
+        first = res.trials[0].trace
+        for trial in res.trials[1:]:
+            for col in ("lo", "hi", "theta_post", "loss"):
+                np.testing.assert_array_equal(getattr(trial.trace, col),
+                                              getattr(first, col))
+
+    def test_gamma_sweep_loads_once_and_each_point_starts_at_row_0(
+            self, tmp_path, loads):
+        cfg = self._config(tmp_path, trials=1)
+        sweep(cfg, "controller.gamma", [0.02, 0.05, 0.1], tmp_path / "sw")
+        assert loads == [cfg["model"]["path"]]
+        # step 1 has the same parameter at every point; its set reads row 0
+        firsts = {(t.lo[0], t.hi[0]) for t in (
+            read_trace_csv(tmp_path / f"sw/sweep_controller_gamma_{g}"
+                           f"/trial_000/trace.csv") for g in (0.02, 0.05, 0.1))}
+        alone = run_experiment({**cfg, "controller": {
+            "kind": "single", "gamma": 0.1}}, tmp_path / "alone")
+        assert firsts == {(alone.trials[0].trace.lo[0],
+                           alone.trials[0].trace.hi[0])}
+
+    def test_each_run_loads_again(self, tmp_path, loads):
+        cfg = self._config(tmp_path, trials=1)
+        run_experiment(cfg, tmp_path / "a")
+        run_experiment(cfg, tmp_path / "b")
+        assert len(loads) == 2
+
+
+def _val_pinball_loop(rc, trace):
+    """The validation score as a per-row loop over models.pinball_loss, the
+    reference for the vectorised _val_pinball."""
+    from riskcal.models import pinball_loss
+    window = rc.val_window or rc.eval_window or (1, len(trace))
+    taus = rc.model.fields["taus"]
+    tau_lo, tau_hi = min(taus), max(taus)
+    sl = slice(window[0] - 1, window[1])
+    lo, hi, y = trace.lo[sl], trace.hi[sl], trace.y[sl]
+    total = 0.0
+    for i in range(len(y)):
+        if not (math.isfinite(lo[i]) and math.isfinite(hi[i])
+                and math.isfinite(y[i])):
+            return math.inf
+        total += 0.5 * (pinball_loss(y[i], lo[i], tau_lo)
+                        + pinball_loss(y[i], hi[i], tau_hi))
+    return total / max(len(y), 1)
+
+
+class TestValPinball:
+    class _Trace:
+        def __init__(self, lo, hi, y):
+            self.lo, self.hi, self.y = (np.asarray(v, dtype=float)
+                                        for v in (lo, hi, y))
+
+        def __len__(self):
+            return len(self.y)
+
+    def _score(self, fn, lo, hi, y, window=None, taus=(0.05, 0.95)):
+        from types import SimpleNamespace
+        rc = SimpleNamespace(val_window=window, eval_window=None,
+                             model=SimpleNamespace(fields={"taus": taus}))
+        return fn(rc, self._Trace(lo, hi, y))
+
+    def _same(self, *args, **kwargs):
+        from riskcal.experiment import _val_pinball
+        got = self._score(_val_pinball, *args, **kwargs)
+        want = self._score(_val_pinball_loop, *args, **kwargs)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+            (got, want)
+        return got
+
+    @given(rows=st.lists(st.tuples(*[st.floats(-1e6, 1e6)] * 3),
+                         min_size=1, max_size=60),
+           start=st.integers(1, 60))
+    def test_equals_the_loop(self, rows, start):
+        lo, hi, y = zip(*rows)
+        start = min(start, len(rows))
+        self._same(lo, hi, y, window=(start, len(rows)))
+
+    def test_long_window_equals_the_loop(self):
+        # long enough that a pairwise sum would round differently
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=2000)
+        lo = y - rng.exponential(size=2000) + 0.3
+        self._same(lo, lo + rng.exponential(size=2000), y)
+
+    def test_signed_zeros(self):
+        # every term is -0.0; the loop's running total starts at +0.0
+        assert math.copysign(1.0, self._same([0.0] * 3, [0.0] * 3,
+                                             [0.0] * 3)) == 1.0
+        self._same([-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0])
+
+    def test_non_finite_rows(self):
+        assert self._same([0.0, -math.inf], [1.0, 1.0], [0.5, 0.5]) \
+            == math.inf
+        assert self._same([0.0, 0.0], [1.0, math.inf], [0.5, 0.5]) \
+            == math.inf
+        assert self._same([0.0, 0.0], [1.0, 1.0], [0.5, math.nan]) \
+            == math.inf
+        # a non-finite row outside the window does not count
+        assert self._same([math.nan, 0.0], [1.0, 1.0], [0.5, 0.5],
+                          window=(2, 2)) == pytest.approx(0.025)
+
+    def test_one_row_window(self):
+        self._same([-1.0, 0.25, 3.0], [1.0, 2.5, 4.0], [0.3, 3.0, 2.0],
+                   window=(2, 2))
+
+    def test_tau_is_checked(self):
+        from riskcal.experiment import _val_pinball
+        with pytest.raises(ValueError, match="tau"):
+            self._score(_val_pinball, [0.0], [1.0], [0.5], taus=(0.05, 1.5))
+
+
 class TestSweep:
     def test_single_point_grid_selected(self, tmp_path):
         cfg = base_config(trials=1, steps=600, val_window=[101, 400])
@@ -875,6 +1023,36 @@ class TestSchema:
          "stream.warmup"),
         ({**_CSV_FIELDS, "stream": {**_CSV_FIELDS["stream"], "warmup": -5}},
          "stream.warmup"),
+        # an adaptive stretch's beta_score and beta_loss are finite
+        ({**_SCALAR, "stretch": {"kind": "error_adaptive",
+                                 "beta_score": math.nan}}, "stretch"),
+        ({**_SCALAR, "stretch": {"kind": "score_adaptive",
+                                 "beta_score": math.nan}}, "stretch"),
+        # a pinball model's step size is finite
+        ({**_SCALAR, "model": {"kind": "linear_pinball", "lr": math.nan}},
+         "model"),
+        ({**_SCALAR, "model": {"kind": "linear_pinball", "lr": math.inf}},
+         "model"),
+        # a generator's lengths, spreads and coefficients are finite, and
+        # its spreads >= 0
+        ({**_SCALAR, "stream": {"kind": "synthetic",
+                                "group_mean_length": math.nan}}, "stream"),
+        ({**_SCALAR, "stream": {"kind": "synthetic",
+                                "group_mean_length": math.inf}}, "stream"),
+        ({**_SCALAR, "stream": {"kind": "synthetic",
+                                "group_length_std": -1}}, "stream"),
+        ({**_SCALAR, "stream": {"kind": "synthetic",
+                                "group_length_std": math.nan}}, "stream"),
+        ({**_SCALAR, "stream": {"kind": "synthetic", "scale_var": -1}},
+         "stream"),
+        ({**_SCALAR, "stream": {"kind": "known_quantile",
+                                "noise_std": math.nan}}, "stream"),
+        ({**_SCALAR, "stream": {"kind": "known_quantile",
+                                "noise_std": math.inf}}, "stream"),
+        ({**_SCALAR, "stream": {"kind": "known_quantile", "slope": math.nan}},
+         "stream"),
+        ({**_SCALAR, "stream": {"kind": "known_quantile", "slope": math.inf}},
+         "stream"),
     ])
     def test_rejected_field_exits_two(self, tmp_path, capsys, change, field):
         cfg = _image_config()

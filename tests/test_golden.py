@@ -9,12 +9,17 @@ and the replay model, whose outputs do not go through BLAS, so the digests
 do not depend on the BLAS build. The synthetic, known-quantile and image
 generators are pinned item by item as well. A change that alters any
 exported byte or generated item fails here; a deliberate change must
-re-record the digests and say why.
+re-record the digests and say why. The demos' standard output is pinned the
+same way.
 """
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +281,41 @@ STREAM_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_stream_items_match_golden_digests(name):
     assert _items_digest(STREAMS[name]()) == STREAM_DIGESTS[name]
+
+
+# The sha256 of each demo's standard output. Demos 01-03, 05 and 06 train
+# the linear pinball model on the 5-feature synthetic stream, whose dot
+# products go through BLAS, so their digests depend on the BLAS build.
+_DEMOS = Path(__file__).resolve().parent.parent / "demos"
+DEMO_DIGESTS = {
+    "01_coverage_control.py":
+        "2b8bdbdcc53f5024a890311ba0c4dba46ff6cc2c5588b5209a102308cb172fa4",
+    "02_stretching_functions.py":
+        "c27b5d56467e79e573e187bdab621ed32ec61840ec4585d44dceceda1a521d84",
+    "03_miscoverage_counter.py":
+        "9732d3d6d78cd4569c0471da92b160093cbfdeae7bf5621133794006a6c8d54c",
+    "04_image_multi_risk.py":
+        "a468d60afbfdb2ad03eb4a5bf060f3514f1897539e5bdc5832c640fb9dbba7c2",
+    "05_window_quantile_baseline.py":
+        "a247ccb34b3aab071143feaabf5fc8e768f75f37fdb03ba5a8cf6e58d3bcd322",
+    "06_gamma_tradeoff.py":
+        "6efdb2dbbe0cde633c1b44b5da7e9edf0e58e5365705b68c552a28317d708f98",
+    "07_experiment_runner.py":
+        "ca31175c57d4089481aaf179392d21cafecf0d8eef80b324a59e81adf79ff50f",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in _DEMOS.glob("*.py")) == sorted(DEMO_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_DIGESTS))
+def test_demo_stdout_matches_golden_digest(name, tmp_path):
+    import riskcal
+    src = str(Path(riskcal.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(_DEMOS / name)], env=env,
+                         cwd=tmp_path, capture_output=True, check=True,
+                         timeout=300).stdout
+    assert hashlib.sha256(out).hexdigest() == DEMO_DIGESTS[name]

@@ -1,7 +1,11 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from riskcal import streams
 from riskcal.streams import (CsvStreamConfig, ImageStreamConfig,
                              KnownQuantileConfig, KnownQuantileStream,
                              SyntheticConfig, csv_ingest, image_stream,
@@ -259,3 +263,134 @@ class TestCsvIngest:
         np.testing.assert_array_equal(back.lo, trace.lo)
         np.testing.assert_array_equal(back.hi, trace.hi)
         np.testing.assert_array_equal(back.covered, trace.covered)
+
+
+def _dictreader_ingest(config):
+    """csv_ingest as it read rows through csv.DictReader: the reference for
+    the column-index reader."""
+    feats, targets, times, groups = [], [], [], []
+    with open(config.path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise streams.CsvInputError(
+                "path", f"{config.path}: missing header row")
+        feature_cols = list(config.feature_cols)
+        if not feature_cols:
+            reserved = {config.target_col, config.timestamp_col}
+            feature_cols = [c for c in reader.fieldnames if c not in reserved]
+        needed = [("target_col", config.target_col)]
+        needed += [("feature_cols", c) for c in feature_cols]
+        if config.augment_time or config.timestamp_col:
+            needed.append(("timestamp_col", config.timestamp_col))
+        for fld, col in needed:
+            if col not in reader.fieldnames:
+                raise streams.CsvInputError(
+                    fld, f"{config.path}: column {col!r} not in header")
+        for idx, row in enumerate(reader, start=1):
+            values = {}
+            missing = None
+            for col in [config.target_col] + feature_cols:
+                raw = (row.get(col) or "").strip()
+                if raw.lower() in streams._NA_TOKENS:
+                    missing = col
+                    break
+                try:
+                    values[col] = float(raw)
+                except ValueError as exc:
+                    raise streams.CsvInputError(
+                        "path",
+                        f"row {idx}, column {col!r}: cannot parse {raw!r}"
+                    ) from exc
+            if missing is not None:
+                warnings.warn(
+                    f"row {idx} rejected: missing value in column {missing!r}")
+                continue
+            if config.augment_time:
+                ts = streams._parse_timestamp(
+                    (row.get(config.timestamp_col) or "").strip(),
+                    config.timestamp_format, idx)
+                times.append(streams._time_features(ts))
+                groups.append(ts.weekday())
+            else:
+                groups.append(-1)
+            feats.append([values[c] for c in feature_cols])
+            targets.append(values[config.target_col])
+    if not feats:
+        raise streams.CsvInputError("path", f"{config.path}: no usable rows")
+    if config.warmup > len(feats):
+        raise streams.CsvInputError(
+            "warmup",
+            f"warm-up size {config.warmup} exceeds row count {len(feats)}")
+    X = np.asarray(feats, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    x_mean, x_std, y_mean, y_std = streams._warmup_statistics(
+        X[:config.warmup], y[:config.warmup], feature_cols)
+    X = (X - x_mean) / x_std
+    y = (y - y_mean) / y_std
+    names = list(feature_cols)
+    if config.augment_time:
+        X = np.hstack([X, np.asarray(times, dtype=float)])
+        names += list(streams._TIME_FEATURES)
+    return streams.CsvStream(x=X, y=y, group=np.asarray(groups, dtype=int),
+                             feature_names=names, x_mean=x_mean, x_std=x_std,
+                             y_mean=y_mean, y_std=y_std)
+
+
+def _outcome(ingest, config):
+    """Everything ``ingest`` gives: each field's bytes or the error, and
+    the warnings in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cs = ingest(config)
+            got = [(f, np.asarray(getattr(cs, f)).dtype.str,
+                    np.asarray(getattr(cs, f)).tobytes())
+                   for f in ("x", "y", "group", "x_mean", "x_std", "y_mean",
+                             "y_std")] + [cs.feature_names]
+        except ValueError as exc:
+            got = (type(exc), getattr(exc, "field", None), str(exc))
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+_DAY = "2020-01-06T13:"
+_FILES = {
+    "na_tokens": ("ts,feat,target\n"
+                  f"{_DAY}30,1,2\n{_DAY}31,NA,3\n{_DAY}32,3, nan \n"
+                  f"{_DAY}33,null,4\n{_DAY}34,None,5\n{_DAY}35,,6\n"
+                  f"{_DAY}36,4,7\n{_DAY}37,5,8\n"),
+    "short_rows": ("ts,feat,target\n"
+                   f"{_DAY}30,1,2\n{_DAY}31,2\n{_DAY}32\n{_DAY}33,3,4\n"
+                   f"{_DAY}34,5,6,extra\n"),
+    "blank_lines": ("ts,feat,target\n\n"
+                    f"{_DAY}30,1,2\n\n\n{_DAY}31,,3\n\n{_DAY}32,3,4\n"
+                    f"{_DAY}33,5,7\n\n"),
+    "whitespace": ("ts,feat,target\n"
+                   f" {_DAY}30 , 1 ,\t2\n   \n{_DAY}31,\t ,3\n"
+                   f"{_DAY}32, 3.5 , -4e1 \n{_DAY}33,5,7\n"),
+    "duplicate_headers": ("ts,feat,target,feat\n"
+                          f"{_DAY}30,1,2,10\n{_DAY}31,2,3,\n"
+                          f"{_DAY}32,x,4,30\n{_DAY}33,4,6,35\n"),
+    "short_timestamp": ("feat,target,ts\n"
+                        f"1,2,{_DAY}30\n2,3,{_DAY}31\n3,4\n"),
+    "empty": "",
+    "blank_first_line": f"\nts,feat,target\n{_DAY}30,1,2\n",
+    "unparseable": ("ts,feat,target\n"
+                    f"{_DAY}30,1,2\n\n{_DAY}31,abc,3\n"),
+}
+_CONFIGS = {
+    "named": dict(timestamp_col="ts", target_col="target",
+                  feature_cols=["feat"], warmup=2),
+    "all_features": dict(timestamp_col="ts", target_col="target", warmup=2),
+    "no_time": dict(timestamp_col="", target_col="target",
+                    feature_cols=["feat"], warmup=2, augment_time=False),
+}
+
+
+class TestCsvIngestSameAsDictReader:
+    @pytest.mark.parametrize("config", sorted(_CONFIGS))
+    @pytest.mark.parametrize("name", sorted(_FILES))
+    def test_same_arrays_warnings_and_errors(self, tmp_path, name, config):
+        path = tmp_path / "s.csv"
+        path.write_text(_FILES[name])
+        cfg = CsvStreamConfig(str(path), **_CONFIGS[config])
+        assert _outcome(csv_ingest, cfg) == _outcome(_dictreader_ingest, cfg)

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from riskcal.stretching import STRETCH_KINDS, Stretch, clip
 
@@ -93,11 +95,90 @@ class TestUpdateLambda:
         assert s.lam == 0.0
 
 
+def _replaced(s, score, prev_loss, r):
+    """The update as it was: the same lam, through dataclasses.replace,
+    which builds the successor field by field and runs __post_init__."""
+    if s.kind == "score_adaptive":
+        step = s.beta_score * score
+    else:
+        step = s.beta_score * score * math.exp(s.beta_loss * abs(prev_loss - r))
+    return dataclasses.replace(
+        s, lam=max(min(s.lam - step, s.beta_high), s.beta_low))
+
+
+def _bits(s):
+    """Every field, floats by their bytes, so -0.0 and 0.0 differ."""
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(s))
+
+
+class _Sub(Stretch):
+    """A subclass, as the benchmark's timing proxy is."""
+
+
+_FINITE = st.floats(-1e3, 1e3)
+_STEP = st.tuples(_FINITE, st.floats(0.0, 1.0), st.floats(-1.0, 1.0))
+
+
+class TestUpdateSameBits:
+    @given(cls=st.sampled_from([Stretch, _Sub]),
+           kind=st.sampled_from(["score_adaptive", "error_adaptive"]),
+           beta_score=st.floats(-2.0, 2.0), beta_loss=st.floats(0.0, 5.0),
+           beta_low=st.floats(-5.0, 0.0) | st.just(-math.inf),
+           beta_high=st.floats(0.0, 5.0) | st.just(math.inf),
+           lam=st.floats(-5.0, 5.0), steps=st.lists(_STEP, max_size=30))
+    # clipped at beta_low, then at beta_high, then inside again
+    @example(cls=_Sub, kind="score_adaptive", beta_score=1.0, beta_loss=0.0,
+             beta_low=-0.5, beta_high=0.5, lam=0.0,
+             steps=[(100.0, 0.0, 0.0), (-100.0, 0.0, 0.0), (0.25, 0.0, 0.0)])
+    @example(cls=Stretch, kind="error_adaptive", beta_score=0.5,
+             beta_loss=2.0, beta_low=-1.0, beta_high=0.0, lam=-0.5,
+             steps=[(-50.0, 1.0, 0.1), (50.0, 0.0, 0.1), (-0.0, 0.0, 0.0)])
+    # a lam of -0.0 stays -0.0
+    @example(cls=Stretch, kind="score_adaptive", beta_score=1.0,
+             beta_loss=0.0, beta_low=-1.0, beta_high=1.0, lam=-0.0,
+             steps=[(0.0, 0.0, 0.0)])
+    def test_chain_equals_the_replace_chain(self, cls, kind, beta_score,
+                                            beta_loss, beta_low, beta_high,
+                                            lam, steps):
+        lam = clip(lam, beta_low, beta_high)
+        fields = {"beta_score": beta_score, "beta_low": beta_low,
+                  "beta_high": beta_high, "lam": lam}
+        if kind == "error_adaptive":
+            fields["beta_loss"] = beta_loss
+        s = ref = cls(kind, **fields)
+        for score, prev_loss, r in steps:
+            before = _bits(s)
+            nxt = s.updated(score, prev_loss, r)
+            ref = _replaced(ref, score, prev_loss, r)
+            assert _bits(s) == before  # self is unchanged
+            assert nxt is not s and type(nxt) is cls
+            assert _bits(nxt) == _bits(ref)
+            assert nxt == ref and hash(nxt) == hash(ref)
+            s = nxt
+
+    def test_nan_step_fails_at_its_step(self):
+        s = Stretch("score_adaptive", beta_score=0.1, beta_low=-1.0,
+                    beta_high=1.0)
+        s = s.updated(1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="lam"):
+            s.updated(math.nan, 0.0, 0.0)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf,
+                            math.nan])
+
+
 class TestClip:
     def test_exact_formula(self):
         assert clip(5.0, -1.0, 1.0) == 1.0
         assert clip(-5.0, -1.0, 1.0) == -1.0
         assert clip(0.25, -1.0, 1.0) == 0.25
+
+    @given(*[_SPECIAL | st.floats(allow_nan=True)] * 3)
+    def test_same_operand_as_max_min(self, x, lo, hi):
+        assert np.float64(clip(x, lo, hi)).tobytes() == \
+            np.float64(max(min(x, hi), lo)).tobytes()
 
 
 class TestValidation:
@@ -108,6 +189,18 @@ class TestValidation:
     def test_bounds_must_straddle_zero(self):
         with pytest.raises(ValueError):
             Stretch("score_adaptive", beta_low=0.1, beta_high=1.0)
+
+    @pytest.mark.parametrize("name", ["beta_score", "beta_loss", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_fields_must_be_finite(self, name, value):
+        fields = {"beta_low": -math.inf, "beta_high": math.inf, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            Stretch("error_adaptive", **fields)
+
+    def test_unclipped_range_is_valid(self):
+        s = Stretch("score_adaptive", beta_score=0.1, beta_low=-math.inf,
+                    beta_high=math.inf)
+        assert s.updated(1e6, 0.0, 0.0).lam == -1e5
 
     def test_lam_inside_bounds(self):
         with pytest.raises(ValueError):
