@@ -203,6 +203,11 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
         raise ValueError(
             "adaptive stretching needs a single risk: no one loss and target "
             f"drives lambda, got {k} risks")
+    # an adaptive stretch's lam lives here as a float, advanced by next_lam;
+    # its adjustment theta + lam is the one apply returns
+    apply = stretch.apply
+    if adaptive:
+        next_lam, lam = stretch.next_lam, stretch.lam
 
     # a plain (x, y[, group]) iterable carries its label in the item; an
     # adaptive stream reveals it after seeing the announced set
@@ -254,7 +259,7 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
                 break
 
         if prev_score is not None:
-            stretch = stretch.updated(prev_score, prev_loss, r_first)
+            lam = next_lam(lam, prev_score, prev_loss, r_first)
 
         if one:
             th = theta[0]
@@ -267,10 +272,11 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
             pred_set = FULL_SPACE
         elif under:
             pred_set = EMPTY_SET
+        elif adaptive:
+            pred_set = constructor.build(x, th + lam, model)
         else:
             pred_set = constructor.build(
-                x, stretch.apply(th) if one
-                else aggregate(map(stretch.apply, theta)), model)
+                x, apply(th) if one else aggregate(map(apply, theta)), model)
 
         if not plain:
             revealed = reveal(pred_set)
@@ -418,7 +424,9 @@ def check_upper_theta_bound(trace: StreamTrace, spec, eps: float = 1e-9):
 
 def check_lower_theta_bound(trace: StreamTrace, spec, eps: float = 1e-9):
     """Every coordinate stays at or above m_i - 2*gamma_i*B_i; holds for
-    two-sided control."""
+    two-sided control of one risk, and with k risks on a run where no step
+    has one coordinate above M_i and another below m_j (see
+    ``multirisk``)."""
     if len(trace) == 0:
         return True, 0.0
     s = spec.risks
@@ -448,7 +456,7 @@ def check_upper_risk_bound(trace: StreamTrace, spec, eps: float = 1e-9):
 
 def check_two_sided_risk_bound(trace: StreamTrace, spec, eps: float = 1e-9):
     """|mean loss_i - r_i| over every prefix <= the two-sided bound, for
-    every risk i; holds for two-sided control."""
+    every risk i; holds where ``check_lower_theta_bound`` does."""
     if len(trace) == 0:
         return True, 0.0
     s = spec.risks

@@ -28,6 +28,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, tee
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -455,6 +456,8 @@ def validate_config(cfg: dict) -> ResolvedConfig:
              f"{model.kind!r} answers only its taus")
     if model.kind == "linear_pinball":  # its feature count is the stream's
         _check("model", LinearPinballModel, 1, **model.fields)
+    elif model.kind == "constant":
+        _check("model", model.build, rc, None)
     scored = _check("constructor", constructor.build,
                     model.fields["taus"]).scored
     loss_fns = [_check(f"losses[{i}]", loss.build)
@@ -660,6 +663,14 @@ def certificate_text(lines: list) -> str:
 _PER_RISK_COLUMNS = ("loss", "theta_pre", "theta_post")
 
 
+def _chained(pre, post) -> bool:
+    """Whether each row's theta_post is, bit for bit, the next row's
+    theta_pre, as in every trace the loop records."""
+    return (pre.dtype == post.dtype == np.float64 and pre.shape == post.shape
+            and np.array_equal(post[:-1].view(np.int64),
+                               pre[1:].view(np.int64)))
+
+
 def write_trace_csv(trace, path, layout: str = "interval") -> None:
     """Fixed-column trace export, one row per step.
 
@@ -667,7 +678,9 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
     suffixed _1.._k, when the trace has k-risk columns), then the set as
     set_lo,set_hi (``layout="interval"``) or set_size (any other layout),
     then covered. Floats are written with 17 significant digits, so they
-    read back exactly.
+    read back exactly. When every row's theta_post is the next row's
+    theta_pre bit for bit, each parameter is formatted once and written
+    twice; rows are streamed either way.
     """
     names, cols = [], []
     for name in _PER_RISK_COLUMNS:
@@ -684,12 +697,30 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
     else:
         names.append("set_size")
         cols.append(trace.size)
-    row = "%d," + "%.17g," * len(cols) + "%d\n"
-    rows = zip(range(1, len(trace) + 1), *[col.tolist() for col in cols],
-               trace.covered.tolist())
+    n = len(trace)
+    pre, post = trace.theta_pre, trace.theta_post
+    if n and _chained(pre, post):
+        # a row's theta_pre cells are the previous row's theta_post cells:
+        # each row's theta_post is formatted once, into both
+        post_cols = post.reshape(n, -1).T
+        k = len(post_cols)
+        fmt = "%.17g," * k
+        posts, lagged = tee(map(fmt.__mod__,
+                                zip(*[col.tolist() for col in post_cols])))
+        first = fmt % tuple(pre.reshape(n, k)[0].tolist())
+        j = names.index("theta_pre" if post.ndim == 1 else "theta_pre_1")
+        head, thetas, tail = cols[:j], [chain((first,), lagged), posts], \
+            cols[j + 2 * k:]
+        row = ("%d," + "%.17g," * len(head) + "%s%s" + "%.17g," * len(tail)
+               + "%d\n")
+    else:
+        head, thetas, tail = cols, [], []
+        row = "%d," + "%.17g," * len(cols) + "%d\n"
+    rows = zip(range(1, n + 1), *[col.tolist() for col in head], *thetas,
+               *[col.tolist() for col in tail], trace.covered.tolist())
     with open(Path(path), "w", newline="") as fh:
         fh.write(",".join(["step", *names, "covered"]) + "\n")
-        fh.writelines(row % values for values in rows)
+        fh.writelines(map(row.__mod__, rows))
 
 
 def read_trace_csv(path):

@@ -152,11 +152,16 @@ class OracleModel:
 
 class ConstantModel:
     """Fixed per-quantile outputs, independent of the input. Test scaffolding
-    and a worst-case stand-in: the calibration layer must cope with it."""
+    and a worst-case stand-in: the calibration layer must cope with it. Every
+    output (each of ``values`` and ``default``) is finite."""
 
     def __init__(self, values: dict | None = None, default: float = 0.0):
         self.values = dict(values) if values else {}
         self.default = default
+        for tau, v in [*self.values.items(), ("default", default)]:
+            if not math.isfinite(v):
+                raise ValueError(f"constant model output for {tau} must be "
+                                 f"finite, got {v}")
 
     def predict(self, x, tau: float) -> float:
         return float(self.values.get(tau, self.default))

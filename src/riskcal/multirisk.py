@@ -5,10 +5,16 @@ coordinates are updated independently and then aggregated (mean or max of
 the stretched values) into the single scalar the set constructor consumes.
 The full-space safeguard fires when *any* coordinate exceeds its upper
 threshold, which is what keeps every individual risk below target; the
-empty-set safeguard (any coordinate below its lower threshold) is optional
-and, when declared, tightens the guarantee to two-sided convergence.
+empty-set safeguard (any coordinate below its lower threshold) is optional.
 When both safeguards fire at once the full space wins: conservatism keeps
-the one-sided guarantee intact.
+the one-sided guarantee intact. So with k > 1 the empty-set safeguard does
+not make convergence two-sided: a coordinate already below its floor takes
+its full-space loss on such a step, which is below its target, and can
+keep falling without bound (the README gives a two-risk adversary that does
+this). The lower bounds hold on a run where no step has one coordinate
+above its M_i and another below its m_j, given the strict loss contract
+L(full) < r_i < L(empty); the certificate checks them and reports FAIL when
+they break.
 
 The spec, the loop and the certificates live in ``engine``, which runs every
 controller; this module is the k-risk entry point.

@@ -296,7 +296,14 @@ def _window_mean(frames) -> np.ndarray:
 #   observe(x, y, model)   -> post-reveal bookkeeping (heuristic windows)
 
 class CqrConstructor:
-    """Quantile-pair interval widened on the value scale."""
+    """Quantile-pair interval widened on the value scale.
+
+    ``build`` keeps the ``x`` it was called for and the two quantiles it
+    took. ``score`` for that same ``x`` object uses them, as the loop calls
+    it within the step, before the model learns; ``score`` and ``observe``
+    drop them. A ``score`` for any other ``x``, or after ``observe``,
+    predicts again.
+    """
 
     scored = True
 
@@ -305,20 +312,26 @@ class CqrConstructor:
             raise ValueError("need 0 < tau_lo < tau_hi < 1")
         self.tau_lo = tau_lo
         self.tau_hi = tau_hi
+        self._built = None  # (x, q_lo, q_hi) of the last build
 
     def build(self, x, adj, model):
         q_lo = model.predict(x, self.tau_lo)
         q_hi = model.predict(x, self.tau_hi)
         if math.isnan(q_lo) or math.isnan(q_hi):
             raise RuntimeError("model produced non-finite quantile output")
+        self._built = (x, q_lo, q_hi)
         return cqr_interval(q_lo, q_hi, adj)
 
     def score(self, x, y, model):
+        built = self._built
+        if built is not None and built[0] is x:
+            self._built = None
+            return cqr_score(built[1], built[2], y)
         return cqr_score(model.predict(x, self.tau_lo),
                          model.predict(x, self.tau_hi), y)
 
     def observe(self, x, y, model):
-        pass
+        self._built = None
 
 
 class QuantileScaleConstructor:

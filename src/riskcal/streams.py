@@ -21,11 +21,13 @@ from .models import OracleModel
 _NA_TOKENS = {"", "na", "nan", "null", "none"}
 
 
-def _check_numbers(config, finite=(), nonnegative=()) -> None:
-    """Reject a generator config whose ``finite`` fields are not finite, or
-    whose ``nonnegative`` fields are not finite and >= 0."""
-    if config.n_features < 1:
-        raise ValueError("n_features must be >= 1")
+def _check_numbers(config, counts=(), finite=(), nonnegative=()) -> None:
+    """Reject a generator config whose ``counts`` fields are below 1, whose
+    ``finite`` fields are not finite, or whose ``nonnegative`` fields are
+    not finite and >= 0."""
+    for name in counts:
+        if not getattr(config, name) >= 1:
+            raise ValueError(f"{name} must be >= 1")
     for name in finite:
         if not math.isfinite(getattr(config, name)):
             raise ValueError(f"{name} must be finite, "
@@ -58,7 +60,8 @@ class SyntheticConfig:
     scale_var: float = 10.0
 
     def __post_init__(self):
-        _check_numbers(self, finite=("group_mean_length", "scale_mean"),
+        _check_numbers(self, counts=("n_features",),
+                       finite=("group_mean_length", "scale_mean"),
                        nonnegative=("group_length_std", "scale_var"))
 
 
@@ -189,7 +192,8 @@ class KnownQuantileConfig:
     noise_std: float = 1.0
 
     def __post_init__(self):
-        _check_numbers(self, finite=("slope", "intercept", "noise_std"))
+        _check_numbers(self, counts=("n_features",),
+                       finite=("slope", "intercept", "noise_std"))
 
 
 class KnownQuantileStream:
@@ -232,6 +236,8 @@ class ImageStreamConfig:
     frame_corr) with per-pixel white noise. Every shift_period steps the
     noise scale toggles between base_sigma and base_sigma * shift_factor
     (shift_factor=1 or shift_period=0 gives a stationary stream).
+    base_sigma and shift_factor are finite and >= 0, shift_period >= 0,
+    frame_corr in [-1, 1], and height and width >= 1.
     """
 
     seed: int = 0
@@ -241,6 +247,13 @@ class ImageStreamConfig:
     shift_period: int = 0
     shift_factor: float = 1.0
     frame_corr: float = 0.5
+
+    def __post_init__(self):
+        _check_numbers(self, counts=("height", "width"), nonnegative=(
+            "base_sigma", "shift_period", "shift_factor"))
+        if not -1.0 <= self.frame_corr <= 1.0:
+            raise ValueError(
+                f"frame_corr must be in [-1, 1], got {self.frame_corr}")
 
 
 def _smooth_field(h: int, w: int) -> np.ndarray:

@@ -9,9 +9,12 @@ variants carry a clipped additive state ``lam`` that is nudged by the
 previous step's conformity score (and, for the error-adaptive kind, by how
 far the previous loss sat from the target).
 
-State discipline: ``apply`` never modifies state; ``updated`` never reads the
-calibration parameter. Both facts keep the fixed-step-size requirement of
-the risk guarantee visibly intact.
+State discipline: ``apply`` never modifies state; ``next_lam`` and
+``updated`` never read the calibration parameter. Both facts keep the
+fixed-step-size requirement of the risk guarantee visibly intact. The
+control loop keeps ``lam`` as a float: it advances it with ``next_lam`` and
+announces ``theta + lam``, the sum ``apply`` makes. ``updated`` is the same
+step in the form that returns a successor ``Stretch``.
 """
 
 from __future__ import annotations
@@ -84,12 +87,14 @@ class Stretch:
         # score_adaptive / error_adaptive
         return theta + self.lam
 
-    def updated(self, score: float, prev_loss: float, r: float) -> "Stretch":
-        """Advance ``lam`` using the previous step's score and loss.
+    def next_lam(self, lam: float, score: float, prev_loss: float,
+                 r: float) -> float:
+        """The ``lam`` that follows ``lam`` given the previous step's score
+        and loss.
 
-        No-op for the non-adaptive kinds. The score-adaptive kind ignores the
-        loss term; the error-adaptive kind amplifies the score by how far the
-        previous loss was from the target risk.
+        Unchanged for the non-adaptive kinds. The score-adaptive kind ignores
+        the loss term; the error-adaptive kind amplifies the score by how far
+        the previous loss was from the target risk.
         """
         kind = self.kind
         if kind == "score_adaptive":
@@ -98,12 +103,20 @@ class Stretch:
             step = self.beta_score * score * math.exp(
                 self.beta_loss * abs(prev_loss - r))
         else:
-            return self
+            return lam
         lo, hi = self.beta_low, self.beta_high
-        lam = clip(self.lam - step, lo, hi)
+        lam = clip(lam - step, lo, hi)
         if not lo <= lam <= hi:  # a NaN step
             raise ValueError(
                 f"stretch update gave lam={lam}, outside [{lo}, {hi}]")
+        return lam
+
+    def updated(self, score: float, prev_loss: float, r: float) -> "Stretch":
+        """``next_lam`` as a successor: a ``Stretch`` of the same type whose
+        ``lam`` has advanced; ``self`` itself for the non-adaptive kinds."""
+        if not self.is_adaptive:
+            return self
+        lam = self.next_lam(self.lam, score, prev_loss, r)
         # every other field was validated when self was built, so the
         # successor copies them and skips __init__ and __post_init__
         new = object.__new__(type(self))
@@ -111,4 +124,3 @@ class Stretch:
         fields.update(self.__dict__)
         fields["lam"] = lam
         return new
-

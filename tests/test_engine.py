@@ -10,9 +10,10 @@ from riskcal.engine import (MultiRiskSpec, RiskSpec, check_lower_theta_bound,
                             control_update, loss_contract_guaranteed,
                             risk_bound, run_stream, two_sided_deviation_bound,
                             _STOP)
-from riskcal.losses import BinaryLossFn
-from riskcal.models import ConstantModel
-from riskcal.sets import EMPTY_SET, FULL_SPACE, CqrConstructor
+from riskcal.losses import BinaryLossFn, McLossFn
+from riskcal.models import ConstantModel, ReplayModel
+from riskcal.sets import (EMPTY_SET, FULL_SPACE, CqrConstructor, cqr_interval,
+                          cqr_score)
 from riskcal.stretching import Stretch
 
 
@@ -303,6 +304,125 @@ class TestRunStream:
         with pytest.raises(ValueError, match="at step 3"):
             run_stream(_iid_stream(0, 10), ConstantModel({0.05: 2, 0.95: 4}),
                        CqrConstructor(), LateBadLoss(), _spec())
+
+
+class _Recorder:
+    """A list of (x, y) items as an adaptive stream that records every
+    announced set."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self._y = None
+        self.sets = []
+
+    def next_x(self):
+        item = next(self._items, None)
+        if item is None:
+            return _STOP
+        x, self._y = item
+        return x
+
+    def reveal(self, prediction_set):
+        self.sets.append(prediction_set)
+        return self._y
+
+
+def _reference_adaptive(items, model, loss_fn, spec, stretch):
+    """The one-risk adaptive step as the loop made it when it kept a Stretch:
+    ``updated`` every step, and a score that predicts both quantiles again.
+    Returns the announced sets and the lam of every step."""
+    theta, prev_score, prev_loss = spec.theta_init, None, 0.0
+    sets, lams = [], []
+    for x, y in items:
+        if prev_score is not None:
+            stretch = stretch.updated(prev_score, prev_loss, spec.r)
+        lams.append(stretch.lam)
+        if theta > spec.M:
+            pred_set = FULL_SPACE
+        elif theta < spec.m:
+            pred_set = EMPTY_SET
+        else:
+            pred_set = cqr_interval(model.predict(x, 0.05),
+                                    model.predict(x, 0.95),
+                                    stretch.apply(theta))
+        sets.append(pred_set)
+        loss = loss_fn(y, pred_set)
+        theta = theta + spec.gamma * (loss - spec.r)
+        prev_score = cqr_score(model.predict(x, 0.05), model.predict(x, 0.95),
+                               y)
+        prev_loss = loss
+        model.update(x, y)
+    return sets, lams
+
+
+def _set_bits(pred_set):
+    if pred_set is FULL_SPACE or pred_set is EMPTY_SET:
+        return pred_set
+    return np.float64(pred_set.lo).tobytes(), np.float64(pred_set.hi).tobytes()
+
+
+class TestAdaptiveStepSameBits:
+    """The loop keeps lam as a float and the CQR score reuses the quantiles
+    its build took; every announced set and every lam equal those of the
+    reference step, bit for bit. Tight safeguards make steps without a build
+    alternate with built ones, and the replayed predictions change with the
+    model's cursor, so a quantile carried over from another step would
+    show."""
+
+    N = 600
+
+    def _items(self, seed, same_x):
+        rng = np.random.default_rng(seed)
+        shared = np.zeros(1)
+        return [(shared if same_x else np.full(1, float(t)),
+                 float(rng.normal(0.0, 1.5))) for t in range(self.N)]
+
+    def _model(self, seed):
+        rng = np.random.default_rng(seed + 100)
+        mid = rng.normal(0.0, 1.0, self.N)
+        half = rng.uniform(0.0, 2.0, self.N)
+        return ReplayModel({0.05: mid - half, 0.95: mid + half})
+
+    @pytest.mark.parametrize("same_x", [False, True])
+    @pytest.mark.parametrize("kind,loss,spec", [
+        ("score_adaptive", BinaryLossFn,
+         RiskSpec(r=0.5, gamma=0.5, m=-0.3, M=0.3)),
+        ("error_adaptive", BinaryLossFn,
+         RiskSpec(r=0.5, gamma=0.5, m=-0.3, M=0.3)),
+        ("error_adaptive", lambda: McLossFn(3),
+         RiskSpec(r=0.5, gamma=0.2, m=-0.4, M=0.4, B=3.0)),
+    ])
+    def test_sets_and_lams_equal_the_reference(self, kind, loss, spec,
+                                               same_x):
+        fields = {"beta_score": 0.2, "beta_low": -0.5, "beta_high": 0.5}
+        if kind == "error_adaptive":
+            fields["beta_loss"] = 0.7
+        lams = []
+
+        class Logged(Stretch):
+            def next_lam(self, *args):
+                lam = super().next_lam(*args)
+                lams.append(lam)
+                return lam
+
+        items = self._items(3, same_x)
+        stream = _Recorder(items)
+        trace = run_stream(stream, self._model(3), CqrConstructor(),
+                           loss(), spec, Logged(kind, **fields))
+        ref_sets, ref_lams = _reference_adaptive(
+            items, self._model(3), loss(), spec, Stretch(kind, **fields))
+
+        assert len(trace) == self.N
+        assert [_set_bits(s) for s in stream.sets] == \
+            [_set_bits(s) for s in ref_sets]
+        # the first step's lam is the stretch's own, 0.0
+        assert [np.float64(v).tobytes() for v in [0.0, *lams]] == \
+            [np.float64(v).tobytes() for v in ref_lams]
+        # the clip engaged, and steps without a build follow built ones
+        assert -0.5 in lams or 0.5 in lams
+        guarded = [s is FULL_SPACE or s is EMPTY_SET for s in ref_sets]
+        assert sum(not a and b for a, b in zip(guarded, guarded[1:])) >= 20
+        assert sum(a and not b for a, b in zip(guarded, guarded[1:])) >= 20
 
 
 class TestLossContractFlag:

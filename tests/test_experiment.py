@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -630,6 +631,106 @@ class TestTraceRoundTrip:
         assert back.lo.tobytes() == col.tobytes()
 
 
+def _write_trace_csv_frozen(trace, path, layout="interval"):
+    """``write_trace_csv`` as it was: every cell formatted in its row."""
+    names, cols = [], []
+    for name in ("loss", "theta_pre", "theta_post"):
+        col = getattr(trace, name)
+        if col.ndim == 1:
+            names.append(name)
+            cols.append(col)
+        else:
+            names += [f"{name}_{i + 1}" for i in range(col.shape[1])]
+            cols += list(col.T)
+    if layout == "interval":
+        names += ["set_lo", "set_hi"]
+        cols += [trace.lo, trace.hi]
+    else:
+        names.append("set_size")
+        cols.append(trace.size)
+    row = "%d," + "%.17g," * len(cols) + "%d\n"
+    rows = zip(range(1, len(trace) + 1), *[col.tolist() for col in cols],
+               trace.covered.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["step", *names, "covered"]) + "\n")
+        fh.writelines(row % values for values in rows)
+
+
+_CELL = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1 / 3])
+
+
+@st.composite
+def _loop_traces(draw):
+    """A trace shaped as the loop records it: k = 1 (1-D columns), k = 1 or
+    k = 2 ((T, k) columns), each row's theta_post the next row's
+    theta_pre."""
+    from riskcal.engine import StreamTrace
+    n = draw(st.integers(0, 25))
+    k = draw(st.sampled_from([None, 1, 2]))
+    shape = (n,) if k is None else (n, k)
+    cells = lambda m: np.array(draw(st.lists(_CELL, min_size=m, max_size=m)),
+                               dtype=float)
+    thetas = cells((n + 1) * (k or 1)).reshape((n + 1,) + shape[1:])
+    return StreamTrace(
+        loss=cells(int(np.prod(shape))).reshape(shape),
+        theta_pre=thetas[:-1].copy(), theta_post=thetas[1:].copy(),
+        covered=np.array(draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)), dtype=bool),
+        size=cells(n), lo=cells(n), hi=cells(n), y=np.full(n, math.nan),
+        group=np.full(n, -1))
+
+
+class TestWriteTraceSameBytes:
+    """The export formats each parameter once when every row's theta_post is
+    the next row's theta_pre, and writes the bytes of the frozen writer on
+    every trace, chained or not."""
+
+    def _same_bytes(self, trace, layout):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = f"{tmp}/new.csv", f"{tmp}/old.csv"
+            write_trace_csv(trace, new, layout)
+            _write_trace_csv_frozen(trace, old, layout)
+            with open(new, "rb") as a, open(old, "rb") as b:
+                assert a.read() == b.read()
+
+    @settings(deadline=None)
+    @given(trace=_loop_traces(), layout=st.sampled_from(["interval", "size"]),
+           data=st.data())
+    def test_chained_and_edited_traces(self, trace, layout, data):
+        from riskcal.experiment import _chained
+        assert _chained(trace.theta_pre, trace.theta_post)
+        self._same_bytes(trace, layout)
+        n = len(trace)
+        if n < 2:
+            return
+        # an edit to one theta_post cell breaks the chain at its row
+        post = trace.theta_post.copy()
+        flat = post.reshape(n, -1)
+        i = data.draw(st.integers(0, n - 2))
+        j = data.draw(st.integers(0, flat.shape[1] - 1))
+        old = flat[i, j]
+        flat[i, j] = data.draw(_CELL.filter(
+            lambda v: np.float64(v).tobytes() != np.float64(old).tobytes()))
+        edited = dataclasses.replace(trace, theta_post=post)
+        assert not _chained(edited.theta_pre, edited.theta_post)
+        self._same_bytes(edited, layout)
+
+    @pytest.mark.parametrize("layout", ["interval", "size"])
+    def test_signed_zero_edit_is_written_as_it_is(self, tmp_path, layout):
+        from riskcal.engine import StreamTrace
+        col = np.array([0.5, -0.0, 0.25])
+        trace = StreamTrace(
+            loss=col, theta_pre=np.array([0.0, -0.0, 0.1]),
+            theta_post=np.array([0.0, 0.1, 0.2]),  # 0.0 then -0.0: no chain
+            covered=np.ones(3, dtype=bool), size=col, lo=col, hi=col,
+            y=col, group=np.zeros(3, int))
+        self._same_bytes(trace, layout)
+        write_trace_csv(trace, tmp_path / "t.csv", layout)
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert rows[1].split(",")[3] == "0" and rows[2].split(",")[2] == "-0"
+
+
 class TestCli:
     def _write_cfg(self, tmp_path, cfg):
         p = tmp_path / "config.json"
@@ -1053,6 +1154,29 @@ class TestSchema:
          "stream"),
         ({**_SCALAR, "stream": {"kind": "known_quantile", "slope": math.inf}},
          "stream"),
+        # the image stream's noise scales are finite and >= 0, its shift
+        # period >= 0 and its frame correlation in [-1, 1]
+        ({"stream": {"kind": "image", "height": 8, "width": 8,
+                     "base_sigma": math.nan}}, "stream"),
+        ({"stream": {"kind": "image", "base_sigma": -1.0}}, "stream"),
+        ({"stream": {"kind": "image", "base_sigma": math.inf}}, "stream"),
+        ({"stream": {"kind": "image", "shift_factor": math.inf}}, "stream"),
+        ({"stream": {"kind": "image", "shift_factor": -2.0}}, "stream"),
+        ({"stream": {"kind": "image", "frame_corr": math.nan}}, "stream"),
+        ({"stream": {"kind": "image", "frame_corr": 1.5}}, "stream"),
+        ({"stream": {"kind": "image", "frame_corr": -1.01}}, "stream"),
+        ({"stream": {"kind": "image", "shift_period": -1}}, "stream"),
+        # a constant model's outputs are finite
+        ({**_SCALAR, "stream": {"kind": "known_quantile"},
+          "model": {"kind": "constant", "default": math.nan}}, "model"),
+        ({**_SCALAR, "stream": {"kind": "known_quantile"},
+          "model": {"kind": "constant", "default": -math.inf}}, "model"),
+        ({**_SCALAR, "stream": {"kind": "known_quantile"},
+          "model": {"kind": "constant",
+                    "values": {"0.05": math.nan, "0.95": 1.0}}}, "model"),
+        ({**_SCALAR, "stream": {"kind": "known_quantile"},
+          "model": {"kind": "constant",
+                    "values": {"0.05": -1.0, "0.95": math.inf}}}, "model"),
     ])
     def test_rejected_field_exits_two(self, tmp_path, capsys, change, field):
         cfg = _image_config()

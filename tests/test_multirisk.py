@@ -12,8 +12,8 @@ from riskcal.engine import (_STOP, RiskSpec, check_lower_theta_bound,
 from riskcal.losses import BinaryLossFn, CenterFailureFn, ImageMiscoverageFn
 from riskcal.models import ConstantModel
 from riskcal.multirisk import MultiRiskSpec, run_multi_stream
-from riskcal.sets import (CqrConstructor, ImageIntervalConstructor,
-                          PreviousResidualsHeuristic)
+from riskcal.sets import (EMPTY_SET, FULL_SPACE, CqrConstructor,
+                          ImageIntervalConstructor, PreviousResidualsHeuristic)
 from riskcal.streams import ImageStreamConfig, image_stream
 from riskcal.stretching import Stretch
 
@@ -233,6 +233,42 @@ class TestSafeguardPrecedence:
                                  spec)
         # the constructor output is used as-is below the floor
         assert trace.covered[0]  # degenerate point intervals at pred == y
+
+
+class _SentinelLoss:
+    """The image losses' contract, L(full) = 0 and L(empty) = 1, with a
+    fixed loss on every constructed set."""
+
+    full_space_loss = 0.0
+    empty_set_loss_min = 1.0
+    bound = 1.0
+
+    def __init__(self, other):
+        self.other = other
+
+    def __call__(self, y, s):
+        if s is FULL_SPACE:
+            return 0.0
+        return 1.0 if s is EMPTY_SET else self.other
+
+
+class TestTwoSidedConflict:
+    """With k > 1 the empty-set safeguard does not make convergence
+    two-sided: on a step where one coordinate is above its M and another
+    below its m, the full space wins and the lower one keeps falling. The
+    upper lines still hold, and the certificate's lower lines fail."""
+
+    def test_lower_lines_fail_and_upper_lines_hold(self):
+        spec = MultiRiskSpec(r=(0.05, 0.5), gamma=0.05, m=-5.0, M=5.0,
+                             B=1.0, aggregation="max", two_sided=True)
+        trace = run_multi_stream(
+            [(None, 0.0)] * 5000, ConstantModel({0.05: -1.0, 0.95: 1.0}),
+            CqrConstructor(), [_SentinelLoss(1.0), _SentinelLoss(0.0)], spec)
+        assert trace.theta_post[-1, 1] < -100.0  # the floor is -5.1
+        assert check_upper_theta_bound(trace, spec)[0]
+        assert check_upper_risk_bound(trace, spec)[0]
+        assert not check_lower_theta_bound(trace, spec)[0]
+        assert not check_two_sided_risk_bound(trace, spec)[0]
 
 
 class _GroupedAdversary:

@@ -167,6 +167,58 @@ class TestConstructorMonotonicity:
                                 quantile_scale_interval(model, None, t2), probe)
 
 
+class _CountingOracle(OracleModel):
+    """Quantiles that depend on the value of x, with every predict counted."""
+
+    def __init__(self):
+        super().__init__(lambda x: float(x[0]), lambda x: 1.0 + abs(x[0]))
+        self.calls = 0
+
+    def predict(self, x, tau):
+        self.calls += 1
+        return super().predict(x, tau)
+
+
+class TestCqrScoreReuse:
+    """``score`` reuses the quantiles ``build`` took only for the very ``x``
+    object of that build, and only once; anything else predicts again."""
+
+    def _fresh(self, model, x, y):
+        return cqr_score(model.predict(x, 0.05), model.predict(x, 0.95), y)
+
+    def test_same_x_reuses_the_build_quantiles_once(self):
+        model, ctor, x = _CountingOracle(), CqrConstructor(), np.array([0.5])
+        ctor.build(x, 0.1, model)
+        assert model.calls == 2
+        assert ctor.score(x, 3.0, model) == self._fresh(model, x, 3.0)
+        assert model.calls == 4  # two for the build, two for the check
+        ctor.score(x, 3.0, model)  # dropped after its one use
+        assert model.calls == 6
+
+    def test_other_x_predicts_again(self):
+        model, ctor = _CountingOracle(), CqrConstructor()
+        x1, x2 = np.array([0.5]), np.array([-2.0])
+        ctor.build(x1, 0.1, model)
+        assert ctor.score(x2, 0.0, model) == self._fresh(model, x2, 0.0)
+        # an equal value in another object is another x too
+        x1_copy = x1.copy()
+        calls = model.calls
+        assert ctor.score(x1_copy, 0.0, model) == \
+            self._fresh(model, x1_copy, 0.0)
+        assert model.calls == calls + 4
+
+    def test_observe_drops_the_quantiles(self):
+        model, ctor, x = _CountingOracle(), CqrConstructor(), np.array([0.5])
+        ctor.build(x, 0.1, model)
+        ctor.observe(x, 0.0, model)
+        ctor.score(x, 0.0, model)
+        assert model.calls == 4
+
+    def test_score_without_build_predicts(self):
+        model, ctor, x = _CountingOracle(), CqrConstructor(), np.array([1.0])
+        assert ctor.score(x, 0.0, model) == self._fresh(model, x, 0.0)
+
+
 class TestSentinels:
     def test_empty_and_full(self):
         assert not EMPTY_SET.contains(0.0)

@@ -165,6 +165,90 @@ class TestUpdateSameBits:
             s.updated(math.nan, 0.0, 0.0)
 
 
+def _frozen_updated(s, score, prev_loss, r):
+    """``Stretch.updated`` as it was when the loop called it every step: the
+    step computed inside the method, the successor copied field by field."""
+    kind = s.kind
+    if kind == "score_adaptive":
+        step = s.beta_score * score
+    elif kind == "error_adaptive":
+        step = s.beta_score * score * math.exp(s.beta_loss * abs(prev_loss - r))
+    else:
+        return s
+    lo, hi = s.beta_low, s.beta_high
+    lam = clip(s.lam - step, lo, hi)
+    if not lo <= lam <= hi:
+        raise ValueError(f"stretch update gave lam={lam}, outside [{lo}, {hi}]")
+    new = object.__new__(type(s))
+    new.__dict__.update(s.__dict__)
+    new.__dict__["lam"] = lam
+    return new
+
+
+def _f64(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# scores and losses with the odd values a step can see: signed zeros, huge
+# scores that clip at either end, and a NaN that must fail its step
+_SCORE = (st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1e300, -1e300,
+                                                   math.nan]))
+_FLOAT_STEP = st.tuples(_SCORE, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+class TestNextLamSameBits:
+    """The loop advances lam as a float with ``next_lam``; every value is the
+    ``lam`` of the frozen ``updated`` chain, bit for bit, and a NaN step
+    fails at the same step."""
+
+    @given(kind=st.sampled_from(STRETCH_KINDS),
+           beta_score=st.floats(-2.0, 2.0), beta_loss=st.floats(0.0, 5.0),
+           beta_low=st.floats(-5.0, 0.0) | st.just(-math.inf),
+           beta_high=st.floats(0.0, 5.0) | st.just(math.inf),
+           lam=st.floats(-5.0, 5.0), steps=st.lists(_FLOAT_STEP, max_size=40))
+    # clipped at beta_high, then at beta_low, then inside again
+    @example(kind="error_adaptive", beta_score=1.0, beta_loss=0.5,
+             beta_low=-0.5, beta_high=0.5, lam=0.0,
+             steps=[(-100.0, 1.0, 0.1), (100.0, 0.0, 0.1), (0.25, 0.5, 0.1)])
+    # unclipped, then a NaN score fails the third step
+    @example(kind="score_adaptive", beta_score=0.5, beta_loss=0.0,
+             beta_low=-math.inf, beta_high=math.inf, lam=-0.0,
+             steps=[(0.0, 0.0, 0.0), (1e300, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                    (1.0, 0.0, 0.0)])
+    def test_float_chain_equals_updated_chain(self, kind, beta_score,
+                                              beta_loss, beta_low, beta_high,
+                                              lam, steps):
+        fields = {}
+        if kind in ("score_adaptive", "error_adaptive"):
+            fields = {"beta_score": beta_score, "beta_low": beta_low,
+                      "beta_high": beta_high,
+                      "lam": clip(lam, beta_low, beta_high)}
+        if kind == "error_adaptive":
+            fields["beta_loss"] = beta_loss
+        s = ref = Stretch(kind, **fields)
+        lam = s.lam
+        for score, prev_loss, r in steps:
+            try:
+                ref = _frozen_updated(ref, score, prev_loss, r)
+            except ValueError:
+                with pytest.raises(ValueError, match="lam"):
+                    s.next_lam(lam, score, prev_loss, r)
+                return
+            lam = s.next_lam(lam, score, prev_loss, r)
+            assert _f64(lam) == _f64(ref.lam)
+            assert _f64(s.updated(score, prev_loss, r).lam) == \
+                _f64(_frozen_updated(s, score, prev_loss, r).lam)
+        assert s.lam == fields.get("lam", 0.0)  # next_lam reads no state
+
+    def test_nan_step_fails_at_its_step(self):
+        s = Stretch("error_adaptive", beta_score=0.1, beta_loss=1.0,
+                    beta_low=-math.inf, beta_high=math.inf)
+        lam = s.next_lam(0.0, 1.0, 0.5, 0.1)
+        assert _f64(lam) == _f64(_frozen_updated(s, 1.0, 0.5, 0.1).lam)
+        with pytest.raises(ValueError, match="lam"):
+            s.next_lam(lam, 1.0, math.nan, 0.1)
+
+
 _SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf,
                             math.nan])
 
