@@ -63,8 +63,20 @@ def _require(cond: bool, path: str, message: str) -> None:
 
 
 def load_config(path: str) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
+    """The config in the JSON file at ``path``, validated; a file that cannot
+    be read or parsed is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read config file: "
+                          f"{exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(str(path), f"not valid JSON: {exc.msg} at line "
+                          f"{exc.lineno} column {exc.colno}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(str(path), f"not UTF-8 text: {exc.reason} at "
+                          f"byte {exc.start}") from exc
     validate_config(cfg)
     return cfg
 
@@ -207,7 +219,8 @@ _NUM = _Type("a number", _is_num, float)
 _BOOL = _Type("a boolean", lambda v: isinstance(v, bool))
 _STR = _Type("a string", lambda v: isinstance(v, str))
 _STRS = _Type("a list of strings", lambda v: _is_list(v, _STR.test), list)
-_TAUS = _Type("a nonempty list of numbers", lambda v: _is_list(v, _is_num)
+_TAUS = _Type("a nonempty list of numbers in (0, 1)",
+              lambda v: _is_list(v, lambda t: _is_num(t) and 0 < t < 1)
               and len(v) > 0, lambda v: tuple(map(float, v)))
 _PER_RISK = _Type("a number or a list of numbers, one per risk",
                   lambda v: _is_num(v) or _is_list(v, _is_num),

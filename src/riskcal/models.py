@@ -14,7 +14,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import ndtri
 
 
 def pinball_loss(y: float, yhat: float, tau: float) -> float:
@@ -129,10 +128,15 @@ class OracleModel:
     """Analytic conditional quantiles of a known Gaussian stream.
 
     ``mu_fn``/``sigma_fn`` map a feature vector to the conditional mean and
-    standard deviation; any quantile level can be queried.
+    standard deviation; any quantile level can be queried. scipy is imported
+    when the model is built, so that no other path loads it and a missing
+    scipy fails here, before the first step.
     """
 
     def __init__(self, mu_fn, sigma_fn):
+        from scipy.special import ndtri
+
+        self._ndtri = ndtri
         self.mu_fn = mu_fn
         self.sigma_fn = sigma_fn
         self._z = {}
@@ -142,7 +146,7 @@ class OracleModel:
         if z is None:
             if not 0.0 < tau < 1.0:
                 raise ValueError(f"tau must be in (0, 1), got {tau}")
-            z = float(ndtri(tau))
+            z = float(self._ndtri(tau))
             self._z[tau] = z
         return self.mu_fn(x) + self.sigma_fn(x) * z
 

@@ -907,6 +907,42 @@ class TestInputFileErrors:
         assert "[0.1]" in err
 
 
+class TestConfigFileErrors:
+    """A config file that is missing or is not JSON is a config error:
+    exit 2 naming the file, on `run` and on `sweep`."""
+
+    def _cli(self, tmp_path, path, command):
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--param", "controller.gamma", "--grid", "0.05", "0.1"]
+        return cli_main(argv)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_missing_file(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.json"
+        assert self._cli(tmp_path, path, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: cannot read")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_invalid_json(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text('{"schema_version": 1,\n "steps": 10,,\n}\n')
+        assert self._cli(tmp_path, path, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: not valid JSON")
+        assert "line 2 column 14" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"out_dir": "\xff"}')
+        assert self._cli(tmp_path, path, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: not UTF-8 text")
+
+
 class TestVerifyCli:
     def test_untouched_run_verifies(self, tmp_path, capsys):
         run_experiment(base_config(trials=2, steps=300), tmp_path)
@@ -1177,6 +1213,27 @@ class TestSchema:
         ({**_SCALAR, "stream": {"kind": "known_quantile"},
           "model": {"kind": "constant",
                     "values": {"0.05": -1.0, "0.95": math.inf}}}, "model"),
+        # every quantile level is finite and inside (0, 1), also where the
+        # constructor does not read the levels
+        ({**_SCALAR, "model": {"kind": "constant", "taus": [0.05, 1.5]},
+          "constructor": {"kind": "quantile_scale"}}, "model.taus"),
+        ({**_SCALAR, "model": {"kind": "constant", "taus": [0.0, 0.95]},
+          "constructor": {"kind": "quantile_scale"}}, "model.taus"),
+        ({**_SCALAR, "model": {"kind": "constant", "taus": [0.05, 1]},
+          "constructor": {"kind": "quantile_scale"}}, "model.taus"),
+        ({**_SCALAR, "model": {"kind": "constant", "taus": [math.nan, 0.95]},
+          "constructor": {"kind": "quantile_scale"}}, "model.taus"),
+        ({**_SCALAR, "model": {"kind": "constant", "taus": [0.05, math.inf]},
+          "constructor": {"kind": "quantile_scale"}}, "model.taus"),
+        ({**_SCALAR, "stream": {"kind": "known_quantile"},
+          "model": {"kind": "oracle", "taus": [-0.5, 0.95]},
+          "constructor": {"kind": "quantile_scale"}}, "model.taus"),
+        ({**_SCALAR, "model": {"kind": "constant", "taus": [0.05, 1.5]},
+          "constructor": {"kind": "image"}, "stream": {"kind": "image"},
+          "losses": [{"kind": "image_miscoverage", "r": 0.2}]},
+         "model.taus"),
+        ({**_SCALAR, "model": {"kind": "linear_pinball",
+                               "taus": [0.05, 1.5]}}, "model.taus"),
     ])
     def test_rejected_field_exits_two(self, tmp_path, capsys, change, field):
         cfg = _image_config()
@@ -1184,6 +1241,19 @@ class TestSchema:
         assert self._run(tmp_path, cfg) == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"{field}:" in err
+
+    def test_out_of_range_taus_exit_two_on_sweep(self, tmp_path, capsys):
+        # the sweep's validation score reads the extreme levels of any model
+        cfg = base_config(
+            steps=300, val_window=[101, 300], stream={"kind": "synthetic"},
+            model={"kind": "constant", "taus": [0.05, 1.5]},
+            constructor={"kind": "quantile_scale"})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["sweep", str(path), "--param", "controller.gamma",
+                         "--grid", "0.05", "0.1",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "config error: model.taus:" in capsys.readouterr().err
 
     def test_unknown_field_lists_the_fields_of_its_kind(self, tmp_path,
                                                         capsys):
