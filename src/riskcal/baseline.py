@@ -19,7 +19,7 @@ from collections import deque
 
 import numpy as np
 
-from .engine import RiskSpec, StreamTrace, _run
+from .engine import RiskSpec, StreamTrace, _run, scalar_update
 from .losses import BinaryLossFn
 from .sets import FULL_SPACE, cqr_interval, cqr_score
 
@@ -128,12 +128,13 @@ def aci_update(gamma: float, alpha: float, warmup: int):
     full space rather than a constructed set. ``t`` may be a whole column of
     step indices when ``engine.check_recursion`` replays a run, so the freeze
     multiplies the step by ``t >= warmup`` (exactly 0 or 1) instead of
-    branching.
+    branching. The step is defined once, on scalars; the loop calls it as
+    the function's ``scalar`` attribute (see ``engine.scalar_update``).
     """
-    def update(t, theta, losses):
-        return (theta[0] + gamma * (alpha - losses[0]) * (t >= warmup),)
+    def step(t, theta, err):
+        return theta + gamma * (alpha - err) * (t >= warmup)
 
-    return update
+    return scalar_update(step)
 
 
 def aci_spec(gamma: float, alpha: float) -> RiskSpec:

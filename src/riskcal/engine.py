@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import gt, le, lt
 
 import numpy as np
@@ -126,22 +127,37 @@ def control_update(spec):
     theta``.
 
     ``theta`` and ``losses`` hold one entry per risk: floats inside the loop,
-    whole trace columns when ``check_recursion`` replays a run.
+    whole trace columns when ``check_recursion`` replays a run. A one-risk
+    step is defined once, on scalars, as the function's ``scalar`` attribute
+    ``(t, theta, loss) -> theta``, which the loop calls; the tuple form wraps
+    it (see ``scalar_update``).
     """
     risks = spec.risks
     r, gamma = risks.r, risks.gamma
     if risks.k == 1:
-        # the same arithmetic without the per-coordinate comprehension,
-        # which costs the one-risk loop about 0.7 us per step
         (r0,), (g0,) = r, gamma
 
-        def update(t, theta, losses):
-            return (theta[0] + g0 * (losses[0] - r0),)
-    else:
-        def update(t, theta, losses):
-            return tuple([th + g * (loss - ri)
-                          for th, loss, g, ri in zip(theta, losses, gamma, r)])
+        def step(t, theta, loss):
+            return theta + g0 * (loss - r0)
 
+        return scalar_update(step)
+
+    def update(t, theta, losses):
+        return tuple([th + g * (loss - ri)
+                      for th, loss, g, ri in zip(theta, losses, gamma, r)])
+
+    return update
+
+
+def scalar_update(step):
+    """The update function ``(t, (theta,), (loss,)) -> (theta,)`` of a
+    one-risk ``step(t, theta, loss) -> theta``, carrying ``step`` as its
+    ``scalar`` attribute: the loop advances a one-risk run through ``step``
+    with theta as a float, and ``check_recursion`` replays the tuple form."""
+    def update(t, theta, losses):
+        return (step(t, theta[0], losses[0]),)
+
+    update.scalar = step
     return update
 
 
@@ -178,16 +194,41 @@ def _mean(values) -> float:
     return float(np.mean(list(values)))
 
 
+def _announced(next_x):
+    """An adaptive stream's ``next_x`` calls as an iterator that ends at
+    ``_STOP``. (``iter(next_x, _STOP)`` would test ``x == _STOP``, which
+    raises for an array ``x`` of more than one element.)"""
+    while (x := next_x()) is not _STOP:
+        yield x
+
+
+def _loss_error(losses, B, t: int) -> ValueError:
+    """The error for the first loss outside its bound at step t (0-based)."""
+    k = len(losses)
+    i = next(i for i in range(k) if not -B[i] <= losses[i] <= B[i])
+    return ValueError(
+        f"loss {losses[i]} outside declared bound [-{B[i]}, {B[i]}] "
+        f"at step {t + 1}" + (f" (risk {i + 1})" if k > 1 else ""))
+
+
 def _run(stream, model, constructor, loss_fns, spec, update, stretch,
          n_steps) -> StreamTrace:
     """The control loop behind every entry point.
 
     ``spec`` (a RiskSpec or a MultiRiskSpec) gives the safeguards, loss
     bounds, starting parameter and aggregation; ``update(t, theta, losses)``
-    maps the parameter tuple before step t (0-based) to the one after it.
-    The per-risk pieces (safeguard tests, aggregation, loss and bound check)
-    and the stream protocol are chosen once, before the loop; with one risk
-    the pieces are comparisons on bound scalars.
+    maps the parameter tuple before step t (0-based) to the one after it,
+    and with one risk carries its scalar step as ``update.scalar`` (see
+    ``scalar_update``).
+
+    Every per-run choice is made once, before the loop: both stream
+    protocols become one iterator, cut at ``n_steps`` without pulling an
+    item more; a one-risk run carries theta as a float and advances it with
+    ``update.scalar``, with its safeguards, loss and bound check on bound
+    scalars; the ``none`` stretch's identity is not called; and the record
+    methods are bound. ``theta_post`` is not recorded: it is the
+    ``theta_pre`` chain shifted by one step plus the last theta, the same
+    float objects.
     """
     risks = spec.risks
     k = risks.k
@@ -205,9 +246,10 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
             f"drives lambda, got {k} risks")
     # an adaptive stretch's lam lives here as a float, advanced by next_lam;
     # its adjustment theta + lam is the one apply returns
-    apply = stretch.apply
+    apply, stretched = stretch.apply, stretch.kind != "none"
     if adaptive:
         next_lam, lam = stretch.next_lam, stretch.lam
+        score = constructor.score
 
     # a plain (x, y[, group]) iterable carries its label in the item; an
     # adaptive stream reveals it after seeing the announced set
@@ -215,38 +257,43 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     if plain:
         items = iter(stream)
     else:
-        next_x, reveal = stream.next_x, stream.reveal
+        items, reveal = _announced(stream.next_x), stream.reveal
+    if n_steps is not None:
+        items = islice(items, max(n_steps, 0))
 
     M = risks.M
     # one-sided control declares no empty-set safeguard
     m = risks.m if risks.two_sided else (-math.inf,) * k
     B = risks.B
     one = k == 1
+    theta = risks.theta_init
     if one:
-        (M0,), (m0,), (B0,), (loss_fn,) = M, m, B, loss_fns
+        (M0,), (m0,), (B0,), (loss_fn,), (th,) = M, m, B, loss_fns, theta
+        step = update.scalar
     aggregate = _mean if risks.aggregation == "mean" else max
     r_first = risks.r[0]
+    build, observe = constructor.build, constructor.observe
+    learn = model.update
+    labels = (float, int, np.floating)
 
     losses_rec: list[float] = []
     theta_pre: list[float] = []
-    theta_post: list[float] = []
     covered: list[bool] = []
     sizes: list[float] = []
     los: list[float] = []
     his: list[float] = []
     ys: list[float] = []
     groups: list[int] = []
+    record_loss, record_losses = losses_rec.append, losses_rec.extend
+    record_pre, record_pres = theta_pre.append, theta_pre.extend
+    record_covered, record_size = covered.append, sizes.append
+    record_lo, record_hi = los.append, his.append
+    record_y, record_group = ys.append, groups.append
 
-    theta = risks.theta_init
-    t = 0
     prev_score = None
     prev_loss = 0.0
-
-    while n_steps is None or t < n_steps:
+    for t, item in enumerate(items):
         if plain:
-            item = next(items, _STOP)
-            if item is _STOP:
-                break
             # the label stays in this frame until the set is announced
             if len(item) == 3:
                 x, y, group = item
@@ -254,15 +301,12 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
                 x, y = item
                 group = -1
         else:
-            x = next_x()
-            if x is _STOP:
-                break
+            x = item
 
-        if prev_score is not None:
+        if adaptive and prev_score is not None:
             lam = next_lam(lam, prev_score, prev_loss, r_first)
 
         if one:
-            th = theta[0]
             over, under = th > M0, th < m0
         else:
             over, under = any(map(gt, theta, M)), any(map(lt, theta, m))
@@ -273,10 +317,12 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
         elif under:
             pred_set = EMPTY_SET
         elif adaptive:
-            pred_set = constructor.build(x, th + lam, model)
+            pred_set = build(x, th + lam, model)
+        elif one:
+            pred_set = build(x, apply(th) if stretched else th, model)
         else:
-            pred_set = constructor.build(
-                x, apply(th) if one else aggregate(map(apply, theta)), model)
+            pred_set = build(x, aggregate(map(apply, theta) if stretched
+                                          else theta), model)
 
         if not plain:
             revealed = reveal(pred_set)
@@ -288,44 +334,44 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
         # |loss_i| <= B_i is False for a NaN loss too
         if one:
             loss = loss_fn(y, pred_set)
-            losses = (loss,)
-            bad = not -B0 <= loss <= B0
+            if not -B0 <= loss <= B0:
+                raise _loss_error((loss,), B, t)
+            record_loss(loss)
+            record_pre(th)
+            th = step(t, th, loss)
         else:
             losses = [fn(y, pred_set) for fn in loss_fns]
-            bad = not all(map(le, map(abs, losses), B))
-        if bad:
-            i = next(i for i in range(k) if not -B[i] <= losses[i] <= B[i])
-            raise ValueError(
-                f"loss {losses[i]} outside declared bound [-{B[i]}, {B[i]}] "
-                f"at step {t + 1}" + (f" (risk {i + 1})" if k > 1 else ""))
+            if not all(map(le, map(abs, losses), B)):
+                raise _loss_error(losses, B, t)
+            record_losses(losses)
+            record_pres(theta)
+            theta = update(t, theta, losses)
 
-        losses_rec.extend(losses)
-        theta_pre.extend(theta)
-        covered.append(pred_set.contains(y))
-        sizes.append(pred_set.size())
+        record_covered(pred_set.contains(y))
+        record_size(pred_set.size())
         if isinstance(pred_set, Interval):
-            los.append(pred_set.lo)
-            his.append(pred_set.hi)
+            record_lo(pred_set.lo)
+            record_hi(pred_set.hi)
         elif pred_set is FULL_SPACE:
-            los.append(-math.inf)
-            his.append(math.inf)
+            record_lo(-math.inf)
+            record_hi(math.inf)
         else:
-            los.append(math.nan)
-            his.append(math.nan)
-        ys.append(y if isinstance(y, (int, float, np.floating)) else math.nan)
-        groups.append(group)
-
-        theta = update(t, theta, losses)
-        theta_post.extend(theta)
-        t += 1
+            record_lo(math.nan)
+            record_hi(math.nan)
+        record_y(y if isinstance(y, labels) else math.nan)
+        record_group(group)
 
         if adaptive:
-            prev_score = constructor.score(x, y, model)
-            prev_loss = losses[0]
-        constructor.observe(x, y, model)
-        model.update(x, y)
+            prev_score = score(x, y, model)
+            prev_loss = loss
+        observe(x, y, model)
+        learn(x, y)
 
-    shape = (t,) if isinstance(spec, RiskSpec) else (t, k)
+    n = len(covered)
+    theta_post = theta_pre[k:]
+    if n:
+        theta_post.extend((th,) if one else theta)
+    shape = (n,) if isinstance(spec, RiskSpec) else (n, k)
     return StreamTrace(
         loss=np.asarray(losses_rec, dtype=float).reshape(shape),
         theta_pre=np.asarray(theta_pre, dtype=float).reshape(shape),

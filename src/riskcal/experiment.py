@@ -436,6 +436,16 @@ def _check(path: str, build, *args, **kwargs):
 _EXP_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
+def _has_scipy() -> bool:
+    """Whether the oracle model's scipy imports; only an oracle config asks,
+    and its run would import scipy anyway."""
+    try:
+        import scipy.special  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
 def validate_config(cfg: dict) -> ResolvedConfig:
     """Resolve ``cfg`` against ``_TOP``; a ConfigError names the first field
     at fault. Each part is built once here, so that a value its library
@@ -453,6 +463,9 @@ def validate_config(cfg: dict) -> ResolvedConfig:
 
     _require(model.kind != "oracle" or stream.kind == "known_quantile",
              "model.kind", "oracle model requires the known_quantile stream")
+    _require(model.kind != "oracle" or _has_scipy(), "model.kind",
+             "the oracle model needs scipy, which is not installed; install "
+             "the 'oracle' extra: pip install 'riskcal[oracle]'")
     _require(model.kind != "linear_pinball" or stream.kind != "image",
              "model.kind", "linear model unsupported on image stream")
     # grids go with image constructors and losses, scalar labels with the rest

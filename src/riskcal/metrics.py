@@ -71,8 +71,45 @@ def delta_coverage(covered, groups, alpha: float) -> float:
     if g.shape != c.shape:
         raise ValueError("groups must align with coverage flags")
     target = 1.0 - alpha
-    devs = [abs(float(c[g == v].mean()) - target) for v in np.unique(g)]
+    devs = [abs(float(c[g == v].mean()) - target) for v in _levels(g)]
     return float(np.mean(devs))
+
+
+# numpy 2 loads numpy.ma (about 10 ms) inside np.unique, which np.quantile's
+# linear method also calls; the two helpers below give the same values from
+# a sort or a partition, so that no run pays for the import.
+
+def _levels(g: np.ndarray) -> np.ndarray:
+    """The distinct values of ``g`` in ascending order, every NaN as one:
+    the values of ``np.unique(g)``, bit for bit for integer labels. (For
+    float labels np.unique may keep either sign of zero; both select the
+    same group.)"""
+    s = np.sort(g, axis=None)
+    first = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    if s.dtype.kind == "f":
+        first[1:] &= ~np.isnan(s[:-1])  # NaNs sort last; keep the first
+    return s[first]
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` (the linear method) of a 1-D float array,
+    bit for bit: the same partition of a copy, the same neighbours, and
+    numpy's two-branch interpolation ``_lerp``."""
+    arr = values.copy()
+    n = arr.size
+    virtual = (n - 1) * q
+    if virtual >= n - 1:  # at or past the last element
+        prev = nxt = -1
+    else:
+        prev = math.floor(virtual)
+        nxt = prev + 1
+    arr.partition(sorted({0, -1, prev, nxt}))
+    if arr[-1] != arr[-1]:  # a NaN sorts last and makes the result NaN
+        return float(arr[-1])
+    a, b, t = float(arr[prev]), float(arr[nxt]), virtual - prev
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 @dataclass
@@ -134,7 +171,7 @@ def evaluate(trace, window: tuple | None = None,
 
     finite = sizes[np.isfinite(sizes)]
     if finite.size:
-        qs = {q: float(np.quantile(finite, q)) for q in (0.1, 0.5, 0.9)}
+        qs = {q: _quantile(finite, q) for q in (0.1, 0.5, 0.9)}
         mean_len = float(finite.mean())
     else:
         qs = {}

@@ -43,14 +43,20 @@ class LinearPinballModel:
     penalty (crossings are normalized away downstream). ``n_sgd_steps``
     controls how many subgradient steps each arrival triggers.
 
-    Each step builds its features once, in a preallocated buffer whose
-    intercept slot stays 1.0, and computes each level's dot product once:
-    the first ``predict`` at an ``x`` evaluates every tracked level, and
-    later ``predict`` calls and the next ``update`` at the same values of
-    ``x`` reuse the results. The cache is keyed on the bytes of ``x``, not
-    on its identity, so ``predict`` is a pure function of the weights and
-    the values of ``x``, even when a caller reuses and mutates one input
-    buffer. ``update`` clears the cache; the weights must change only
+    The weight vectors are the rows of one ``(levels, dim)`` array, one row
+    per distinct level; ``weights`` maps each level to its row, a live view
+    that every update changes in place. Each step builds its features once,
+    in a preallocated buffer whose intercept slot stays 1.0, and computes
+    each level's dot product once, one ``ndarray.dot`` per row (a batched
+    matrix-vector product can round differently): the first ``predict`` at
+    an ``x`` evaluates every tracked level, and later ``predict`` calls and
+    the next ``update`` at the same values of ``x`` reuse the results. The
+    cache is keyed on the bytes of ``x``, not on its identity, so
+    ``predict`` is a pure function of the weights and the values of ``x``,
+    even when a caller reuses and mutates one input buffer. ``update``
+    writes every level's step coefficient into one column, multiplies it
+    by the features into one preallocated buffer, subtracts that from the
+    weights in place, and clears the cache; the weights must change only
     through ``update``. ``x`` must hold exactly ``n_features`` values.
     """
 
@@ -72,9 +78,13 @@ class LinearPinballModel:
         self.n_sgd_steps = n_sgd_steps
         self.n_features = n_features
         dim = n_features + (1 if fit_intercept else 0)
-        self.weights = {t: np.zeros(dim) for t in self.taus}
+        levels = tuple(dict.fromkeys(self.taus))
+        self._w = np.zeros((len(levels), dim))
+        self.weights = dict(zip(levels, self._w))
         self._feats = np.ones(dim)
-        self._step = np.empty(dim)
+        self._x = self._feats[:n_features]
+        self._coef = np.empty((len(levels), 1))
+        self._step = np.empty_like(self._w)
         self._key = None
         self._dots = {}
 
@@ -88,7 +98,7 @@ class LinearPinballModel:
         key = x.tobytes()
         if key != self._key:
             feats = self._feats
-            feats[:self.n_features] = x
+            self._x[...] = x
             self._dots = {t: float(w.dot(feats))
                           for t, w in self.weights.items()}
             self._key = key
@@ -113,15 +123,16 @@ class LinearPinballModel:
                                         or np.isfinite(feats).all()):
             raise ValueError("non-finite input to model update")
         self._key = None
-        step = self._step
-        for tau, w in self.weights.items():
-            yhat = dots[tau]
-            for k in range(self.n_sgd_steps):
-                if k:
-                    yhat = float(w.dot(feats))
-                np.multiply(feats, self.lr * pinball_grad(y, yhat, tau),
-                            out=step)
-                w -= step
+        lr, coef, w, step = self.lr, self._coef, self._w, self._step
+        rows = self.weights
+        yhats = dots.values()
+        for k in range(self.n_sgd_steps):
+            if k:
+                yhats = [float(row.dot(feats)) for row in rows.values()]
+            for i, (tau, yhat) in enumerate(zip(rows, yhats)):
+                coef[i, 0] = lr * pinball_grad(y, yhat, tau)
+            np.multiply(coef, feats, step)
+            np.subtract(w, step, w)
 
 
 class OracleModel:

@@ -1,19 +1,22 @@
 import math
+from operator import gt, le, lt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskcal.engine import (MultiRiskSpec, RiskSpec, check_lower_theta_bound,
-                            check_recursion, check_two_sided_risk_bound,
+from riskcal.baseline import WindowQuantileConstructor, aci_spec, aci_update
+from riskcal.engine import (MultiRiskSpec, RiskSpec, StreamTrace,
+                            check_lower_theta_bound, check_recursion,
+                            check_two_sided_risk_bound,
                             check_upper_risk_bound, check_upper_theta_bound,
                             control_update, loss_contract_guaranteed,
                             risk_bound, run_stream, two_sided_deviation_bound,
-                            _STOP)
+                            _run, _STOP)
 from riskcal.losses import BinaryLossFn, McLossFn
-from riskcal.models import ConstantModel, ReplayModel
-from riskcal.sets import (EMPTY_SET, FULL_SPACE, CqrConstructor, cqr_interval,
-                          cqr_score)
+from riskcal.models import ConstantModel, LinearPinballModel, ReplayModel
+from riskcal.sets import (EMPTY_SET, FULL_SPACE, CqrConstructor, Interval,
+                          cqr_interval, cqr_score)
 from riskcal.stretching import Stretch
 
 
@@ -464,3 +467,359 @@ class TestChecksOnCorruptTraces:
         for check in checks:
             assert not check(trace, spec)[0], check.__name__
         assert not check_recursion(trace, control_update(spec))[0]
+
+
+# ---------------------------------------------------------------------------
+# The loop as it was before it bound its per-run choices: a frozen copy, with
+# the update functions of the same version, kept as the oracle of the
+# same-bits test below.
+# ---------------------------------------------------------------------------
+
+def _frozen_control_update(spec):
+    risks = spec.risks
+    r, gamma = risks.r, risks.gamma
+    if risks.k == 1:
+        (r0,), (g0,) = r, gamma
+
+        def update(t, theta, losses):
+            return (theta[0] + g0 * (losses[0] - r0),)
+    else:
+        def update(t, theta, losses):
+            return tuple([th + g * (loss - ri)
+                          for th, loss, g, ri in zip(theta, losses, gamma, r)])
+
+    return update
+
+
+def _frozen_aci_update(gamma, alpha, warmup):
+    def update(t, theta, losses):
+        return (theta[0] + gamma * (alpha - losses[0]) * (t >= warmup),)
+
+    return update
+
+
+def _frozen_mean(values):
+    return float(np.mean(list(values)))
+
+
+def _frozen_run(stream, model, constructor, loss_fns, spec, update, stretch,
+                n_steps):
+    risks = spec.risks
+    k = risks.k
+    if len(loss_fns) != k:
+        raise ValueError(f"got {len(loss_fns)} losses for {k} risks")
+    if stretch is None:
+        stretch = Stretch()
+    adaptive = stretch.is_adaptive
+    if adaptive and not getattr(constructor, "scored", False):
+        raise ValueError(
+            "adaptive stretching needs a constructor with a conformity score")
+    if adaptive and k > 1:
+        raise ValueError(
+            "adaptive stretching needs a single risk: no one loss and target "
+            f"drives lambda, got {k} risks")
+    apply = stretch.apply
+    if adaptive:
+        next_lam, lam = stretch.next_lam, stretch.lam
+    plain = not hasattr(stream, "next_x")
+    if plain:
+        items = iter(stream)
+    else:
+        next_x, reveal = stream.next_x, stream.reveal
+    M = risks.M
+    m = risks.m if risks.two_sided else (-math.inf,) * k
+    B = risks.B
+    one = k == 1
+    if one:
+        (M0,), (m0,), (B0,), (loss_fn,) = M, m, B, loss_fns
+    aggregate = _frozen_mean if risks.aggregation == "mean" else max
+    r_first = risks.r[0]
+    losses_rec, theta_pre, theta_post, covered = [], [], [], []
+    sizes, los, his, ys, groups = [], [], [], [], []
+    theta = risks.theta_init
+    t = 0
+    prev_score = None
+    prev_loss = 0.0
+    while n_steps is None or t < n_steps:
+        if plain:
+            item = next(items, _STOP)
+            if item is _STOP:
+                break
+            if len(item) == 3:
+                x, y, group = item
+            else:
+                x, y = item
+                group = -1
+        else:
+            x = next_x()
+            if x is _STOP:
+                break
+        if prev_score is not None:
+            lam = next_lam(lam, prev_score, prev_loss, r_first)
+        if one:
+            th = theta[0]
+            over, under = th > M0, th < m0
+        else:
+            over, under = any(map(gt, theta, M)), any(map(lt, theta, m))
+        if over:
+            pred_set = FULL_SPACE
+        elif under:
+            pred_set = EMPTY_SET
+        elif adaptive:
+            pred_set = constructor.build(x, th + lam, model)
+        else:
+            pred_set = constructor.build(
+                x, apply(th) if one else aggregate(map(apply, theta)), model)
+        if not plain:
+            revealed = reveal(pred_set)
+            if isinstance(revealed, tuple):
+                y, group = revealed
+            else:
+                y, group = revealed, -1
+        if one:
+            loss = loss_fn(y, pred_set)
+            losses = (loss,)
+            bad = not -B0 <= loss <= B0
+        else:
+            losses = [fn(y, pred_set) for fn in loss_fns]
+            bad = not all(map(le, map(abs, losses), B))
+        if bad:
+            i = next(i for i in range(k) if not -B[i] <= losses[i] <= B[i])
+            raise ValueError(
+                f"loss {losses[i]} outside declared bound [-{B[i]}, {B[i]}] "
+                f"at step {t + 1}" + (f" (risk {i + 1})" if k > 1 else ""))
+        losses_rec.extend(losses)
+        theta_pre.extend(theta)
+        covered.append(pred_set.contains(y))
+        sizes.append(pred_set.size())
+        if isinstance(pred_set, Interval):
+            los.append(pred_set.lo)
+            his.append(pred_set.hi)
+        elif pred_set is FULL_SPACE:
+            los.append(-math.inf)
+            his.append(math.inf)
+        else:
+            los.append(math.nan)
+            his.append(math.nan)
+        ys.append(y if isinstance(y, (int, float, np.floating)) else math.nan)
+        groups.append(group)
+        theta = update(t, theta, losses)
+        theta_post.extend(theta)
+        t += 1
+        if adaptive:
+            prev_score = constructor.score(x, y, model)
+            prev_loss = losses[0]
+        constructor.observe(x, y, model)
+        model.update(x, y)
+    shape = (t,) if isinstance(spec, RiskSpec) else (t, k)
+    return StreamTrace(
+        loss=np.asarray(losses_rec, dtype=float).reshape(shape),
+        theta_pre=np.asarray(theta_pre, dtype=float).reshape(shape),
+        theta_post=np.asarray(theta_post, dtype=float).reshape(shape),
+        covered=np.asarray(covered, dtype=bool),
+        size=np.asarray(sizes, dtype=float),
+        lo=np.asarray(los, dtype=float),
+        hi=np.asarray(his, dtype=float),
+        y=np.asarray(ys, dtype=float),
+        group=np.asarray(groups, dtype=int),
+    )
+
+
+class _CountedItems:
+    """A list of stream items that counts how many the loop pulled."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self.pulled = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._items)
+        self.pulled += 1
+        return item
+
+
+class _CountedAdaptive:
+    """An adaptive stream over pre-drawn labels: each ``next_x`` call counts
+    as a pull; ``reveal`` may place the label just above an announced
+    interval, and may return a group."""
+
+    def __init__(self, xs, labels, groups, adversarial):
+        self._xs, self._labels, self._groups = xs, labels, groups
+        self._adversarial = adversarial
+        self.pulled = 0
+
+    def next_x(self):
+        if self.pulled == len(self._xs):
+            return _STOP
+        self.pulled += 1
+        return self._xs[self.pulled - 1]
+
+    def reveal(self, prediction_set):
+        y = self._labels[self.pulled - 1]
+        if self._adversarial and hasattr(prediction_set, "hi"):
+            y = prediction_set.hi + 0.5
+        if self._groups is None:
+            return y
+        return y, self._groups[self.pulled - 1]
+
+
+_LABELS = st.floats(-3.0, 3.0) | st.sampled_from(
+    [math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _loop_cases(draw):
+    """One run's parts, drawn as plain values that ``_build_case`` turns into
+    fresh objects for each side."""
+    mode = draw(st.sampled_from(
+        ["single", "single_adaptive", "aci", "multi2", "multi3"]))
+    k = int(mode[-1]) if mode.startswith("multi") else 1
+    aci = mode == "aci"
+    n = draw(st.integers(0, 30))
+    case = {
+        "k": k, "aci": aci,
+        "labels": draw(st.lists(_LABELS, min_size=n, max_size=n)),
+        "q": draw(st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                     st.floats(-2.0, 2.0)),
+                           min_size=n, max_size=n)),
+        "protocol": draw(st.sampled_from(
+            ["pairs", "triples", "adaptive", "adaptive_groups"])),
+        "adversarial": draw(st.booleans()),
+        "x_width": draw(st.sampled_from([1, 3])),
+        # the y column keeps Python and numpy scalars, NaN for anything else
+        "label_type": draw(st.sampled_from(
+            [float, float, np.float64, round, np.asarray])),
+        "model": draw(st.sampled_from(["replay", "replay", "pinball"])),
+        "n_steps": draw(st.sampled_from(
+            [None, -1, 0, max(n - 3, 0), n + 2])),
+        "gamma": draw(st.sampled_from([0.05, 0.3, 1.0])),
+        "bound": draw(st.sampled_from([0.2, 0.6, 3.0])),
+    }
+    if aci:
+        case["window"] = draw(st.integers(1, 6))
+        case["warmup"] = draw(st.integers(0, 4))
+        case["alpha"] = draw(st.sampled_from([0.1, 0.5]))
+        return case
+    case["stretch"] = draw(st.sampled_from(
+        ["score_adaptive", "error_adaptive"] if mode == "single_adaptive"
+        else ["none", "exponential", "exp_linear_zone"]))
+    case["losses"] = draw(st.lists(st.sampled_from(["binary", "mc"]),
+                                   min_size=k, max_size=k))
+    case["multi_spec"] = k > 1 or draw(st.booleans())
+    case["two_sided"] = draw(st.booleans())
+    case["aggregation"] = draw(st.sampled_from(["max", "mean"]))
+    return case
+
+
+def _build_case(case, frozen):
+    """Fresh stream, model, constructor, losses, spec, update and stretch for
+    one side: the library's update functions, or the frozen ones."""
+    n = len(case["labels"])
+    convert = case["label_type"]
+    labels = [convert(y) if convert is not round or math.isfinite(y) else y
+              for y in case["labels"]]
+    xs = [np.full(case["x_width"], 0.1 * t) for t in range(n)]
+    groups = [t % 3 for t in range(n)]
+    protocol = case["protocol"]
+    if protocol == "pairs":
+        stream = _CountedItems(list(zip(xs, labels)))
+    elif protocol == "triples":
+        stream = _CountedItems(list(zip(xs, labels, groups)))
+    else:
+        stream = _CountedAdaptive(
+            xs, labels, groups if protocol == "adaptive_groups" else None,
+            case["adversarial"])
+    if case["model"] == "replay":
+        q = np.array(case["q"]).reshape(n, 2)
+        model = ReplayModel({0.05: q[:, 0], 0.95: q[:, 1]})
+    else:
+        model = LinearPinballModel(case["x_width"], (0.05, 0.95), lr=0.5)
+    gamma = case["gamma"]
+    if case["aci"]:
+        alpha, warmup = case["alpha"], case["warmup"]
+        spec = aci_spec(gamma, alpha)
+        update = (_frozen_aci_update if frozen else aci_update)(
+            gamma, alpha, warmup)
+        constructor = WindowQuantileConstructor(case["window"],
+                                                warmup=warmup)
+        loss_fns, stretch = (BinaryLossFn(),), None
+    else:
+        k, bound = case["k"], case["bound"]
+        loss_fns = tuple(BinaryLossFn() if kind == "binary" else McLossFn(3)
+                         for kind in case["losses"])
+        B = tuple(fn.bound for fn in loss_fns)
+        r = tuple(0.3 if kind == "binary" else 1.0 for kind in case["losses"])
+        if case["multi_spec"]:
+            spec = MultiRiskSpec(r=r, gamma=gamma, m=-bound, M=bound, B=B,
+                                 aggregation=case["aggregation"],
+                                 two_sided=case["two_sided"])
+        else:
+            spec = RiskSpec(r=r[0], gamma=gamma, m=-bound, M=bound, B=B[0])
+        update = (_frozen_control_update if frozen else control_update)(spec)
+        constructor = CqrConstructor()
+        fields = {}
+        if case["stretch"] in ("score_adaptive", "error_adaptive"):
+            fields = {"beta_score": 0.2, "beta_loss": 0.5,
+                      "beta_low": -0.5, "beta_high": 0.5}
+        stretch = Stretch(case["stretch"], **fields)
+    return (stream, model, constructor, loss_fns, spec, update, stretch,
+            case["n_steps"])
+
+
+def _outcome(run, case, frozen):
+    parts = _build_case(case, frozen)
+    try:
+        trace = run(*parts)
+    except (ValueError, RuntimeError) as exc:
+        return ("raised", type(exc), str(exc)), parts[0].pulled
+    return trace, parts[0].pulled
+
+
+def _column_bits(a):
+    a = np.ascontiguousarray(a)
+    return a.dtype, a.shape, (a.view(np.int64) if a.dtype == float
+                              else a).tolist()
+
+
+class TestOneLoopSameBits:
+    """The loop that binds its per-run choices once gives every trace
+    column, and every error, of the frozen loop, bit for bit, and pulls the
+    same number of items from the stream: the benchmark's clock counts
+    pulls, so cutting a stream at ``n_steps`` must not pull one more."""
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(case=_loop_cases())
+    def test_every_column_and_pull_count_equal_the_frozen_loop(self, case):
+        new, new_pulled = _outcome(_run, case, frozen=False)
+        old, old_pulled = _outcome(_frozen_run, case, frozen=True)
+        assert new_pulled == old_pulled
+        if isinstance(old, tuple):
+            assert new == old
+            return
+        assert not isinstance(new, tuple), new
+        for column in ("loss", "theta_pre", "theta_post", "covered", "size",
+                       "lo", "hi", "y", "group"):
+            assert _column_bits(getattr(new, column)) == \
+                _column_bits(getattr(old, column)), column
+
+    def test_one_case_reaches_every_set_kind(self):
+        # safeguard steps, inverted intervals, NaN labels and a cut stream
+        # all occur in this one case
+        case = {"k": 2, "aci": False, "labels": [0.0, math.nan, 5.0, -5.0] * 5,
+                "q": [(1.0, -1.0), (-0.1, 0.1), (0.0, 0.5), (-2.0, 2.0)] * 5,
+                "protocol": "adaptive_groups", "adversarial": False,
+                "x_width": 3, "label_type": float, "model": "replay",
+                "n_steps": 15, "gamma": 0.3, "bound": 0.6, "stretch": "none",
+                "losses": ["binary", "mc"], "multi_spec": True,
+                "two_sided": True, "aggregation": "mean"}
+        trace, pulled = _outcome(_run, case, frozen=False)
+        assert pulled == 15 and len(trace) == 15
+        seen = set(
+            "full" if lo == -math.inf else "empty" if math.isnan(lo)
+            else "interval" for lo in trace.lo)
+        assert seen == {"full", "empty", "interval"}
+        assert np.isnan(trace.y).any()

@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from riskcal.metrics import (coverage, delta_coverage, evaluate, mc_risk,
-                             miscoverage_streaks, msl)
+from riskcal.metrics import (_levels, _quantile, coverage, delta_coverage,
+                             evaluate, mc_risk, miscoverage_streaks, msl)
 
 
 class TestMsl:
@@ -168,3 +172,64 @@ class TestEvaluate:
         trace.size[0] = math.inf
         rep = evaluate(trace)
         assert math.isfinite(rep.mean_length)
+
+
+def _bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+class TestSameBitsWithoutNumpyMa:
+    """``_levels`` and ``_quantile`` stand in for ``np.unique`` and
+    ``np.quantile`` (which load numpy.ma) and must give their bits."""
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(g=hnp.arrays(np.int64, st.integers(0, 40),
+                        elements=st.integers(-5, 5)))
+    def test_levels_are_np_unique_of_integer_labels(self, g):
+        got, expected = _levels(g), np.unique(g)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(data=st.data())
+    def test_delta_coverage_equals_the_np_unique_formula(self, data):
+        n = data.draw(st.integers(1, 40))
+        c = data.draw(hnp.arrays(bool, n))
+        g = data.draw(hnp.arrays(
+            np.float64, n, elements=st.sampled_from(
+                [0.0, -0.0, 1.0, 2.5, -3.0, math.inf, -math.inf,
+                 math.nan])))
+        target = 1.0 - 0.1
+        with warnings.catch_warnings():
+            # a NaN level selects no step: the mean of an empty group
+            warnings.simplefilter("ignore", RuntimeWarning)
+            devs = [abs(float(c[g == v].mean()) - target)
+                    for v in np.unique(g)]
+            expected = float(np.mean(devs))
+            got = delta_coverage(c, g, 0.1)
+        assert _bits(got) == _bits(expected)
+        assert np.array_equal(_levels(g), np.unique(g), equal_nan=True)
+
+    @settings(max_examples=600, deadline=None, database=None,
+              derandomize=True)
+    @given(values=hnp.arrays(np.float64, st.integers(1, 40),
+                             elements=st.floats(allow_nan=True,
+                                                allow_infinity=True)),
+           q=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]) | st.floats(0, 1))
+    def test_quantile_is_np_quantile(self, values, q):
+        before = values.copy()
+        with np.errstate(all="ignore"):
+            expected = np.quantile(values, q)
+            got = _quantile(values, q)
+        assert _bits(got) == _bits(expected)
+        assert before.tobytes() == values.tobytes()  # the input is not moved
+
+    def test_quantile_takes_the_upper_branch_at_one_half(self):
+        # at weight exactly 0.5 the two interpolation branches round apart
+        # here; numpy takes b - (b - a) * (1 - t)
+        values = np.array([0.9053558666731177, -1.303157231604361])
+        assert _quantile(values, 0.5) == -0.19890068246562154
+        assert _bits(_quantile(values, 0.5)) == \
+            _bits(np.quantile(values, 0.5))

@@ -115,7 +115,10 @@ class _FrozenPinballModel:
                 w -= self.lr * g * feats
 
 
-_TAU_SETS = {1: (0.5,), 2: (0.05, 0.95), 3: (0.1, 0.5, 0.9)}
+# "dup2" and "dup3" repeat a level: it has one weight row, as it had one
+# weight vector
+_TAU_SETS = {1: (0.5,), 2: (0.05, 0.95), 3: (0.1, 0.5, 0.9),
+             "dup2": (0.5, 0.5), "dup3": (0.9, 0.1, 0.9)}
 
 
 class TestLinearPinballBitEquivalence:
@@ -138,14 +141,16 @@ class TestLinearPinballBitEquivalence:
         for tau, w in old.weights.items():
             np.testing.assert_array_equal(new.weights[tau], w)
 
-    @pytest.mark.parametrize("n_taus", [1, 2, 3])
+    @pytest.mark.parametrize("n_taus", [1, 2, 3, "dup2", "dup3"])
     @pytest.mark.parametrize("fit_intercept", [True, False])
     @pytest.mark.parametrize("n_sgd_steps", [1, 3])
     def test_random_interleavings(self, n_taus, fit_intercept, n_sgd_steps):
         # each step: 0-3 predicts at the arrival or at a stale point, then
         # an update (usually), so cache hits, misses and update-without-
         # predict all occur
-        rng = np.random.default_rng(100 * n_taus + 10 * fit_intercept
+        levels = n_taus if isinstance(n_taus, int) \
+            else 10 + len(_TAU_SETS[n_taus])
+        rng = np.random.default_rng(100 * levels + 10 * fit_intercept
                                     + n_sgd_steps)
         n_features = 4
         new, old, taus = self._pair(n_features, n_taus, fit_intercept,
@@ -241,6 +246,40 @@ class TestLinearPinballBitEquivalence:
                 model.update(x, 1.0)
         for t, w in model.weights.items():
             np.testing.assert_array_equal(w, before[t])
+
+    @pytest.mark.parametrize("n_sgd_steps", [1, 3])
+    def test_weight_references_see_updates(self, n_sgd_steps):
+        # each level's weights are a live row: a reference taken before the
+        # updates reads the weights after them
+        rng = np.random.default_rng(11)
+        new, old, taus = self._pair(3, 3, True, n_sgd_steps)
+        held = {t: new.weights[t] for t in taus}
+        for _ in range(200):
+            x, y = rng.normal(size=3), float(rng.normal() * 5.0)
+            new.update(x, y)
+            old.update(x, y)
+        for t in taus:
+            assert held[t] is new.weights[t]
+            np.testing.assert_array_equal(held[t], old.weights[t])
+        assert np.any(held[taus[0]] != 0.0)
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_each_prediction_is_its_own_row_dot(self, fit_intercept):
+        # one ndarray.dot per level: a batched matrix-vector product rounds
+        # differently on some inputs and would change exported traces
+        rng = np.random.default_rng(12)
+        taus = (0.05, 0.25, 0.5, 0.75, 0.95)
+        model = LinearPinballModel(7, taus, lr=0.9,
+                                   fit_intercept=fit_intercept)
+        for _ in range(300):
+            x = rng.normal(size=7) * rng.choice([0.01, 1.0, 100.0])
+            feats = np.concatenate([x, [1.0]]) if fit_intercept else x
+            for t in taus:
+                expected = float(model.weights[t].dot(feats))
+                got = model.predict(x, t)
+                assert np.float64(got).tobytes() == \
+                    np.float64(expected).tobytes()
+            model.update(x, float(rng.normal() * 30.0))
 
 
 class TestOracleModel:

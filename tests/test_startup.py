@@ -1,5 +1,6 @@
 """Start-up weight: importing riskcal loads only the standard library and
-numpy, and a run loads scipy only when it builds the oracle model.
+numpy, a run loads scipy only when it builds the oracle model, and no run
+loads numpy.ma (about 10 ms, which numpy's unique and quantile import).
 
 Each probe runs in a fresh interpreter and compares ``sys.modules`` before
 and after, since ``site`` may preload packages of its own.
@@ -30,7 +31,8 @@ print(json.dumps(sorted({name.partition(".")[0]
 """
 
 # Runs each config in turn (a sweep when it names a grid) and prints, after
-# each, the top-level modules loaded since the interpreter started.
+# each, the top-level modules loaded since the interpreter started, plus
+# numpy.ma when it was loaded.
 _RUNS = """
 import json, sys
 before = set(sys.modules)
@@ -42,8 +44,9 @@ for name, cfg, grid in json.loads(sys.argv[1]):
         sweep(cfg, "controller.gamma", grid, out_dir=name)
     else:
         run_experiment(cfg, out_dir=name)
-    loaded[name] = sorted({m.partition(".")[0]
-                           for m in set(sys.modules) - before})
+    new = set(sys.modules) - before
+    loaded[name] = sorted({m.partition(".")[0] for m in new}
+                          | ({"numpy.ma"} & new))
 print(json.dumps(loaded))
 """
 
@@ -102,6 +105,7 @@ def test_runs_without_the_oracle_never_load_scipy(tmp_path):
     # a run is held to the one package it must not load
     for name, new in loaded.items():
         assert "scipy" not in new, name
+        assert "numpy.ma" not in new, name
 
 
 def test_oracle_run_loads_scipy(tmp_path):
@@ -110,6 +114,31 @@ def test_oracle_run_loads_scipy(tmp_path):
     loaded = json.loads(_python(tmp_path, _RUNS,
                                 json.dumps([["oracle", cfg, None]])))
     assert "scipy" in loaded["oracle"]
+
+
+# Runs the CLI on the config at argv[1] in an interpreter where scipy
+# cannot be imported, as on an install without the 'oracle' extra.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy raises ImportError
+from riskcal.cli import main
+sys.exit(main(["run", sys.argv[1], "--out", "out"]))
+"""
+
+
+def test_oracle_config_without_scipy_is_a_config_error(tmp_path):
+    cfg = _config(stream={"kind": "known_quantile"},
+                  model={"kind": "oracle"})
+    (tmp_path / "oracle.json").write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, "oracle.json"], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: model.kind: "), proc.stderr
+    assert "riskcal[oracle]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("tau", [1e-12, 0.05, 0.1, 0.5, 0.9, 0.95,
