@@ -168,15 +168,22 @@ def _replay_model(rc, stream_obj, taus, path):
 def _stretch(rc, seed: int | None) -> Stretch:
     """The stretch of a trial. "auto" bounds clip at the mean absolute
     successive label difference over a warm-up prefix of the trial's stream
-    (at 1 for the check of an unseeded build)."""
+    (at 1 for the check of an unseeded build). A prefix of fewer than two
+    labels, or one whose scale is not finite, is a ConfigError."""
     f = rc.stretch.fields
     if "auto" in f.values():
         scale = 1.0
         if seed is not None:
             probe, _ = rc.stream.build(seed, rc.steps)
             n = max(10, min(2000, rc.steps // 4))
-            scale = successive_difference_scale(
-                [item[1] for item, _ in zip(probe, range(n))])
+            ys = [item[1] for item, _ in zip(probe, range(n))]
+            _require(len(ys) >= 2, "stretch.beta_low",
+                     f"auto bounds need at least two labels; the stream "
+                     f"has {len(ys)}")
+            scale = successive_difference_scale(ys)
+            _require(math.isfinite(scale), "stretch.beta_low",
+                     f"auto bounds need finite labels; the first {len(ys)} "
+                     f"labels give a scale of {scale}")
         f = {**f, "beta_low": -scale, "beta_high": scale}
     return Stretch(kind=rc.stretch.kind, **f)
 

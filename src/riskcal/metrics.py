@@ -71,7 +71,9 @@ def delta_coverage(covered, groups, alpha: float) -> float:
     if g.shape != c.shape:
         raise ValueError("groups must align with coverage flags")
     target = 1.0 - alpha
-    devs = [abs(float(c[g == v].mean()) - target) for v in _levels(g)]
+    # _levels keeps one NaN level, which ``g == nan`` would not select
+    devs = [abs(float(c[np.isnan(g) if v != v else g == v].mean()) - target)
+            for v in _levels(g)]
     return float(np.mean(devs))
 
 

@@ -192,6 +192,12 @@ class ReplayModel:
     offline, dump one row of quantile estimates per stream step, and replay
     the rows here. ``update`` advances the cursor; ``predict`` reads the
     current row, so the calibration loop's ordering is preserved.
+
+    Each column is checked finite as a float array, then kept as a list of
+    Python floats in place of the array, so ``predict`` is a list index.
+    ``predict`` looks ``tau`` up as given and, when that misses (a str,
+    say), as ``float(tau)``; a number equal to a tracked level finds the
+    same row either way.
     """
 
     def __init__(self, predictions: dict):
@@ -202,10 +208,14 @@ class ReplayModel:
                       for t, v in predictions.items()}
         self.n_steps = len(next(iter(self._rows.values())))
         for t, v in self._rows.items():
+            if v.ndim != 1:
+                raise ValueError(f"prediction column for tau={t} must be "
+                                 f"one-dimensional, got shape {v.shape}")
             if len(v) != self.n_steps:
                 raise ValueError("prediction columns have unequal lengths")
             if not np.isfinite(v).all():
                 raise ValueError(f"non-finite prediction for tau={t}")
+            self._rows[t] = v.tolist()
         self._t = 0
 
     @classmethod
@@ -232,13 +242,17 @@ class ReplayModel:
         self._t = 0
 
     def predict(self, x, tau: float) -> float:
+        try:  # a tracked level before the end: the row's float
+            return self._rows[tau][self._t]
+        except (KeyError, IndexError, TypeError):
+            pass
         if self._t >= self.n_steps:
             raise RuntimeError(
                 f"replay exhausted after {self.n_steps} steps")
         rows = self._rows.get(float(tau))
         if rows is None:
             raise ValueError(f"tau {tau} is not replayed; have {self.taus}")
-        return float(rows[self._t])
+        return rows[self._t]
 
     def update(self, x, y: float) -> None:
         self._t += 1

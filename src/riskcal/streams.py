@@ -349,6 +349,9 @@ class CsvStream:
     ``x``, ``y`` and ``group`` are read-only: one ingestion is a snapshot of
     the file that every trial reading it shares, so a consumer that writes
     into a row fails instead of changing the data the next trial sees.
+    Iteration yields ``(row, label, group)``: a read-only view of the row
+    of ``x``, a Python float and a Python int. Each pass converts ``y`` and
+    ``group`` to lists once, so no item pays for a numpy scalar.
     """
 
     x: np.ndarray
@@ -361,8 +364,7 @@ class CsvStream:
     y_std: float
 
     def __iter__(self):
-        for i in range(len(self.y)):
-            yield self.x[i], float(self.y[i]), int(self.group[i])
+        return zip(self.x, self.y.tolist(), self.group.tolist())
 
     def __len__(self) -> int:
         return len(self.y)
@@ -413,18 +415,26 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
             n = len(row)
             values = []
             for col, j in value_cols:
-                raw = row[j].strip() if j < n else ""
-                if raw.lower() in _NA_TOKENS:
-                    warnings.warn(
-                        f"row {idx} rejected: missing value in column {col!r}")
-                    break
+                # float() strips the whitespace strip() would, and no NA
+                # token parses to a number, so a non-NaN float is the value
                 try:
-                    values.append(float(raw))
-                except ValueError as exc:
-                    raise CsvInputError(
-                        "path",
-                        f"row {idx}, column {col!r}: cannot parse {raw!r}"
-                    ) from exc
+                    value = float(row[j])
+                except (ValueError, IndexError):
+                    value = math.nan
+                if value != value:
+                    raw = row[j].strip() if j < n else ""
+                    if raw.lower() in _NA_TOKENS:
+                        warnings.warn(f"row {idx} rejected: missing value "
+                                      f"in column {col!r}")
+                        break
+                    try:
+                        value = float(raw)
+                    except ValueError as exc:
+                        raise CsvInputError(
+                            "path",
+                            f"row {idx}, column {col!r}: cannot parse {raw!r}"
+                        ) from exc
+                values.append(value)
             else:
                 if config.augment_time:
                     raw = row[ts_col].strip() if ts_col < n else ""

@@ -906,6 +906,43 @@ class TestInputFileErrors:
         assert "config error" in err and "model.taus" in err
         assert "[0.1]" in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_auto_bounds_on_a_one_row_stream(self, tmp_path, capsys, command):
+        cfg = csv_config(tmp_path, eval_window=None, val_window=None)
+        path = tmp_path / "one.csv"
+        path.write_text("timestamp,target,f1\n2021-01-01T00:00:00,1.0,2.0\n")
+        cfg["stream"].update(path=str(path), warmup=1)
+        with warnings.catch_warnings():
+            # one row is constant over its warm-up
+            warnings.simplefilter("ignore", UserWarning)
+            assert self._cli(tmp_path, cfg, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: stretch.beta_low: auto bounds "
+                              "need at least two labels; the stream has 1")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("row,cell,warmup,scale", [
+        (5, "inf", 100, "nan"),     # in the warm-up: every label is NaN
+        (70, "-inf", 50, "inf")])   # past the warm-up, inside the probe
+    def test_auto_bounds_on_an_infinite_target(self, tmp_path, capsys,
+                                               command, row, cell, warmup,
+                                               scale):
+        cfg = csv_config(tmp_path)
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        ts, _, f1 = lines[row].split(",")
+        lines[row] = f"{ts},{cell},{f1}"
+        (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+        cfg["stream"]["warmup"] = warmup
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert self._cli(tmp_path, cfg, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: stretch.beta_low: auto bounds "
+                              "need finite labels; the first 100 labels "
+                              f"give a scale of {scale}")
+        assert "Traceback" not in err
+
 
 class TestConfigFileErrors:
     """A config file that is missing or is not JSON is a config error:

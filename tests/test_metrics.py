@@ -129,6 +129,15 @@ class TestDeltaCoverage:
         with pytest.raises(ValueError):
             delta_coverage([1, 0], [1], 0.1)
 
+    def test_nan_labels_are_one_group(self):
+        covered = [1, 1, 0, 1, 0, 1]
+        groups = [np.nan, 2.0, np.nan, 2.0, np.nan, 2.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = delta_coverage(covered, groups, alpha=0.1)
+        # the NaN group covers 1/3, the other 3/3: deviations 0.9 - 1/3, 0.1
+        assert got == pytest.approx(((0.9 - 1 / 3) + 0.1) / 2)
+
 
 class TestEvaluate:
     def _trace(self, n=100):
@@ -203,13 +212,15 @@ class TestSameBitsWithoutNumpyMa:
                  math.nan])))
         target = 1.0 - 0.1
         with warnings.catch_warnings():
-            # a NaN level selects no step: the mean of an empty group
-            warnings.simplefilter("ignore", RuntimeWarning)
-            devs = [abs(float(c[g == v].mean()) - target)
+            # every level selects a step, the NaN level (one) included
+            warnings.simplefilter("error", RuntimeWarning)
+            devs = [abs(float(c[np.isnan(g) if np.isnan(v) else g == v]
+                              .mean()) - target)
                     for v in np.unique(g)]
             expected = float(np.mean(devs))
             got = delta_coverage(c, g, 0.1)
         assert _bits(got) == _bits(expected)
+        assert not math.isnan(got)
         assert np.array_equal(_levels(g), np.unique(g), equal_nan=True)
 
     @settings(max_examples=600, deadline=None, database=None,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from riskcal.models import (ConstantModel, LinearPinballModel, OracleModel,
@@ -334,6 +335,9 @@ class TestReplayModel:
             model.predict(None, 0.9)
         with pytest.raises(ValueError):
             ReplayModel({0.1: [1.0], 0.9: [1.0, 2.0]})
+        # a column of rows would replay lists, not floats
+        with pytest.raises(ValueError, match=r"one-dimensional.*\(2, 1\)"):
+            ReplayModel({0.5: [[1.0], [2.0]]})
 
     def test_from_csv_drives_the_engine(self, tmp_path):
         # precomputed predictions stand in for an externally trained model
@@ -391,6 +395,93 @@ class TestReplayModel:
             warnings.simplefilter("error")
             model = ReplayModel.from_csv(path)
         assert model.taus == (0.05, 0.95) and model.n_steps == 0
+
+
+class _ReplayModelFrozen:
+    """ReplayModel as it kept each column as a float array and converted
+    the current row with ``float`` on every ``predict``: the reference for
+    the list-backed model."""
+
+    def __init__(self, predictions: dict):
+        self.taus = tuple(sorted(float(t) for t in predictions))
+        if not self.taus:
+            raise ValueError("need at least one tracked quantile level")
+        self._rows = {float(t): np.asarray(v, dtype=float)
+                      for t, v in predictions.items()}
+        self.n_steps = len(next(iter(self._rows.values())))
+        for t, v in self._rows.items():
+            if len(v) != self.n_steps:
+                raise ValueError("prediction columns have unequal lengths")
+            if not np.isfinite(v).all():
+                raise ValueError(f"non-finite prediction for tau={t}")
+        self._t = 0
+
+    def predict(self, x, tau: float) -> float:
+        if self._t >= self.n_steps:
+            raise RuntimeError(
+                f"replay exhausted after {self.n_steps} steps")
+        rows = self._rows.get(float(tau))
+        if rows is None:
+            raise ValueError(f"tau {tau} is not replayed; have {self.taus}")
+        return float(rows[self._t])
+
+    def update(self, x, y: float) -> None:
+        self._t += 1
+
+
+def _replay_outcome(call):
+    """``call()``'s value as its type and int64 bits, or its error."""
+    try:
+        v = call()
+    except (ValueError, RuntimeError, TypeError) as exc:
+        return type(exc), str(exc)
+    return type(v), np.float64(v).view(np.int64).item()
+
+
+_REPLAY_KEYS = [0.05, 0.95, 0.5, 1, 2, -0.0]
+_REPLAY_VALUES = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308,
+                                     math.inf, math.nan]))
+
+
+class TestReplayModelSameBits:
+    """The list-backed ReplayModel against the array-backed one: the same
+    floats, types, errors and messages, before and after the replay is
+    exhausted."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(data=st.data())
+    def test_predict_and_errors(self, data):
+        keys = data.draw(st.lists(st.sampled_from(_REPLAY_KEYS), max_size=3,
+                                  unique_by=float))
+        n = data.draw(st.integers(0, 4))
+        cols = {k: data.draw(st.lists(_REPLAY_VALUES, min_size=n,
+                                      max_size=n + (k == 2)))
+                for k in keys}
+        as_array = data.draw(st.booleans())
+        cols = {k: np.asarray(v) if as_array else v for k, v in cols.items()}
+        models = []
+        for cls in (ReplayModel, _ReplayModelFrozen):
+            try:
+                models.append(cls(cols))
+            except ValueError as exc:
+                models.append((type(exc), str(exc)))
+        new, old = models
+        if isinstance(old, tuple):
+            assert new == old
+            return
+        assert (new.taus, new.n_steps) == (old.taus, old.n_steps)
+        queries = [0.05, 0.95, 1, 2, np.float64(0.95), np.float64(1.0),
+                   "0.05", "1", "abc", math.nan, np.float64(math.nan),
+                   0.3, True, [0.05]]
+        for _ in range(n + 2):  # one step past the end, and one more
+            for tau in data.draw(st.lists(st.sampled_from(queries),
+                                          min_size=1, max_size=4)):
+                got = _replay_outcome(lambda: new.predict(None, tau))
+                assert got == _replay_outcome(lambda: old.predict(None, tau))
+            new.update(None, 0.0)
+            old.update(None, 0.0)
 
 
 class TestOracleUnderCalibration:

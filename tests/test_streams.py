@@ -1,8 +1,12 @@
 import csv
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import kstest
 
 from riskcal import streams
@@ -394,3 +398,222 @@ class TestCsvIngestSameAsDictReader:
         path.write_text(_FILES[name])
         cfg = CsvStreamConfig(str(path), **_CONFIGS[config])
         assert _outcome(csv_ingest, cfg) == _outcome(_dictreader_ingest, cfg)
+
+
+def _csv_ingest_frozen(config):
+    """csv_ingest as it stripped, lower-cased and looked up every cell in the
+    NA tokens before it called ``float``: the reference for the float-first
+    cell loop."""
+    feats, targets, times, groups = [], [], [], []
+    with open(config.path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise streams.CsvInputError(
+                "path", f"{config.path}: missing header row")
+        index = {name: j for j, name in enumerate(header)}
+        feature_cols = list(config.feature_cols)
+        if not feature_cols:
+            reserved = {config.target_col, config.timestamp_col}
+            feature_cols = [c for c in header if c not in reserved]
+        needed = [("target_col", config.target_col)]
+        needed += [("feature_cols", c) for c in feature_cols]
+        if config.augment_time or config.timestamp_col:
+            needed.append(("timestamp_col", config.timestamp_col))
+        for fld, col in needed:
+            if col not in index:
+                raise streams.CsvInputError(
+                    fld, f"{config.path}: column {col!r} not in header")
+        value_cols = [(col, index[col])
+                      for col in [config.target_col] + feature_cols]
+        ts_col = index.get(config.timestamp_col)
+        for idx, row in enumerate(filter(None, reader), start=1):
+            n = len(row)
+            values = []
+            for col, j in value_cols:
+                raw = row[j].strip() if j < n else ""
+                if raw.lower() in streams._NA_TOKENS:
+                    warnings.warn(
+                        f"row {idx} rejected: missing value in column {col!r}")
+                    break
+                try:
+                    values.append(float(raw))
+                except ValueError as exc:
+                    raise streams.CsvInputError(
+                        "path",
+                        f"row {idx}, column {col!r}: cannot parse {raw!r}"
+                    ) from exc
+            else:
+                if config.augment_time:
+                    raw = row[ts_col].strip() if ts_col < n else ""
+                    ts = streams._parse_timestamp(
+                        raw, config.timestamp_format, idx)
+                    times.append(streams._time_features(ts))
+                    groups.append(ts.weekday())
+                else:
+                    groups.append(-1)
+                targets.append(values[0])
+                feats.append(values[1:])
+    if not feats:
+        raise streams.CsvInputError("path", f"{config.path}: no usable rows")
+    if config.warmup > len(feats):
+        raise streams.CsvInputError(
+            "warmup",
+            f"warm-up size {config.warmup} exceeds row count {len(feats)}")
+    X = np.asarray(feats, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    x_mean, x_std, y_mean, y_std = streams._warmup_statistics(
+        X[:config.warmup], y[:config.warmup], feature_cols)
+    X = (X - x_mean) / x_std
+    y = (y - y_mean) / y_std
+    names = list(feature_cols)
+    if config.augment_time:
+        X = np.hstack([X, np.asarray(times, dtype=float)])
+        names += list(streams._TIME_FEATURES)
+    group = np.asarray(groups, dtype=int)
+    for arr in (X, y, group):
+        arr.setflags(write=False)
+    return streams.CsvStream(x=X, y=y, group=group, feature_names=names,
+                             x_mean=x_mean, x_std=x_std, y_mean=y_mean,
+                             y_std=y_std)
+
+
+def _iter_frozen(cs):
+    """CsvStream.__iter__ as it indexed and converted one item at a time."""
+    for i in range(len(cs.y)):
+        yield cs.x[i], float(cs.y[i]), int(cs.group[i])
+
+
+def _error(exc):
+    return (type(exc), getattr(exc, "field", None), str(exc),
+            type(exc.__cause__), str(exc.__cause__))
+
+
+def _items(it):
+    """Each item's row (type, writeability, dtype and bytes), label (type
+    and int64 bits) and group (type and value)."""
+    return [(type(x), x.flags.writeable, x.dtype.str, x.tobytes(),
+             type(y), np.float64(y).view(np.int64).item(), type(g), g)
+            for x, y, g in it]
+
+
+def _ingest_and_iterate(ingest, iterate, config):
+    """The fields ``ingest`` gives, or its error; the items ``iterate``
+    yields over the result, twice; and the warnings, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cs = ingest(config)
+        except ValueError as exc:
+            got = _error(exc)
+        else:
+            got = [(f, np.asarray(getattr(cs, f)).dtype.str,
+                    np.asarray(getattr(cs, f)).tobytes())
+                   for f in ("x", "y", "group", "x_mean", "x_std", "y_mean",
+                             "y_std")] + [cs.feature_names]
+            got += [_items(iterate(cs)), _items(iterate(cs))]
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+_NUMBERS = ["1", " 2.5 ", "-3e1", "\t4\t", "0", "-0.0", "7", "1e308",
+            "5e-324", "0.1"]
+# each special cell is drawn a third as often as each number
+_CELLS = _NUMBERS * 3 + ["", " ", "nan", " NaN ", "+nan", "-inf", "inf",
+                         "1_0", "１２", "abc", "NA", "null", "None"]
+_HEADERS = ["ts,feat,target", "ts,feat,target,feat", "feat,target,ts",
+            "target,ts,feat,feat"]
+_STAMPS = ["2020-01-06T13:30", "2020-01-07T08:00", "2020-01-11T23:59",
+           " 2020-01-12T00:00 ", "1578316200", "1578400000.5", "", "later"]
+_FLOAT_FIRST_CONFIGS = {
+    "named": dict(timestamp_col="ts", target_col="target",
+                  feature_cols=["feat"], warmup=1),
+    "all_features": dict(timestamp_col="ts", target_col="target", warmup=2),
+    "no_time": dict(timestamp_col="", target_col="target",
+                    feature_cols=["feat"], warmup=1, augment_time=False),
+    "epoch": dict(timestamp_col="ts", target_col="target",
+                  feature_cols=["feat"], warmup=1,
+                  timestamp_format="epoch"),
+}
+
+
+@st.composite
+def _csv_file(draw):
+    """A config name and the text of a CSV file for it."""
+    config = draw(st.sampled_from(sorted(_FLOAT_FIRST_CONFIGS)))
+    # mostly stamps of the config's format; the rest may not parse
+    own = _STAMPS[4:6] if config == "epoch" else _STAMPS[:4]
+    header = draw(st.sampled_from(_HEADERS))
+    width = header.count(",") + 1
+    ts_at = header.split(",").index("ts")
+    lines = [header]
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")  # a blank line
+            continue
+        cells = [draw(st.sampled_from(_CELLS)) for _ in range(width)]
+        cells[ts_at] = draw(st.sampled_from(own * 8 + _STAMPS))
+        # a short row, or one with an extra cell
+        cut = draw(st.sampled_from([width] * 6 + list(range(1, width + 2))))
+        lines.append(",".join((cells + ["9"])[:cut]))
+    return config, "\n".join(lines) + "\n"
+
+
+class TestFloatFirstSameAsParent:
+    """The float-first cell loop and the list-backed iteration against the
+    code they replace: the same arrays, items (bits and Python types),
+    warnings in order, and errors (type, field, message and cause)."""
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(file=_csv_file())
+    def test_same_ingest_items_warnings_and_errors(self, file):
+        config, text = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            cfg = CsvStreamConfig(path, **_FLOAT_FIRST_CONFIGS[config])
+            got = _ingest_and_iterate(csv_ingest, iter, cfg)
+            assert got == _ingest_and_iterate(_csv_ingest_frozen,
+                                              _iter_frozen, cfg)
+
+    @pytest.mark.parametrize("cell,accepted", [
+        ("nan", False), (" NaN ", False), ("", False), ("+nan", True),
+        ("inf", True), ("-inf", True), ("1_0", True), ("１２", True)])
+    def test_cells_accepted_or_rejected(self, tmp_path, cell, accepted):
+        path = tmp_path / "s.csv"
+        path.write_text(f"ts,feat,target\n{_DAY}30,1,2\n{_DAY}31,{cell},3\n",
+                        encoding="utf-8")
+        cfg = CsvStreamConfig(str(path), **_FLOAT_FIRST_CONFIGS["named"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cs = csv_ingest(cfg)
+        assert len(cs) == (2 if accepted else 1)
+        missing = [str(w.message) for w in caught
+                   if "rejected" in str(w.message)]
+        assert missing == ([] if accepted else [
+            "row 2 rejected: missing value in column 'feat'"])
+
+    def test_unparseable_cell_names_row_and_column(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(f"ts,feat,target\n{_DAY}30,1,2\n{_DAY}31, abc ,3\n")
+        cfg = CsvStreamConfig(str(path), **_FLOAT_FIRST_CONFIGS["named"])
+        with pytest.raises(streams.CsvInputError,
+                           match=r"^row 2, column 'feat': cannot parse 'abc'$"):
+            csv_ingest(cfg)
+
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    @given(data=st.data())
+    def test_items_of_any_arrays(self, data):
+        n = data.draw(st.integers(0, 6))
+        x = data.draw(hnp.arrays(np.float64, (n, data.draw(
+            st.integers(1, 3)))))
+        y = data.draw(hnp.arrays(np.float64, n))
+        group = data.draw(hnp.arrays(int, n))
+        for arr in (x, y, group):
+            arr.setflags(write=False)
+        cs = streams.CsvStream(x=x, y=y, group=group, feature_names=[],
+                               x_mean=None, x_std=None, y_mean=0.0, y_std=1.0)
+        assert _items(cs) == _items(_iter_frozen(cs))
+        assert all(r.base is x for r, _, _ in cs)
