@@ -147,6 +147,17 @@ def _csv_stream(seed: int, steps: int, **f):
     # the file is the stream; the driver call reads it once
     cs = _read_input("stream", csv_ingest, CsvStreamConfig(**f),
                      json.dumps(f, sort_keys=True))
+    # an inf or NaN cell in the warm-up (or a spread that overflows) makes
+    # its whole column non-finite or zero once standardized; the statistics
+    # cover the raw features, which feature_names lists first
+    for col, mean, std in [(f["target_col"], cs.y_mean, cs.y_std),
+                           *zip(cs.feature_names, cs.x_mean.tolist(),
+                                cs.x_std.tolist())]:
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            raise ConfigError(
+                "stream.path", f"{f['path']}: column {col!r} has warm-up "
+                f"mean {mean} and std {std}; both must be finite over its "
+                f"first {f['warmup']} rows")
     return iter(cs), cs
 
 
@@ -759,7 +770,8 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
 def read_trace_csv(path):
     """Read a trace CSV back into a StreamTrace; the inverse of
     write_trace_csv. The label and group columns are not exported and come
-    back as NaN and -1."""
+    back as NaN and -1. A ``step`` column that is not 1..T, for T rows, is
+    a ValueError naming the first row at fault."""
     with open(Path(path)) as fh:
         header = fh.readline().strip().split(",")
         with warnings.catch_warnings():
@@ -769,6 +781,11 @@ def read_trace_csv(path):
     body = body.reshape(-1, len(header))
     cols = dict(zip(header, body.T.copy()))
     n = len(body)
+    bad = np.flatnonzero(cols["step"] != np.arange(1, n + 1))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{path}: row {i + 1} has step "
+                         f"{cols['step'][i]:.17g}; steps run 1..{n}")
 
     def per_risk(name):
         if name in cols:
@@ -791,13 +808,22 @@ def read_trace_csv(path):
 
 
 def recompute_certificate(out_dir) -> list:
-    """Re-derive the certificate lines from exported traces alone."""
+    """Re-derive the certificate lines from exported traces alone. A trace
+    with other than ``steps`` rows is a ValueError; that of a CSV stream,
+    which may end early, may have fewer."""
     out = Path(out_dir)
     with open(out / "config.json") as fh:
         rc = validate_config(json.load(fh))
+    csv_run = rc.stream.kind == "csv"
     lines = []
     for trial_dir in sorted(out.glob("trial_*")):
-        trace = read_trace_csv(trial_dir / "trace.csv")
+        path = trial_dir / "trace.csv"
+        trace = read_trace_csv(path)
+        n = len(trace)
+        if n > rc.steps or (n < rc.steps and not csv_run):
+            raise ValueError(f"{path}: {n} rows for a run of "
+                             f"{'at most ' if csv_run else ''}{rc.steps} "
+                             f"steps")
         lines.extend(certificate_for_trace(trace, rc, trial_dir.name))
     return lines
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -68,48 +68,20 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IntervalGrid:
-    """Per-pixel closed intervals [lo, hi] over a 2-D grid.
+    """Per-pixel closed intervals [lo, hi] over a 2-D grid of float bounds.
 
     Individual pixels may be inverted (lo > hi); such pixels contain nothing,
     which is exactly how a negative adjustment shows up in image losses.
-
-    The bounds are read-only float arrays that the grid owns (anything else
-    is copied once), and the coverage grid of the last label seen is kept,
-    keyed by the label's bytes: ``contains`` and the image losses of one step
-    share one comparison, and a label changed in place gets a fresh one.
     """
 
     lo: np.ndarray
     hi: np.ndarray
-    _key: tuple | None = field(default=None, init=False, repr=False,
-                               compare=False)
-    _covered: np.ndarray | None = field(default=None, init=False, repr=False,
-                                        compare=False)
-
-    def __post_init__(self):
-        for name in ("lo", "hi"):
-            a = getattr(self, name)
-            if not (isinstance(a, np.ndarray) and a.dtype == float
-                    and a.flags.owndata and not a.flags.writeable):
-                a = np.array(a, dtype=float)
-                a.flags.writeable = False
-                object.__setattr__(self, name, a)
 
     def pixel_covered(self, y: np.ndarray) -> np.ndarray:
-        """Read-only boolean grid: which pixels of ``y`` fall inside their
-        interval."""
-        y = np.asarray(y)
-        # compared with ==, never hashed: hashing a label's bytes costs more
-        # than computing its grid again
-        key = (y.dtype, y.shape, y.tobytes())
-        if key != self._key:
-            covered = (self.lo <= y) & (y <= self.hi)
-            covered.flags.writeable = False
-            object.__setattr__(self, "_key", key)
-            object.__setattr__(self, "_covered", covered)
-        return self._covered
+        """Boolean grid: which pixels of ``y`` fall inside their interval."""
+        return (self.lo <= y) & (y <= self.hi)
 
     def contains(self, y) -> bool:
         """Whole-grid coverage: every pixel inside its interval."""
@@ -178,7 +150,10 @@ def quantile_scale_interval(model, x, theta: float, tau_floor: float = 1e-12):
 
 def image_interval(pred: np.ndarray, l_map: np.ndarray, u_map: np.ndarray,
                    lam: float) -> IntervalGrid:
-    """Per-pixel intervals [pred - lam*l, pred + lam*u] around a predicted grid."""
+    """Per-pixel intervals [pred - lam*l, pred + lam*u] around a predicted grid.
+
+    The grid holds two fresh float arrays, built here, as its bounds.
+    """
     pred = np.asarray(pred, dtype=float)
     l_map = np.asarray(l_map, dtype=float)
     u_map = np.asarray(u_map, dtype=float)
@@ -189,13 +164,11 @@ def image_interval(pred: np.ndarray, l_map: np.ndarray, u_map: np.ndarray,
     # as under np.any(map < 0)
     if pred.size and (l_map.min() < 0 or u_map.min() < 0):
         raise ValueError("uncertainty maps must be nonnegative")
-    # each bound is built in the buffer of its product, then frozen
+    # each bound is built in the buffer of its product
     lo = np.multiply(l_map, lam)
     np.subtract(pred, lo, out=lo)
     hi = np.multiply(u_map, lam)
     np.add(pred, hi, out=hi)
-    lo.flags.writeable = False
-    hi.flags.writeable = False
     return IntervalGrid(lo, hi)
 
 

@@ -20,7 +20,7 @@ step in the form that returns a successor ``Stretch``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 STRETCH_KINDS = ("none", "exponential", "exp_linear_zone",
                  "score_adaptive", "error_adaptive")
@@ -112,15 +112,10 @@ class Stretch:
         return lam
 
     def updated(self, score: float, prev_loss: float, r: float) -> "Stretch":
-        """``next_lam`` as a successor: a ``Stretch`` of the same type whose
-        ``lam`` has advanced; ``self`` itself for the non-adaptive kinds."""
+        """``next_lam`` as a successor: ``dataclasses.replace`` with the
+        advanced ``lam``, so the successor keeps ``type(self)`` and is
+        validated like any ``Stretch``; ``self`` itself for the non-adaptive
+        kinds."""
         if not self.is_adaptive:
             return self
-        lam = self.next_lam(self.lam, score, prev_loss, r)
-        # every other field was validated when self was built, so the
-        # successor copies them and skips __init__ and __post_init__
-        new = object.__new__(type(self))
-        fields = new.__dict__
-        fields.update(self.__dict__)
-        fields["lam"] = lam
-        return new
+        return replace(self, lam=self.next_lam(self.lam, score, prev_loss, r))

@@ -938,9 +938,78 @@ class TestInputFileErrors:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert self._cli(tmp_path, cfg, command) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: stretch.beta_low: auto bounds "
-                              "need finite labels; the first 100 labels "
-                              f"give a scale of {scale}")
+        if row <= warmup:  # the stream is read before the stretch probe
+            assert err.startswith(
+                f"config error: stream.path: {tmp_path / 's.csv'}: column "
+                f"'target' has warm-up mean {cell} and std {scale}")
+        else:
+            assert err.startswith(
+                "config error: stretch.beta_low: auto bounds need finite "
+                f"labels; the first 100 labels give a scale of {scale}")
+        assert "Traceback" not in err
+
+    def _set_cell(self, tmp_path, row, col, cell):
+        path = tmp_path / "s.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[col] = cell
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_infinite_target_in_the_warm_up(self, tmp_path, capsys,
+                                            command):
+        # with fixed stretch bounds the run used to die at the first
+        # adaptive update with lam=nan
+        cfg = csv_config(tmp_path)
+        cfg["stretch"].update(beta_low=-1.0, beta_high=1.0)
+        path = self._set_cell(tmp_path, 5, 1, "inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert self._cli(tmp_path, cfg, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: stream.path: {path}: column 'target' has warm-up "
+            "mean inf and std nan; both must be finite over its first 100 "
+            "rows")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("cell", ["inf", "+nan"])
+    def test_infinite_feature_in_the_warm_up(self, tmp_path, capsys,
+                                             command, cell):
+        # a learning model used to die at the first step on a NaN feature
+        cfg = csv_config(tmp_path, model={"kind": "linear_pinball",
+                                          "taus": [0.05, 0.95]})
+        path = self._set_cell(tmp_path, 7, 2, cell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert self._cli(tmp_path, cfg, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"config error: stream.path: {path}: column 'f1' has warm-up "
+            f"mean {float(cell)} and std nan; both must be finite over its "
+            "first 100 rows")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_overflowing_feature_spread_in_the_warm_up(self, tmp_path, capsys,
+                                                       command):
+        # finite cells whose squares overflow: a finite mean, an infinite
+        # std, and a feature standardized to zero
+        cfg = csv_config(tmp_path, model={"kind": "linear_pinball",
+                                          "taus": [0.05, 0.95]})
+        self._set_cell(tmp_path, 3, 2, "1e300")
+        path = self._set_cell(tmp_path, 4, 2, "-1e300")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert self._cli(tmp_path, cfg, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: stream.path: {path}: column "
+                              "'f1' has warm-up mean ")
+        assert "and std inf; both must be finite over its first 100 rows" \
+            in err
         assert "Traceback" not in err
 
 
@@ -1015,6 +1084,87 @@ class TestVerifyCli:
         assert cli_main(["verify", str(tmp_path)]) == 2
         assert "verify error" in capsys.readouterr().err
 
+
+
+def _verify_run(kind, tmp_path):
+    """A run of one controller kind in ``tmp_path``; its first trace."""
+    if kind == "single":
+        cfg = base_config(trials=2, steps=300)
+    elif kind == "multi":
+        cfg = _image_config(**_center_failure())
+        cfg["controller"]["two_sided"] = True
+    elif kind == "baseline":
+        cfg = base_config(trials=1, steps=600, eval_window=[301, 600],
+                          controller={"kind": "baseline_aci", "gamma": 0.05,
+                                      "alpha": 0.1, "window": 100})
+    else:  # a CSV stream of 400 rows, shorter than its steps
+        cfg = csv_config(tmp_path, steps=500, trials=1)
+    run_experiment(cfg, tmp_path / "run")
+    return tmp_path / "run" / "trial_000" / "trace.csv"
+
+
+class TestVerifyStepsAndRows:
+    """``riskcal verify`` catches a renumbered and a truncated trace on
+    single-risk, multi-risk and baseline runs, with exit 1; untouched runs,
+    a CSV run shorter than ``steps`` among them, verify with exit 0."""
+
+    KINDS = ["single", "multi", "baseline", "csv"]
+
+    def _verify(self, tmp_path, capsys):
+        capsys.readouterr()
+        status = cli_main(["verify", str(tmp_path / "run")])
+        return status, capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_untouched_run_verifies(self, tmp_path, capsys, kind):
+        path = _verify_run(kind, tmp_path)
+        rows = len(path.read_text().splitlines()) - 1
+        assert rows == (400 if kind == "csv" else
+                        json.loads((tmp_path / "run" / "config.json")
+                                   .read_text())["steps"])
+        assert self._verify(tmp_path, capsys) == \
+            (0, f"{tmp_path / 'run'}: PASS\n")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("row,step", [(50, "51"), (50, "50.5"),
+                                          (1, "0"), (-1, "1e9")])
+    def test_renumbered_step_fails(self, tmp_path, capsys, kind, row, step):
+        path = _verify_run(kind, tmp_path)
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[0] = step
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        at = row if row > 0 else len(lines) - 1
+        status, out = self._verify(tmp_path, capsys)
+        assert status == 1
+        assert out == (f"{tmp_path / 'run'}: ERROR {path}: row {at} has step "
+                       f"{float(step):.17g}; steps run 1..{len(lines) - 1}\n")
+
+    @pytest.mark.parametrize("kind", ["single", "multi", "baseline"])
+    @pytest.mark.parametrize("drop", [1, 100])
+    def test_truncated_trace_fails(self, tmp_path, capsys, kind, drop):
+        path = _verify_run(kind, tmp_path)
+        lines = path.read_text().splitlines()
+        steps = len(lines) - 1
+        path.write_text("\n".join(lines[:-drop]) + "\n")
+        status, out = self._verify(tmp_path, capsys)
+        assert status == 1
+        assert out == (f"{tmp_path / 'run'}: ERROR {path}: {steps - drop} "
+                       f"rows for a run of {steps} steps\n")
+
+    def test_csv_trace_longer_than_steps_fails(self, tmp_path, capsys):
+        path = _verify_run("csv", tmp_path)
+        config = tmp_path / "run" / "config.json"
+        cfg = json.loads(config.read_text())
+        cfg["steps"] = 399  # the trace keeps its 400 rows
+        cfg["eval_window"] = [101, 399]
+        cfg["val_window"] = [101, 299]
+        config.write_text(json.dumps(cfg))
+        status, out = self._verify(tmp_path, capsys)
+        assert status == 1
+        assert out == (f"{tmp_path / 'run'}: ERROR {path}: 400 rows for a "
+                       "run of at most 399 steps\n")
 
 class TestTraceRoundTripProperty:
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)

@@ -4,13 +4,14 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import riskcal.losses
 from riskcal.losses import CenterFailureFn, ImageMiscoverageFn
 from riskcal.models import ConstantModel, OracleModel
-from riskcal.multirisk import MultiRiskSpec, run_multi_stream
 from riskcal.sets import (EMPTY_SET, FULL_SPACE, ConstantHeuristic,
-                          CqrConstructor, ImageIntervalConstructor, Interval,
-                          IntervalGrid, PreviousResidualsHeuristic,
+                          CqrConstructor, Interval, IntervalGrid,
+                          PreviousResidualsHeuristic,
                           _window_mean, cqr_interval, cqr_score, image_interval,
                           quantile_scale_interval)
 from riskcal.streams import ImageStreamConfig, _smooth_field, image_stream
@@ -370,7 +371,7 @@ def _frozen_image_stream(config, n_steps):
 
 
 class TestCoverageMemo:
-    """One coverage grid per label, never a stale one."""
+    """A label changed in place is compared afresh."""
 
     def _grid(self):
         pred = np.linspace(-0.4, 0.4, 12).reshape(3, 4)
@@ -387,55 +388,103 @@ class TestCoverageMemo:
         assert not second[0, 0] and second.sum() == 11
         assert not g.contains(y)
 
-    def test_equal_labels_share_one_grid(self):
-        g = self._grid()
-        y = np.zeros((3, 4))
-        shared = g.pixel_covered(y)
-        assert g.pixel_covered(y.copy()) is shared
-        # the same bytes under another dtype or shape are another label
-        assert g.pixel_covered(y.astype(np.int64)) is not shared
-        assert g.pixel_covered(y.reshape(1, 3, 4)).shape == (1, 3, 4)
 
-    def test_bounds_and_grid_are_read_only(self):
-        g = self._grid()
-        with pytest.raises(ValueError, match="read-only"):
-            g.lo[0, 0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
-            g.hi[0, 0] = 5.0
-        with pytest.raises(ValueError, match="read-only"):
-            g.pixel_covered(np.zeros((3, 4)))[0, 0] = False
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            g.lo = np.zeros((3, 4))
+@dataclasses.dataclass(frozen=True, slots=True)
+class _MemoIntervalGrid:
+    """``IntervalGrid`` as it was with its coverage memo: owned read-only
+    bounds, and the grid of the last label kept, keyed by its bytes."""
 
-    def test_grid_owns_bounds_passed_in(self):
-        lo, hi = np.zeros((2, 2)), np.ones((2, 2))
-        g = IntervalGrid(lo, hi)
-        y = np.full((2, 2), 0.5)
-        assert g.contains(y)
-        lo[0, 0] = 0.9  # the caller's array, not the grid's
-        assert g.contains(y) and lo.flags.writeable
+    lo: np.ndarray
+    hi: np.ndarray
+    _key: tuple | None = dataclasses.field(default=None, init=False,
+                                           repr=False, compare=False)
+    _covered: np.ndarray | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
-    def test_one_image_step_compares_once(self, monkeypatch):
-        # contains and both image losses of a step read one coverage grid
-        evaluations, calls, grids = {}, {}, []
-        compare = IntervalGrid.pixel_covered
+    def __post_init__(self):
+        for name in ("lo", "hi"):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == float
+                    and a.flags.owndata and not a.flags.writeable):
+                a = np.array(a, dtype=float)
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
 
-        def spy(grid, y):
-            covered = compare(grid, y)
-            calls[id(grid)] = calls.get(id(grid), 0) + 1
-            evaluations.setdefault(id(grid), set()).add(id(covered))
-            grids.append((grid, covered))  # keeps every id alive
-            return covered
+    def pixel_covered(self, y):
+        y = np.asarray(y)
+        key = (y.dtype, y.shape, y.tobytes())
+        if key != self._key:
+            covered = (self.lo <= y) & (y <= self.hi)
+            covered.flags.writeable = False
+            object.__setattr__(self, "_key", key)
+            object.__setattr__(self, "_covered", covered)
+        return self._covered
 
-        monkeypatch.setattr(IntervalGrid, "pixel_covered", spy)
-        spec = MultiRiskSpec(r=(0.2, 0.1), gamma=0.05, m=-5.0, M=5.0,
-                             B=(1.0, 1.0), two_sided=True)
-        cfg = ImageStreamConfig(seed=0, height=12, width=12, shift_period=20,
-                                shift_factor=2.0)
-        trace = run_multi_stream(
-            image_stream(cfg, 60), ConstantModel({}),
-            ImageIntervalConstructor(PreviousResidualsHeuristic(5)),
-            [ImageMiscoverageFn(), CenterFailureFn()], spec, n_steps=60)
-        assert len(trace) == 60 and len(calls) == 60
-        assert set(calls.values()) == {3}
-        assert all(len(ids) == 1 for ids in evaluations.values())
+    def contains(self, y):
+        return bool(self.pixel_covered(y).all())
+
+    def size(self):
+        d = self.hi - self.lo
+        np.maximum(d, 0.0, out=d)
+        return float(d.sum() / d.size)
+
+
+def _outcome(call):
+    """A call's float result by its bits, or its error by type and text."""
+    try:
+        return _bits(call())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_ODD = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+_BOUND = st.floats(-4.0, 4.0) | _ODD
+_LABEL = st.floats(-6.0, 6.0) | _ODD
+
+
+@st.composite
+def _grid_case(draw):
+    """Bounds of one grid (about half the pixels inverted), a label, the
+    pixel edits made to it in place between calls, and a mask."""
+    h, w = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    cells = h * w
+    lo = np.array(draw(st.lists(_BOUND, min_size=cells, max_size=cells)))
+    hi = np.array(draw(st.lists(_BOUND, min_size=cells, max_size=cells)))
+    y = np.array(draw(st.lists(_LABEL, min_size=cells, max_size=cells)))
+    edits = draw(st.lists(st.tuples(st.integers(0, cells - 1), _LABEL),
+                          max_size=4))
+    mask = draw(st.lists(st.booleans(), min_size=cells, max_size=cells))
+    mask[draw(st.integers(0, cells - 1))] = True  # one valid pixel at least
+    return (lo.reshape(h, w), hi.reshape(h, w), y.reshape(h, w), edits,
+            np.array(mask).reshape(h, w))
+
+
+class TestPlainGridSameBits:
+    """The plain ``IntervalGrid`` gives the memoised grid's values, bit for
+    bit, on inverted pixels, odd labels and labels changed in place."""
+
+    @given(case=_grid_case())
+    # every label pixel on a bound, then NaN, then -0.0 on a 0.0 bound
+    @example(case=(np.zeros((2, 2)), np.ones((2, 2)), np.zeros((2, 2)),
+                   [(0, math.nan), (0, -0.0), (3, math.inf)],
+                   np.array([[True, False], [False, False]])))
+    def test_contains_size_and_losses(self, case):
+        lo, hi, y, edits, mask = case
+        plain, memo = IntervalGrid(lo, hi), _MemoIntervalGrid(lo, hi)
+        losses = [ImageMiscoverageFn(), ImageMiscoverageFn(mask=mask),
+                  CenterFailureFn(), CenterFailureFn(mask=mask)]
+        with pytest.MonkeyPatch.context() as mp, \
+                np.errstate(invalid="ignore"):
+            # the image losses accept the frozen grid as an IntervalGrid
+            mp.setattr(riskcal.losses, "IntervalGrid",
+                       (IntervalGrid, _MemoIntervalGrid))
+            assert _bits(plain.size()) == _bits(memo.size())
+            for cell, value in [(None, None), *edits]:
+                if cell is not None:
+                    y.flat[cell] = value  # same object, new content
+                assert plain.contains(y) == memo.contains(y)
+                assert plain.contains(y.tolist()) == memo.contains(y.tolist())
+                for loss in losses:
+                    assert _outcome(lambda: loss(y, plain)) == \
+                        _outcome(lambda: loss(y, memo))
+        assert _bits(plain.lo) == _bits(lo) and _bits(plain.hi) == _bits(hi)

@@ -249,6 +249,71 @@ class TestNextLamSameBits:
             s.next_lam(lam, 1.0, math.nan, 0.1)
 
 
+def _copied_updated(s, score, prev_loss, r):
+    """``Stretch.updated`` as it was before it went back to
+    ``dataclasses.replace``: ``next_lam``, then a successor copied from
+    ``s``'s fields without running the constructor."""
+    if not s.is_adaptive:
+        return s
+    lam = s.next_lam(s.lam, score, prev_loss, r)
+    new = object.__new__(type(s))
+    new.__dict__.update(s.__dict__)
+    new.__dict__["lam"] = lam
+    return new
+
+
+class TestUpdatedByReplaceSameBits:
+    """``updated`` through ``dataclasses.replace`` gives the copied
+    successor's fields, bit for bit, keeps the subclass, and fails a NaN
+    step with the same error."""
+
+    @given(cls=st.sampled_from([Stretch, _Sub]),
+           kind=st.sampled_from(STRETCH_KINDS),
+           beta_score=st.floats(-2.0, 2.0), beta_loss=st.floats(0.0, 5.0),
+           beta_low=st.floats(-5.0, 0.0) | st.just(-math.inf),
+           beta_high=st.floats(0.0, 5.0) | st.just(math.inf),
+           lam=st.floats(-5.0, 5.0), steps=st.lists(_FLOAT_STEP, max_size=30))
+    # a lam of -0.0 stays -0.0 over a zero step
+    @example(cls=_Sub, kind="score_adaptive", beta_score=1.0, beta_loss=0.0,
+             beta_low=-1.0, beta_high=1.0, lam=-0.0, steps=[(0.0, 0.0, 0.0)])
+    # a subclass clipped at both ends, then a NaN score at the fourth step
+    @example(cls=_Sub, kind="error_adaptive", beta_score=1.0, beta_loss=0.5,
+             beta_low=-0.5, beta_high=0.5, lam=-0.0,
+             steps=[(-100.0, 1.0, 0.1), (100.0, 0.0, 0.1), (0.25, 0.5, 0.1),
+                    (math.nan, 0.0, 0.1)])
+    def test_chain_equals_the_copied_chain(self, cls, kind, beta_score,
+                                           beta_loss, beta_low, beta_high,
+                                           lam, steps):
+        fields = {}
+        if kind in ("score_adaptive", "error_adaptive"):
+            fields = {"beta_score": beta_score, "beta_low": beta_low,
+                      "beta_high": beta_high,
+                      "lam": clip(lam, beta_low, beta_high)}
+        if kind == "error_adaptive":
+            fields["beta_loss"] = beta_loss
+        s = ref = cls(kind, **fields)
+        for score, prev_loss, r in steps:
+            try:
+                ref = _copied_updated(ref, score, prev_loss, r)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    s.updated(score, prev_loss, r)
+                assert str(raised.value) == str(exc)
+                return
+            nxt = s.updated(score, prev_loss, r)
+            assert type(nxt) is cls and _bits(nxt) == _bits(ref)
+            assert (nxt is s) == (ref is s)
+            s = nxt
+
+    def test_infinite_lam_is_rejected_by_the_constructor(self):
+        # only an unclipped range can overflow lam; the copied successor
+        # kept lam = -inf, the constructor rejects it
+        s = Stretch("score_adaptive", beta_score=2.0, beta_low=-math.inf,
+                    beta_high=math.inf)
+        assert _copied_updated(s, 1e308, 0.0, 0.0).lam == -math.inf
+        with pytest.raises(ValueError, match="lam must be finite"):
+            s.updated(1e308, 0.0, 0.0)
+
 _SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf,
                             math.nan])
 
