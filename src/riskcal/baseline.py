@@ -19,7 +19,7 @@ from collections import deque
 
 import numpy as np
 
-from .engine import RiskSpec, StreamTrace, _run, scalar_update
+from .engine import RiskSpec, StreamTrace, _run
 from .losses import BinaryLossFn
 from .sets import FULL_SPACE, cqr_interval, cqr_score
 
@@ -120,21 +120,20 @@ class WindowQuantileConstructor:
 
 
 def aci_update(gamma: float, alpha: float, warmup: int):
-    """The baseline's step alpha_t += gamma * (alpha - err_t), as the loop's
-    update function ``(t, theta, losses) -> theta``; ``theta`` is (alpha_t,)
-    and ``losses`` is (err_t,).
+    """The baseline's step alpha_t += gamma * (alpha - err_t), as the
+    1-tuple of step functions ``(t, alpha_t, err_t) -> alpha_t`` the loop
+    applies (see ``engine.control_update``).
 
     alpha_t stays frozen for the first ``warmup`` steps, which announce the
-    full space rather than a constructed set. ``t`` may be a whole column of
-    step indices when ``engine.check_recursion`` replays a run, so the freeze
-    multiplies the step by ``t >= warmup`` (exactly 0 or 1) instead of
-    branching. The step is defined once, on scalars; the loop calls it as
-    the function's ``scalar`` attribute (see ``engine.scalar_update``).
+    full space rather than a constructed set. The loop passes an int ``t``;
+    ``engine.check_recursion`` passes the whole column of step indices, so
+    the freeze multiplies the step by ``t >= warmup`` (exactly 0 or 1)
+    instead of branching.
     """
     def step(t, theta, err):
         return theta + gamma * (alpha - err) * (t >= warmup)
 
-    return scalar_update(step)
+    return (step,)
 
 
 def aci_spec(gamma: float, alpha: float) -> RiskSpec:

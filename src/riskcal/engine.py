@@ -122,43 +122,22 @@ class RiskSpec:
 
 
 def control_update(spec):
-    """The control step theta_i += gamma_i * (loss_i - r_i) for a RiskSpec or
-    a MultiRiskSpec, as the loop's update function ``(t, theta, losses) ->
-    theta``.
+    """The control step theta_i += gamma_i * (loss_i - r_i) of a RiskSpec or
+    a MultiRiskSpec: a tuple of k step functions ``(t, theta_i, loss_i) ->
+    theta_i``, one per risk, each with its own gamma_i and r_i.
 
-    ``theta`` and ``losses`` hold one entry per risk: floats inside the loop,
-    whole trace columns when ``check_recursion`` replays a run. A one-risk
-    step is defined once, on scalars, as the function's ``scalar`` attribute
-    ``(t, theta, loss) -> theta``, which the loop calls; the tuple form wraps
-    it (see ``scalar_update``).
+    The loop applies step i to floats; ``check_recursion`` applies the same
+    function to whole trace columns.
     """
     risks = spec.risks
-    r, gamma = risks.r, risks.gamma
-    if risks.k == 1:
-        (r0,), (g0,) = r, gamma
-
-        def step(t, theta, loss):
-            return theta + g0 * (loss - r0)
-
-        return scalar_update(step)
-
-    def update(t, theta, losses):
-        return tuple([th + g * (loss - ri)
-                      for th, loss, g, ri in zip(theta, losses, gamma, r)])
-
-    return update
+    return tuple(map(_control_step, risks.gamma, risks.r))
 
 
-def scalar_update(step):
-    """The update function ``(t, (theta,), (loss,)) -> (theta,)`` of a
-    one-risk ``step(t, theta, loss) -> theta``, carrying ``step`` as its
-    ``scalar`` attribute: the loop advances a one-risk run through ``step``
-    with theta as a float, and ``check_recursion`` replays the tuple form."""
-    def update(t, theta, losses):
-        return (step(t, theta[0], losses[0]),)
+def _control_step(g: float, r: float):
+    def step(t, theta, loss):
+        return theta + g * (loss - r)
 
-    update.scalar = step
-    return update
+    return step
 
 
 @dataclass
@@ -216,15 +195,15 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     """The control loop behind every entry point.
 
     ``spec`` (a RiskSpec or a MultiRiskSpec) gives the safeguards, loss
-    bounds, starting parameter and aggregation; ``update(t, theta, losses)``
-    maps the parameter tuple before step t (0-based) to the one after it,
-    and with one risk carries its scalar step as ``update.scalar`` (see
-    ``scalar_update``).
+    bounds, starting parameter and aggregation; ``update`` holds one step
+    function ``(t, theta_i, loss_i) -> theta_i`` per risk, which maps risk
+    i's parameter before step t (0-based) to the one after it (see
+    ``control_update``).
 
     Every per-run choice is made once, before the loop: both stream
     protocols become one iterator, cut at ``n_steps`` without pulling an
     item more; a one-risk run carries theta as a float and advances it with
-    ``update.scalar``, with its safeguards, loss and bound check on bound
+    its one step, with its safeguards, loss and bound check on bound
     scalars; the ``none`` stretch's identity is not called; and the record
     methods are bound. ``theta_post`` is not recorded: it is the
     ``theta_pre`` chain shifted by one step plus the last theta, the same
@@ -234,6 +213,8 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     k = risks.k
     if len(loss_fns) != k:
         raise ValueError(f"got {len(loss_fns)} losses for {k} risks")
+    if len(update) != k:
+        raise ValueError(f"got {len(update)} update steps for {k} risks")
     if stretch is None:
         stretch = Stretch()
     adaptive = stretch.is_adaptive
@@ -269,7 +250,7 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     theta = risks.theta_init
     if one:
         (M0,), (m0,), (B0,), (loss_fn,), (th,) = M, m, B, loss_fns, theta
-        step = update.scalar
+        (step,) = update
     aggregate = _mean if risks.aggregation == "mean" else max
     r_first = risks.r[0]
     build, observe = constructor.build, constructor.observe
@@ -345,7 +326,8 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
                 raise _loss_error(losses, B, t)
             record_losses(losses)
             record_pres(theta)
-            theta = update(t, theta, losses)
+            theta = [s(t, th_i, loss_i)
+                     for s, th_i, loss_i in zip(update, theta, losses)]
 
         record_covered(pred_set.contains(y))
         record_size(pred_set.size())
@@ -412,6 +394,10 @@ def run_stream(stream, model, constructor, loss_fn, spec: RiskSpec,
 # columns). A NaN anywhere in a checked column makes the check fail.
 # ---------------------------------------------------------------------------
 
+# A check passes when its worst violation is at most this.
+_TOLERANCE = 1e-9
+
+
 def risk_bound(spec: RiskSpec, T: int) -> float:
     """Worst-case deviation of the T-step average loss from the target:
     (M - m + 4*gamma*B) / (gamma*T)."""
@@ -448,7 +434,7 @@ def two_sided_deviation_bound(spec, i: int, T):
 def _columns(trace, name: str) -> np.ndarray:
     """A per-risk trace column as a (T, k) array."""
     col = getattr(trace, name)
-    return col.reshape(len(col), -1)
+    return col[:, None] if col.ndim == 1 else col
 
 
 def _thetas(trace) -> np.ndarray:
@@ -456,7 +442,7 @@ def _thetas(trace) -> np.ndarray:
                            _columns(trace, "theta_post")])
 
 
-def check_upper_theta_bound(trace: StreamTrace, spec, eps: float = 1e-9):
+def check_upper_theta_bound(trace: StreamTrace, spec):
     """Every coordinate, before and after each update, stays at or below
     M_i + 2*gamma_i*B_i. Returns (ok, worst_violation); the violation is 0
     when the bound holds."""
@@ -465,10 +451,10 @@ def check_upper_theta_bound(trace: StreamTrace, spec, eps: float = 1e-9):
     s = spec.risks
     hi = np.asarray(s.M) + 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
     viol = max(float(np.max(_thetas(trace) - hi)), 0.0)
-    return viol <= eps, viol
+    return viol <= _TOLERANCE, viol
 
 
-def check_lower_theta_bound(trace: StreamTrace, spec, eps: float = 1e-9):
+def check_lower_theta_bound(trace: StreamTrace, spec):
     """Every coordinate stays at or above m_i - 2*gamma_i*B_i; holds for
     two-sided control of one risk, and with k risks on a run where no step
     has one coordinate above M_i and another below m_j (see
@@ -478,7 +464,7 @@ def check_lower_theta_bound(trace: StreamTrace, spec, eps: float = 1e-9):
     s = spec.risks
     lo = np.asarray(s.m) - 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
     viol = max(float(np.max(lo - _thetas(trace))), 0.0)
-    return viol <= eps, viol
+    return viol <= _TOLERANCE, viol
 
 
 def _prefix_means(trace, s, bound_fn):
@@ -490,17 +476,17 @@ def _prefix_means(trace, s, bound_fn):
     return means, np.column_stack([bound_fn(s, i, T) for i in range(s.k)])
 
 
-def check_upper_risk_bound(trace: StreamTrace, spec, eps: float = 1e-9):
+def check_upper_risk_bound(trace: StreamTrace, spec):
     """mean loss_i over every prefix <= r_i + D_i/T for every risk i."""
     if len(trace) == 0:
         return True, 0.0
     s = spec.risks
     means, bounds = _prefix_means(trace, s, upper_deviation_bound)
     viol = max(float(np.max(means - (np.asarray(s.r) + bounds))), 0.0)
-    return viol <= eps, viol
+    return viol <= _TOLERANCE, viol
 
 
-def check_two_sided_risk_bound(trace: StreamTrace, spec, eps: float = 1e-9):
+def check_two_sided_risk_bound(trace: StreamTrace, spec):
     """|mean loss_i - r_i| over every prefix <= the two-sided bound, for
     every risk i; holds where ``check_lower_theta_bound`` does."""
     if len(trace) == 0:
@@ -508,24 +494,31 @@ def check_two_sided_risk_bound(trace: StreamTrace, spec, eps: float = 1e-9):
     s = spec.risks
     means, bounds = _prefix_means(trace, s, two_sided_deviation_bound)
     viol = max(float(np.max(np.abs(means - np.asarray(s.r)) - bounds)), 0.0)
-    return viol <= eps, viol
+    return viol <= _TOLERANCE, viol
 
 
-def check_recursion(trace: StreamTrace, update, eps: float = 1e-9):
-    """The recorded parameters follow the update function the run applied
+def check_recursion(trace: StreamTrace, update):
+    """The recorded parameters follow the update the run applied
     (``control_update`` or ``baseline.aci_update``) and chain step to step.
-    Guards against tampered or corrupted traces."""
-    n = len(trace)
+    Step i replays column i, with ``t`` the column of 0-based step indices;
+    a step count other than the trace's risk count is a ValueError. Guards
+    against tampered or corrupted traces."""
+    pre = _columns(trace, "theta_pre")
+    k = pre.shape[1]
+    if len(update) != k:
+        raise ValueError(f"got {len(update)} update steps for {k} risks")
+    n = len(pre)
     if n == 0:
         return True, 0.0
-    pre = _columns(trace, "theta_pre")
     post = _columns(trace, "theta_post")
-    expected = np.column_stack(
-        update(np.arange(n), tuple(pre.T), tuple(_columns(trace, "loss").T)))
+    t = np.arange(n)
+    expected = np.column_stack([
+        step(t, th, loss)
+        for step, th, loss in zip(update, pre.T, _columns(trace, "loss").T)])
     viol = float(np.max(np.abs(expected - post)))
     if n > 1:
         viol = max(viol, float(np.max(np.abs(post[:-1] - pre[1:]))))
-    return viol <= eps, viol
+    return viol <= _TOLERANCE, viol
 
 
 def loss_contract_guaranteed(loss_fn, spec: RiskSpec) -> bool:

@@ -594,6 +594,15 @@ def run_trial(rc: ResolvedConfig, trial_index: int):
     """Run one seeded trial; returns its trace."""
     seed = rc.seed + trial_index
     stream, stream_obj = rc.stream.build(seed, rc.steps)
+    if rc.stream.kind == "csv":
+        # the run ends at the file's last row, which may come before steps
+        rows = len(stream_obj.y)
+        for key in ("eval_window", "val_window"):
+            win = getattr(rc, key)
+            if win is not None and win[1] > rows:
+                raise ConfigError(
+                    key, f"ends at step {win[1]}, past the last row of "
+                    f"{rc.stream.fields['path']}, which has {rows} rows")
     model = rc.model.build(rc, stream_obj)
     taus = rc.model.fields["taus"]
 
@@ -979,7 +988,9 @@ def sweep(cfg: dict, param: str, grid: list, out_dir=None) -> dict:
 
     rows = []
     for value, (sub_cfg, sub_rc) in zip(grid, points):
-        sub_out = out / f"sweep_{param.replace('.', '_')}_{value}"
+        # a value holding a "/" (a path) stays one directory name
+        name = str(value).replace("%", "%25").replace("/", "%2F")
+        sub_out = out / f"sweep_{param.replace('.', '_')}_{name}"
         res = run_experiment(sub_cfg, sub_out)
         scores = [_val_pinball(sub_rc, t.trace) for t in res.trials]
         rows.append({

@@ -109,13 +109,14 @@ class ImageMiscoverageFn(BoundedLoss):
                 / self._n_valid)
 
 
-def default_center_region(shape, size: int = 50):
+def default_center_region(shape):
     """Center region as (row0, row1, col0, col1), half-open.
 
-    The middlemost ``size`` x ``size`` block when the grid is large enough,
-    otherwise the middle half along each dimension.
+    The middlemost 50 x 50 block when the grid is large enough, otherwise
+    the middle half along each dimension.
     """
     h, w = shape
+    size = 50
     if h >= size and w >= size:
         r0 = (h - size) // 2
         c0 = (w - size) // 2

@@ -45,15 +45,14 @@ def msl(covered) -> float:
     return float(np.mean(streaks))
 
 
-def mc_risk(covered, cap: int | None = None) -> float:
+def mc_risk(covered) -> float:
     """Mean of the miscoverage-counter sequence implied by coverage flags.
 
-    A run of L misses contributes 1 + 2 + ... + L, each term capped at
-    ``cap``; the sums are exact integers.
+    A run of L misses contributes 1 + 2 + ... + L; the sums are exact
+    integers.
     """
     runs = np.asarray(miscoverage_streaks(covered), dtype=np.int64)
-    capped = runs if cap is None else np.minimum(runs, cap)
-    total = int(np.sum(capped * (capped + 1) // 2 + (runs - capped) * capped))
+    total = int(np.sum(runs * (runs + 1) // 2))
     return total / len(covered)
 
 

@@ -123,18 +123,18 @@ def cqr_score(q_lo: float, q_hi: float, y: float) -> float:
     return max(q_lo - y, y - q_hi)
 
 
-def quantile_scale_interval(model, x, theta: float, tau_floor: float = 1e-12):
+def quantile_scale_interval(model, x, theta: float):
     """Interval built by re-querying the model at a tuned miscoverage level.
 
     The calibration parameter lives on the quantile scale: the effective raw
     miscoverage is tau = -theta with theta in [-1, 0], so raising theta
-    shrinks tau and widens the interval. tau is clipped into (0, 1].
+    shrinks tau and widens the interval. tau is clipped into [1e-12, 1].
     """
     tau = -theta
     if tau > 1.0:
         tau = 1.0
-    if tau < tau_floor:
-        tau = tau_floor
+    if tau < 1e-12:
+        tau = 1e-12
     lo = model.predict(x, tau / 2.0)
     hi = model.predict(x, 1.0 - tau / 2.0)
     if math.isnan(lo) or math.isnan(hi):
@@ -312,12 +312,9 @@ class QuantileScaleConstructor:
 
     scored = False
 
-    def __init__(self, tau_floor: float = 1e-12):
-        self.tau_floor = tau_floor
-
     def build(self, x, adj, model):
         # adj is the stretched calibration parameter; tau = -adj.
-        return quantile_scale_interval(model, x, adj, self.tau_floor)
+        return quantile_scale_interval(model, x, adj)
 
     def score(self, x, y, model):
         return None

@@ -104,7 +104,8 @@ def _aci_step(ctor, alpha_t, y, model, gamma=0.05, alpha=0.1):
     pred_set = ctor.build(None, alpha_t, model)
     err = BinaryLossFn()(y, pred_set)
     ctor.observe(None, y, model)
-    (new_alpha,) = aci_update(gamma, alpha, warmup=0)(0, (alpha_t,), (err,))
+    (step,) = aci_update(gamma, alpha, warmup=0)
+    new_alpha = step(0, alpha_t, err)
     return pred_set, new_alpha, err
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riskcal.baseline import WindowQuantileConstructor, aci_spec, aci_update
+from riskcal.baseline import (WindowQuantileConstructor, aci_spec,
+                              aci_update, run_aci_stream)
 from riskcal.engine import (MultiRiskSpec, RiskSpec, StreamTrace,
                             check_lower_theta_bound, check_recursion,
                             check_two_sided_risk_bound,
@@ -15,6 +16,7 @@ from riskcal.engine import (MultiRiskSpec, RiskSpec, StreamTrace,
                             _run, _STOP)
 from riskcal.losses import BinaryLossFn, McLossFn
 from riskcal.models import ConstantModel, LinearPinballModel, ReplayModel
+from riskcal.multirisk import run_multi_stream
 from riskcal.sets import (EMPTY_SET, FULL_SPACE, CqrConstructor, Interval,
                           cqr_interval, cqr_score)
 from riskcal.stretching import Stretch
@@ -82,9 +84,9 @@ class _ConstantLoss:
 
 
 def _step(spec, theta, loss):
-    """One application of the update function the loop runs."""
-    (new,) = control_update(spec)(0, (theta,), (loss,))
-    return new
+    """One application of the update step the loop runs."""
+    (step,) = control_update(spec)
+    return step(0, theta, loss)
 
 
 class TestUpdateTheta:
@@ -118,12 +120,12 @@ class TestUpdateTheta:
         rng = np.random.default_rng(0)
         losses = (rng.uniform(size=10000) < 0.1).astype(float)
         spec = _spec()
-        update = control_update(spec)
-        theta = (spec.theta_init,)
+        (step,) = control_update(spec)
+        theta = spec.theta_init
         for t, loss in enumerate(losses):
-            theta = update(t, theta, (float(loss),))
+            theta = step(t, theta, float(loss))
         slack = spec.M - spec.m + 4 * spec.gamma * spec.B
-        assert abs(theta[0] - spec.theta_init) <= slack
+        assert abs(theta - spec.theta_init) <= slack
         assert abs(losses.mean() - 0.1) <= slack / spec.gamma / 10000
 
 
@@ -467,6 +469,62 @@ class TestChecksOnCorruptTraces:
         for check in checks:
             assert not check(trace, spec)[0], check.__name__
         assert not check_recursion(trace, control_update(spec))[0]
+
+
+class TestRecursionIsExact:
+    """On an untouched run, the update its runner applied replays every
+    recorded parameter with no violation at all, for every controller."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["single", "multi", "aci"]),
+           n=st.integers(0, 300), seed=st.integers(0, 2**16),
+           k=st.sampled_from([2, 3]), two_sided=st.booleans(),
+           aggregation=st.sampled_from(["mean", "max"]),
+           gamma=st.floats(0.01, 0.5))
+    def test_untouched_run_replays_exactly(self, kind, n, seed, k, two_sided,
+                                           aggregation, gamma):
+        stream = _iid_stream(seed, n)
+        model = ConstantModel({0.05: 2.0, 0.95: 4.0})
+        if kind == "single":
+            spec = _spec(gamma=gamma)
+            trace = run_stream(stream, model, CqrConstructor(),
+                               BinaryLossFn(), spec)
+            update = control_update(spec)
+        elif kind == "multi":
+            loss_fns = [BinaryLossFn(), McLossFn(3), BinaryLossFn()][:k]
+            spec = MultiRiskSpec(r=(0.1, 1.0, 0.3)[:k], gamma=gamma, m=-1.0,
+                                 M=1.0, B=tuple(fn.bound for fn in loss_fns),
+                                 aggregation=aggregation, two_sided=two_sided)
+            trace = run_multi_stream(stream, model, CqrConstructor(),
+                                     loss_fns, spec)
+            update = control_update(spec)
+        else:
+            trace = run_aci_stream(stream, model, gamma=gamma, alpha=0.1,
+                                   window_size=50, warmup=10)
+            update = aci_update(gamma, 0.1, 10)
+        assert len(trace) == n
+        assert check_recursion(trace, update) == (True, 0.0)
+
+    def test_step_count_must_match_the_risks(self):
+        model = ConstantModel({0.05: 2.0, 0.95: 4.0})
+        two = MultiRiskSpec(r=(0.1, 0.1), gamma=0.05, m=-1.0, M=1.0, B=1.0)
+        three = MultiRiskSpec(r=(0.1,) * 3, gamma=0.05, m=-1.0, M=1.0, B=1.0)
+        losses = (BinaryLossFn(), BinaryLossFn())
+        trace = run_multi_stream(_iid_stream(0, 20), model, CqrConstructor(),
+                                 losses, two)
+        single = run_stream(_iid_stream(0, 20), model, CqrConstructor(),
+                            BinaryLossFn(), _spec())
+        for bad, steps in ((trace, control_update(_spec())),
+                           (trace, control_update(three)),
+                           (single, control_update(two))):
+            with pytest.raises(ValueError, match="update steps for"):
+                check_recursion(bad, steps)
+        with pytest.raises(ValueError, match="1 update steps for 2 risks"):
+            _run(_iid_stream(0, 20), model, CqrConstructor(), losses, two,
+                 control_update(_spec()), None, None)
+        with pytest.raises(ValueError, match="2 update steps for 1 risks"):
+            _run(_iid_stream(0, 20), model, CqrConstructor(),
+                 (BinaryLossFn(),), _spec(), control_update(two), None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1678,3 +1678,50 @@ class TestReplayTooShort:
                                                      n=300))
         res = run_experiment(cfg, tmp_path / "out")
         assert len(res.trials[0].trace) == 300
+
+
+class TestCsvWindowsPastTheLastRow:
+    """A CSV run ends at the file's last row, so a window that fits
+    ``steps`` but ends past that row is a config error: exit 2 with the
+    field, the file and its row count, for both drivers."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("field,window", [
+        ("eval_window", [101, 450]), ("val_window", [350, 480]),
+        ("eval_window", [101, 401])])
+    def test_window_past_the_last_row(self, tmp_path, capsys, command, field,
+                                      window):
+        cfg = csv_config(tmp_path, steps=500, trials=1)
+        cfg[field] = window
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--param", "controller.gamma", "--grid", "0.05", "0.1"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{field}:" in err
+        assert f"{tmp_path / 's.csv'}, which has 400 rows" in err
+
+
+class TestSweepOverPaths:
+    def test_stream_path_sweep_verifies(self, tmp_path, capsys):
+        # the same series in two directories: each point's name must stay
+        # one directory, distinct per value
+        cfg = csv_config(tmp_path, trials=1)
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(str(write_series(tmp_path / sub / "s.csv")))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sw"
+        assert cli_main(["sweep", str(path), "--param", "stream.path",
+                         "--grid", *map(json.dumps, paths),
+                         "--out", str(out)]) == 0
+        points = sorted(p.name for p in out.glob("sweep_*"))
+        assert points == [
+            "sweep_stream_path_" + p.replace("/", "%2F") for p in paths]
+        capsys.readouterr()
+        assert cli_main(["verify", str(out)]) == 0
+        assert capsys.readouterr().out.count(": PASS") == 2

@@ -72,7 +72,8 @@ class _Adversary:
     def reveal(self, s):
         self.losses = tuple(self._loss(risk, th, s)
                             for risk, th in zip(self.risks, self.theta))
-        self.theta = self.update(self.t, self.theta, self.losses)
+        self.theta = tuple(s(self.t, th, loss) for s, th, loss
+                           in zip(self.update, self.theta, self.losses))
         self.t += 1
         return 0.0
 

@@ -56,9 +56,6 @@ class TestMcRisk:
     def test_all_covered(self):
         assert mc_risk([1, 1, 1]) == 0.0
 
-    def test_cap(self):
-        assert mc_risk([0, 0, 0], cap=2) == pytest.approx((1 + 2 + 2) / 3)
-
     def test_ideal_iid_value(self):
         # i.i.d. Bernoulli(0.9) coverage: mean counter -> alpha/(1-alpha)
         rng = np.random.default_rng(3)
@@ -86,20 +83,18 @@ class TestMcRisk:
                 run = 0 if flag else run + 1
             return streaks + [run] if run else streaks
 
-        def mc_loop(seq, cap):
+        def mc_loop(seq):
             total, counter = 0.0, 0
             for flag in seq:
                 counter = 0 if flag else counter + 1
-                total += 0 if flag else (counter if cap is None
-                                         else min(counter, cap))
+                total += 0 if flag else counter
             return total / len(seq)
 
         rng = np.random.default_rng(6)
         for _ in range(300):
             seq = rng.uniform(size=rng.integers(1, 200)) < rng.uniform(0, 1)
             assert miscoverage_streaks(seq) == streaks_loop(seq)
-            for cap in (None, 1, 2, 5, 50):
-                assert mc_risk(seq, cap) == mc_loop(seq, cap)
+            assert mc_risk(seq) == mc_loop(seq)
 
 
 class TestDeltaCoverage:

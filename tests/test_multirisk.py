@@ -79,12 +79,14 @@ class TestUpdateVector:
     def test_losses_at_targets_leave_theta_fixed(self):
         spec = _spec()
         theta = (0.3, -0.2)
-        assert control_update(spec)(0, theta, spec.r) == theta
+        steps = control_update(spec)
+        assert tuple(s(0, th, loss)
+                     for s, th, loss in zip(steps, theta, spec.r)) == theta
 
     def test_direct_evaluation(self):
         spec = MultiRiskSpec(r=(0.2, 0.1), gamma=(0.1, 0.01), m=(-5, -5),
                              M=(5, 5), B=(1, 1))
-        out = control_update(spec)(0, (0.0, 0.0), (1.0, 1.0))
+        out = [s(0, 0.0, 1.0) for s in control_update(spec)]
         np.testing.assert_allclose(out, [0.08, 0.009])
 
     def test_dimension_mismatch(self):
