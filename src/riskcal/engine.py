@@ -149,7 +149,8 @@ class StreamTrace:
     update, the loss, coverage flag, set-size statistic, and (for interval
     sets) the announced endpoints plus the revealed label. ``loss``,
     ``theta_pre`` and ``theta_post`` are 1-D for a RiskSpec run and (T, k)
-    for a k-risk run.
+    for a k-risk run. A one-risk run's columns take 65 bytes per step: 8
+    for each float column and for ``group``, 1 for ``covered``.
     """
 
     loss: np.ndarray
@@ -167,6 +168,66 @@ class StreamTrace:
 
 
 _STOP = object()  # what an adaptive stream's next_x returns at its end
+
+# Steps the loop records in Python lists before it moves them into typed
+# arrays. An append to a list is the cheapest record a step can make, but a
+# list holds 32 bytes per float (the object and its slot) where an array
+# holds 8.
+_CHUNK = 4096
+
+
+class _Recorder:
+    """A run's trace columns while the loop records them.
+
+    The loop appends each step's values to ``lists``: loss and theta_pre
+    (k values per step), covered, size, lo, hi, y and group. ``flush``
+    moves them into one typed array per column, so the run holds at most a
+    chunk of steps as Python objects. The arrays grow geometrically, but
+    never past ``n_steps``, which a stream may not reach (a CSV stream ends
+    at its last row). A run shorter than one chunk allocates no array
+    while it runs: its lists are converted once, at the end.
+    """
+
+    _DTYPES = (float, float, bool, float, float, float, float, int)
+
+    def __init__(self, k: int, n_steps: int | None):
+        self.lists = tuple([] for _ in self._DTYPES)
+        self.widths = (k, k, 1, 1, 1, 1, 1, 1)  # values per step
+        self.arrays = None
+        self.n = 0    # steps in the arrays
+        self.cap = 0  # steps the arrays can hold
+        self.limit = math.inf if n_steps is None else max(n_steps, 0)
+
+    def flush(self) -> None:
+        """Move the listed steps to the arrays and empty the lists."""
+        n = self.n + len(self.lists[2])  # covered: one value per step
+        if n > self.cap:
+            self.cap = min(2 * n, self.limit)
+            if self.arrays is None:
+                self.arrays = [np.empty(self.cap * w, dtype) for w, dtype
+                               in zip(self.widths, self._DTYPES)]
+            else:
+                for arr, w in zip(self.arrays, self.widths):
+                    # nothing else refers to the array while the loop runs
+                    arr.resize(self.cap * w, refcheck=False)
+        for arr, lst, w in zip(self.arrays, self.lists, self.widths):
+            arr[self.n * w:n * w] = lst
+            lst.clear()
+        self.n = n
+
+    def finish(self) -> list:
+        """The recorded columns as flat arrays of the run's length; the
+        conversion of each value is ``np.asarray``'s."""
+        if self.arrays is None:
+            return [np.asarray(lst, dtype)
+                    for lst, dtype in zip(self.lists, self._DTYPES)]
+        # the run is over: the arrays need hold no more than its steps
+        self.limit = self.n + len(self.lists[2])
+        self.flush()
+        if self.cap > self.n:  # the stream ended before n_steps
+            for arr, w in zip(self.arrays, self.widths):
+                arr.resize(self.n * w, refcheck=False)
+        return self.arrays
 
 
 def _mean(values) -> float:
@@ -205,9 +266,14 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     item more; a one-risk run carries theta as a float and advances it with
     its one step, with its safeguards, loss and bound check on bound
     scalars; the ``none`` stretch's identity is not called; and the record
-    methods are bound. ``theta_post`` is not recorded: it is the
-    ``theta_pre`` chain shifted by one step plus the last theta, the same
-    float objects.
+    methods are bound.
+
+    Each step appends its values to the lists of a ``_Recorder``. The loop
+    runs one chunk of ``_CHUNK`` steps at a time and then moves the chunk
+    into typed arrays, so a run's peak memory follows its finished trace,
+    not the Python objects that build it; a chunk that comes up short ends
+    the run. ``theta_post`` is not recorded: it is the ``theta_pre`` array
+    shifted by one step, plus the last theta.
     """
     risks = spec.risks
     k = risks.k
@@ -257,14 +323,8 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     learn = model.update
     labels = (float, int, np.floating)
 
-    losses_rec: list[float] = []
-    theta_pre: list[float] = []
-    covered: list[bool] = []
-    sizes: list[float] = []
-    los: list[float] = []
-    his: list[float] = []
-    ys: list[float] = []
-    groups: list[int] = []
+    rec = _Recorder(k, n_steps)
+    losses_rec, theta_pre, covered, sizes, los, his, ys, groups = rec.lists
     record_loss, record_losses = losses_rec.append, losses_rec.extend
     record_pre, record_pres = theta_pre.append, theta_pre.extend
     record_covered, record_size = covered.append, sizes.append
@@ -273,98 +333,102 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
 
     prev_score = None
     prev_loss = 0.0
-    for t, item in enumerate(items):
-        if plain:
-            # the label stays in this frame until the set is announced
-            if len(item) == 3:
-                x, y, group = item
+    chunk = _CHUNK
+    start = 0
+    # one pass of the inner loop per chunk of steps: the stream ends where a
+    # chunk comes up short, so no step pays a test for the flush
+    while True:
+        for t, item in enumerate(islice(items, chunk), start):
+            if plain:
+                # the label stays in this frame until the set is announced
+                if len(item) == 3:
+                    x, y, group = item
+                else:
+                    x, y = item
+                    group = -1
             else:
-                x, y = item
-                group = -1
-        else:
-            x = item
+                x = item
 
-        if adaptive and prev_score is not None:
-            lam = next_lam(lam, prev_score, prev_loss, r_first)
+            if adaptive and prev_score is not None:
+                lam = next_lam(lam, prev_score, prev_loss, r_first)
 
-        if one:
-            over, under = th > M0, th < m0
-        else:
-            over, under = any(map(gt, theta, M)), any(map(lt, theta, m))
-        # When both safeguards fire the full space wins: conservatism keeps
-        # the upper-side guarantee intact.
-        if over:
-            pred_set = FULL_SPACE
-        elif under:
-            pred_set = EMPTY_SET
-        elif adaptive:
-            pred_set = build(x, th + lam, model)
-        elif one:
-            pred_set = build(x, apply(th) if stretched else th, model)
-        else:
-            pred_set = build(x, aggregate(map(apply, theta) if stretched
-                                          else theta), model)
-
-        if not plain:
-            revealed = reveal(pred_set)
-            if isinstance(revealed, tuple):
-                y, group = revealed
+            if one:
+                over, under = th > M0, th < m0
             else:
-                y, group = revealed, -1
+                over, under = any(map(gt, theta, M)), any(map(lt, theta, m))
+            # When both safeguards fire the full space wins: conservatism
+            # keeps the upper-side guarantee intact.
+            if over:
+                pred_set = FULL_SPACE
+            elif under:
+                pred_set = EMPTY_SET
+            elif adaptive:
+                pred_set = build(x, th + lam, model)
+            elif one:
+                pred_set = build(x, apply(th) if stretched else th, model)
+            else:
+                pred_set = build(x, aggregate(map(apply, theta) if stretched
+                                              else theta), model)
 
-        # |loss_i| <= B_i is False for a NaN loss too
-        if one:
-            loss = loss_fn(y, pred_set)
-            if not -B0 <= loss <= B0:
-                raise _loss_error((loss,), B, t)
-            record_loss(loss)
-            record_pre(th)
-            th = step(t, th, loss)
-        else:
-            losses = [fn(y, pred_set) for fn in loss_fns]
-            if not all(map(le, map(abs, losses), B)):
-                raise _loss_error(losses, B, t)
-            record_losses(losses)
-            record_pres(theta)
-            theta = [s(t, th_i, loss_i)
-                     for s, th_i, loss_i in zip(update, theta, losses)]
+            if not plain:
+                revealed = reveal(pred_set)
+                if isinstance(revealed, tuple):
+                    y, group = revealed
+                else:
+                    y, group = revealed, -1
 
-        record_covered(pred_set.contains(y))
-        record_size(pred_set.size())
-        if isinstance(pred_set, Interval):
-            record_lo(pred_set.lo)
-            record_hi(pred_set.hi)
-        elif pred_set is FULL_SPACE:
-            record_lo(-math.inf)
-            record_hi(math.inf)
-        else:
-            record_lo(math.nan)
-            record_hi(math.nan)
-        record_y(y if isinstance(y, labels) else math.nan)
-        record_group(group)
+            # |loss_i| <= B_i is False for a NaN loss too
+            if one:
+                loss = loss_fn(y, pred_set)
+                if not -B0 <= loss <= B0:
+                    raise _loss_error((loss,), B, t)
+                record_loss(loss)
+                record_pre(th)
+                th = step(t, th, loss)
+            else:
+                losses = [fn(y, pred_set) for fn in loss_fns]
+                if not all(map(le, map(abs, losses), B)):
+                    raise _loss_error(losses, B, t)
+                record_losses(losses)
+                record_pres(theta)
+                theta = [s(t, th_i, loss_i)
+                         for s, th_i, loss_i in zip(update, theta, losses)]
 
-        if adaptive:
-            prev_score = score(x, y, model)
-            prev_loss = loss
-        observe(x, y, model)
-        learn(x, y)
+            record_covered(pred_set.contains(y))
+            record_size(pred_set.size())
+            if isinstance(pred_set, Interval):
+                record_lo(pred_set.lo)
+                record_hi(pred_set.hi)
+            elif pred_set is FULL_SPACE:
+                record_lo(-math.inf)
+                record_hi(math.inf)
+            else:
+                record_lo(math.nan)
+                record_hi(math.nan)
+            record_y(y if isinstance(y, labels) else math.nan)
+            record_group(group)
 
+            if adaptive:
+                prev_score = score(x, y, model)
+                prev_loss = loss
+            observe(x, y, model)
+            learn(x, y)
+        if len(covered) < chunk:
+            break
+        rec.flush()
+        start += chunk
+
+    loss_col, pre, covered, sizes, los, his, ys, groups = rec.finish()
     n = len(covered)
-    theta_post = theta_pre[k:]
+    post = np.empty_like(pre)
     if n:
-        theta_post.extend((th,) if one else theta)
+        post[:-k] = pre[k:]
+        post[-k:] = (th,) if one else theta
     shape = (n,) if isinstance(spec, RiskSpec) else (n, k)
     return StreamTrace(
-        loss=np.asarray(losses_rec, dtype=float).reshape(shape),
-        theta_pre=np.asarray(theta_pre, dtype=float).reshape(shape),
-        theta_post=np.asarray(theta_post, dtype=float).reshape(shape),
-        covered=np.asarray(covered, dtype=bool),
-        size=np.asarray(sizes, dtype=float),
-        lo=np.asarray(los, dtype=float),
-        hi=np.asarray(his, dtype=float),
-        y=np.asarray(ys, dtype=float),
-        group=np.asarray(groups, dtype=int),
-    )
+        loss=loss_col.reshape(shape), theta_pre=pre.reshape(shape),
+        theta_post=post.reshape(shape), covered=covered, size=sizes, lo=los,
+        hi=his, y=ys, group=groups)
 
 
 def run_stream(stream, model, constructor, loss_fn, spec: RiskSpec,
@@ -437,9 +501,18 @@ def _columns(trace, name: str) -> np.ndarray:
     return col[:, None] if col.ndim == 1 else col
 
 
-def _thetas(trace) -> np.ndarray:
-    return np.concatenate([_columns(trace, "theta_pre"),
-                           _columns(trace, "theta_post")])
+def _chunks(trace, *names):
+    """The named per-risk columns, one (rows, k) slice of at most
+    ``_CHUNK`` rows at a time."""
+    for name in names:
+        col = _columns(trace, name)
+        for a in range(0, len(col), _CHUNK):
+            yield col[a:a + _CHUNK]
+
+
+def _worst(values) -> float:
+    """The largest of ``values``, NaN if any is NaN."""
+    return float(np.max(np.asarray(values, dtype=float)))
 
 
 def check_upper_theta_bound(trace: StreamTrace, spec):
@@ -450,7 +523,8 @@ def check_upper_theta_bound(trace: StreamTrace, spec):
         return True, 0.0
     s = spec.risks
     hi = np.asarray(s.M) + 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
-    viol = max(float(np.max(_thetas(trace) - hi)), 0.0)
+    viol = max(_worst([np.max(part - hi) for part in
+                       _chunks(trace, "theta_pre", "theta_post")]), 0.0)
     return viol <= _TOLERANCE, viol
 
 
@@ -463,26 +537,41 @@ def check_lower_theta_bound(trace: StreamTrace, spec):
         return True, 0.0
     s = spec.risks
     lo = np.asarray(s.m) - 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
-    viol = max(float(np.max(lo - _thetas(trace))), 0.0)
+    viol = max(_worst([np.max(lo - part) for part in
+                       _chunks(trace, "theta_pre", "theta_post")]), 0.0)
     return viol <= _TOLERANCE, viol
 
 
-def _prefix_means(trace, s, bound_fn):
-    """(T, k) prefix means of the loss, and ``bound_fn`` evaluated for every
-    risk and every prefix length T."""
-    n = len(trace)
-    T = np.arange(1, n + 1, dtype=float)
-    means = np.cumsum(_columns(trace, "loss"), axis=0) / T[:, None]
-    return means, np.column_stack([bound_fn(s, i, T) for i in range(s.k)])
+def _prefix_excess(trace, s, bound_fn, excess) -> float:
+    """The largest ``excess(means, r, bounds)`` over every prefix length T,
+    where ``means`` holds the (T, k) prefix means of the loss and
+    ``bounds`` ``bound_fn`` for every risk. Rows go one chunk at a time;
+    the running sum carries over, and a cumsum adds in sequence, so every
+    mean has the bits of one whole-column cumsum."""
+    loss = _columns(trace, "loss")
+    r = np.asarray(s.r)
+    worst = []
+    sums = None
+    for a in range(0, len(loss), _CHUNK):
+        part = loss[a:a + _CHUNK]
+        if sums is not None:
+            # the running sum goes on into the chunk's first row
+            part = part.copy()
+            part[0] += sums[-1]
+        sums = np.cumsum(part, axis=0)
+        T = np.arange(a + 1, a + len(part) + 1, dtype=float)
+        bounds = np.column_stack([bound_fn(s, i, T) for i in range(s.k)])
+        worst.append(np.max(excess(sums / T[:, None], r, bounds)))
+    return _worst(worst)
 
 
 def check_upper_risk_bound(trace: StreamTrace, spec):
     """mean loss_i over every prefix <= r_i + D_i/T for every risk i."""
     if len(trace) == 0:
         return True, 0.0
-    s = spec.risks
-    means, bounds = _prefix_means(trace, s, upper_deviation_bound)
-    viol = max(float(np.max(means - (np.asarray(s.r) + bounds))), 0.0)
+    viol = max(_prefix_excess(
+        trace, spec.risks, upper_deviation_bound,
+        lambda means, r, bounds: means - (r + bounds)), 0.0)
     return viol <= _TOLERANCE, viol
 
 
@@ -491,9 +580,9 @@ def check_two_sided_risk_bound(trace: StreamTrace, spec):
     every risk i; holds where ``check_lower_theta_bound`` does."""
     if len(trace) == 0:
         return True, 0.0
-    s = spec.risks
-    means, bounds = _prefix_means(trace, s, two_sided_deviation_bound)
-    viol = max(float(np.max(np.abs(means - np.asarray(s.r)) - bounds)), 0.0)
+    viol = max(_prefix_excess(
+        trace, spec.risks, two_sided_deviation_bound,
+        lambda means, r, bounds: np.abs(means - r) - bounds), 0.0)
     return viol <= _TOLERANCE, viol
 
 
@@ -502,7 +591,7 @@ def check_recursion(trace: StreamTrace, update):
     (``control_update`` or ``baseline.aci_update``) and chain step to step.
     Step i replays column i, with ``t`` the column of 0-based step indices;
     a step count other than the trace's risk count is a ValueError. Guards
-    against tampered or corrupted traces."""
+    against tampered or corrupted traces. Rows go one chunk at a time."""
     pre = _columns(trace, "theta_pre")
     k = pre.shape[1]
     if len(update) != k:
@@ -510,14 +599,24 @@ def check_recursion(trace: StreamTrace, update):
     n = len(pre)
     if n == 0:
         return True, 0.0
-    post = _columns(trace, "theta_post")
-    t = np.arange(n)
-    expected = np.column_stack([
-        step(t, th, loss)
-        for step, th, loss in zip(update, pre.T, _columns(trace, "loss").T)])
-    viol = float(np.max(np.abs(expected - post)))
-    if n > 1:
-        viol = max(viol, float(np.max(np.abs(post[:-1] - pre[1:]))))
+    post, loss = _columns(trace, "theta_post"), _columns(trace, "loss")
+    replayed, chained = [], []
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
+        t = np.arange(a, b)
+        expected = np.column_stack([
+            step(t, th, ls)
+            for step, th, ls in zip(update, pre[a:b].T, loss[a:b].T)])
+        replayed.append(np.max(np.abs(expected - post[a:b])))
+        # each theta_post is the next row's theta_pre, across chunks too
+        c = min(b, n - 1)
+        if c > a:
+            chained.append(np.max(np.abs(post[a:c] - pre[a + 1:c + 1])))
+    viol = _worst(replayed)
+    if chained:
+        # Python's max keeps the replay's violation over a NaN from the
+        # chain (inf - inf), as it always has
+        viol = max(viol, _worst(chained))
     return viol <= _TOLERANCE, viol
 
 

@@ -165,15 +165,34 @@ def _replay_model(rc, stream_obj, taus, path):
     # the driver call reads the file once; each trial replays it from row 0
     model = _read_input("model", ReplayModel.from_csv, path, path)
     model.rewind()
-    missing = [t for t in taus if t not in model.taus]
-    _require(not missing, "model.taus", f"levels {missing} are not "
-             f"replayed by {path}; it has {model.taus}")
-    # a CSV stream shorter than ``steps`` ends the run at its last row
-    rows = (min(rc.steps, len(stream_obj.y)) if rc.stream.kind == "csv"
-            else rc.steps)
-    _require(model.n_steps >= rows, "model.path",
-             f"{path} replays {model.n_steps} steps; the run takes {rows}")
     return model
+
+
+def _check_input_rows(rc) -> None:
+    """The checks that need an input file's rows, read through the driver
+    call's memo: a window past a CSV stream's last row, and a replay file
+    that lacks a level or replays fewer steps than the run takes. A
+    ConfigError names the field."""
+    rows = rc.steps
+    if rc.stream.kind == "csv":
+        _, cs = rc.stream.build(rc.seed, rc.steps)
+        # the run ends at the file's last row, which may come before steps
+        rows = len(cs.y)
+        for key in ("eval_window", "val_window"):
+            win = getattr(rc, key)
+            if win is not None:
+                _require(win[1] <= rows, key, f"ends at step {win[1]}, past "
+                         f"the last row of {rc.stream.fields['path']}, which "
+                         f"has {rows} rows")
+        rows = min(rc.steps, rows)
+    if rc.model.kind == "replay":
+        path, taus = rc.model.fields["path"], rc.model.fields["taus"]
+        model = _read_input("model", ReplayModel.from_csv, path, path)
+        missing = [t for t in taus if t not in model.taus]
+        _require(not missing, "model.taus", f"levels {missing} are not "
+                 f"replayed by {path}; it has {model.taus}")
+        _require(model.n_steps >= rows, "model.path",
+                 f"{path} replays {model.n_steps} steps; the run takes {rows}")
 
 
 def _stretch(rc, seed: int | None) -> Stretch:
@@ -559,6 +578,17 @@ def validate_config(cfg: dict) -> ResolvedConfig:
             _require(b >= fn.bound, "controller.B",
                      f"{b} is below the declared bound {fn.bound} of "
                      f"losses[{i}]")
+        # the theta lines check the first step's theta_pre, so a start
+        # outside their bounds fails them whatever the data
+        for i, (t0, g, m, M, b) in enumerate(zip(
+                risks.theta_init, risks.gamma, risks.m, risks.M, risks.B)):
+            lo, hi = m - 2.0 * g * b, M + 2.0 * g * b
+            risk = f" (risk {i + 1})" if risks.k > 1 else ""
+            _require(t0 <= hi, "controller.theta_init",
+                     f"{t0}{risk} is above M + 2 gamma B = {hi}")
+            _require(not risks.two_sided or t0 >= lo, "controller.theta_init",
+                     f"{t0}{risk} is below m - 2 gamma B = {lo}; two-sided "
+                     f"control needs theta_init >= m - 2 gamma B")
         if stretch.kind == "error_adaptive":
             # its update takes exp(beta_loss * |loss - r|), and |loss| <= B
             x = stretch.fields["beta_loss"] * (risks.B[0] + abs(risks.r[0]))
@@ -594,15 +624,6 @@ def run_trial(rc: ResolvedConfig, trial_index: int):
     """Run one seeded trial; returns its trace."""
     seed = rc.seed + trial_index
     stream, stream_obj = rc.stream.build(seed, rc.steps)
-    if rc.stream.kind == "csv":
-        # the run ends at the file's last row, which may come before steps
-        rows = len(stream_obj.y)
-        for key in ("eval_window", "val_window"):
-            win = getattr(rc, key)
-            if win is not None and win[1] > rows:
-                raise ConfigError(
-                    key, f"ends at step {win[1]}, past the last row of "
-                    f"{rc.stream.fields['path']}, which has {rows} rows")
     model = rc.model.build(rc, stream_obj)
     taus = rc.model.fields["taus"]
 
@@ -733,7 +754,9 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
     then covered. Floats are written with 17 significant digits, so they
     read back exactly. When every row's theta_post is the next row's
     theta_pre bit for bit, each parameter is formatted once and written
-    twice; rows are streamed either way.
+    twice. Rows are converted to Python values and written one chunk of
+    ``engine._CHUNK`` rows at a time, so the export holds no whole-column
+    copy of the trace.
     """
     names, cols = [], []
     for name in _PER_RISK_COLUMNS:
@@ -750,30 +773,42 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
     else:
         names.append("set_size")
         cols.append(trace.size)
+    cols.append(trace.covered)
     n = len(trace)
     pre, post = trace.theta_pre, trace.theta_post
-    if n and _chained(pre, post):
+    chained = n > 0 and _chained(pre, post)
+    if chained:
         # a row's theta_pre cells are the previous row's theta_post cells:
         # each row's theta_post is formatted once, into both
         post_cols = post.reshape(n, -1).T
         k = len(post_cols)
         fmt = "%.17g," * k
-        posts, lagged = tee(map(fmt.__mod__,
-                                zip(*[col.tolist() for col in post_cols])))
-        first = fmt % tuple(pre.reshape(n, k)[0].tolist())
         j = names.index("theta_pre" if post.ndim == 1 else "theta_pre_1")
-        head, thetas, tail = cols[:j], [chain((first,), lagged), posts], \
-            cols[j + 2 * k:]
-        row = ("%d," + "%.17g," * len(head) + "%s%s" + "%.17g," * len(tail)
-               + "%d\n")
+        head, tail = cols[:j], cols[j + 2 * k:]
+        row = ("%d," + "%.17g," * len(head) + "%s%s"
+               + "%.17g," * (len(tail) - 1) + "%d\n")
+        # the theta_pre cells of the chunk's first row
+        carry = fmt % tuple(pre.reshape(n, k)[0].tolist())
     else:
-        head, thetas, tail = cols, [], []
-        row = "%d," + "%.17g," * len(cols) + "%d\n"
-    rows = zip(range(1, n + 1), *[col.tolist() for col in head], *thetas,
-               *[col.tolist() for col in tail], trace.covered.tolist())
+        row = "%d," + "%.17g," * (len(cols) - 1) + "%d\n"
     with open(Path(path), "w", newline="") as fh:
         fh.write(",".join(["step", *names, "covered"]) + "\n")
-        fh.writelines(map(row.__mod__, rows))
+        for a in range(0, n, engine._CHUNK):
+            b = min(a + engine._CHUNK, n)
+            steps = range(a + 1, b + 1)
+            if chained:
+                posts, lagged = tee(map(fmt.__mod__, zip(
+                    *[col[a:b].tolist() for col in post_cols])))
+                rows = zip(steps, *[col[a:b].tolist() for col in head],
+                           chain((carry,), lagged), posts,
+                           *[col[a:b].tolist() for col in tail])
+            else:
+                rows = zip(steps, *[col[a:b].tolist() for col in cols])
+            fh.writelines(map(row.__mod__, rows))
+            if chained:
+                # zip stops at the last step, one short of lagged's end:
+                # the chunk's last theta_post cells
+                carry = next(lagged)
 
 
 def read_trace_csv(path):
@@ -866,6 +901,7 @@ def _aggregate_reports(reports: list) -> dict:
 def run_experiment(cfg: dict, out_dir=None) -> ExperimentResult:
     """Run all trials, write artifacts, and assemble the certificate."""
     rc = validate_config(cfg)
+    _check_input_rows(rc)
     result = ExperimentResult(config=cfg)
     out = Path(out_dir if out_dir is not None else rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -970,7 +1006,8 @@ def sweep(cfg: dict, param: str, grid: list, out_dir=None) -> dict:
     """Grid sweep over one config field, ranked by validation pinball loss.
 
     ``param`` is any field of a section's kind, set in ``cfg`` or left at its
-    default; every point is validated before the first one runs. Every grid
+    default; every point is validated, against its input files' rows too,
+    before the first one runs. Every grid
     point reruns the full experiment with the same seeds; ties in the
     validation score select the smaller parameter value. The points share
     one read of each CSV stream; a point whose ``stream`` section differs (a
@@ -983,6 +1020,8 @@ def sweep(cfg: dict, param: str, grid: list, out_dir=None) -> dict:
     _require(param not in _TOP or isinstance(_TOP[param][0], _Type), param,
              "is a section; sweep one of its fields")
     points = [_sweep_point(cfg, param, value) for value in grid]
+    for _, sub_rc in points:
+        _check_input_rows(sub_rc)
     out = Path(out_dir if out_dir is not None else rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -97,7 +97,11 @@ def _quantile(values: np.ndarray, q: float) -> float:
     """``np.quantile(values, q)`` (the linear method) of a 1-D float array,
     bit for bit: the same partition of a copy, the same neighbours, and
     numpy's two-branch interpolation ``_lerp``."""
-    arr = values.copy()
+    return _partitioned_quantile(values.copy(), q)
+
+
+def _partitioned_quantile(arr: np.ndarray, q: float) -> float:
+    """``_quantile`` of ``arr``, partitioning ``arr`` itself in place."""
     n = arr.size
     virtual = (n - 1) * q
     if virtual >= n - 1:  # at or past the last element
@@ -170,10 +174,13 @@ def evaluate(trace, window: tuple | None = None,
     else:
         dc = math.nan
 
-    finite = sizes[np.isfinite(sizes)]
-    if finite.size:
-        qs = {q: _quantile(finite, q) for q in (0.1, 0.5, 0.9)}
-        mean_len = float(finite.mean())
+    finite = np.isfinite(sizes)
+    if finite.any():
+        # one copy of the finite sizes at a time: each level partitions a
+        # fresh one, in the trace's order, as np.quantile partitions its own
+        mean_len = float(sizes[finite].mean())
+        qs = {q: _partitioned_quantile(sizes[finite], q)
+              for q in (0.1, 0.5, 0.9)}
     else:
         qs = {}
         mean_len = math.nan

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -380,11 +381,15 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
     from the warm-up rows only -- later rows never leak into them. A file
     that does not fit the config raises ``CsvInputError`` naming the config
     field at fault; a missing or unreadable one raises ``OSError``.
+
+    Accepted rows go into flat typed columns, 8 bytes per value (88 bytes
+    per row with three features and the six time features), which become
+    ``X``, ``y`` and ``group`` without a per-row Python list.
     """
-    feats: list[list[float]] = []
-    targets: list[float] = []
-    times: list[list[float]] = []
-    groups: list[int] = []
+    targets = array("d")
+    feats = array("d")  # the row's features, one after another
+    times = array("d")  # the row's six time features
+    groups = array("q")
 
     with open(config.path, newline="") as fh:
         reader = csv.reader(fh)
@@ -439,23 +444,24 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
                 if config.augment_time:
                     raw = row[ts_col].strip() if ts_col < n else ""
                     ts = _parse_timestamp(raw, config.timestamp_format, idx)
-                    times.append(_time_features(ts))
+                    times.fromlist(_time_features(ts))
                     groups.append(ts.weekday())
                 else:
                     groups.append(-1)
                 targets.append(values[0])
-                feats.append(values[1:])
+                feats.fromlist(values[1:])
 
-    if not feats:
+    rows = len(targets)
+    if not rows:
         raise CsvInputError("path", f"{config.path}: no usable rows")
-    if config.warmup > len(feats):
+    if config.warmup > rows:
         raise CsvInputError(
             "warmup",
-            f"warm-up size {config.warmup} exceeds row count {len(feats)}")
+            f"warm-up size {config.warmup} exceeds row count {rows}")
     warmup = config.warmup
 
-    X = np.asarray(feats, dtype=float)
-    y = np.asarray(targets, dtype=float)
+    X = np.frombuffer(feats, dtype=float).reshape(rows, len(feature_cols))
+    y = np.frombuffer(targets, dtype=float)
 
     x_mean, x_std, y_mean, y_std = _warmup_statistics(
         X[:warmup], y[:warmup], feature_cols)
@@ -463,10 +469,11 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
     y = (y - y_mean) / y_std
     names = list(feature_cols)
     if config.augment_time:
-        X = np.hstack([X, np.asarray(times, dtype=float)])
+        X = np.hstack([X, np.frombuffer(times, dtype=float).reshape(
+            rows, len(_TIME_FEATURES))])
         names += list(_TIME_FEATURES)
 
-    group = np.asarray(groups, dtype=int)
+    group = np.frombuffer(groups, dtype=np.int64)
     for arr in (X, y, group):
         arr.setflags(write=False)
     return CsvStream(

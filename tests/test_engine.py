@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import tracemalloc
 from operator import gt, le, lt
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riskcal import engine
 from riskcal.baseline import (WindowQuantileConstructor, aci_spec,
                               aci_update, run_aci_stream)
 from riskcal.engine import (MultiRiskSpec, RiskSpec, StreamTrace,
@@ -881,3 +885,252 @@ class TestOneLoopSameBits:
             else "interval" for lo in trace.lo)
         assert seen == {"full", "empty", "interval"}
         assert np.isnan(trace.y).any()
+
+
+@st.composite
+def _chunk_cases(draw):
+    """A ``_loop_cases`` run, a small chunk size C, and an ``n_steps`` at a
+    chunk boundary: None, -1, 0, C - 1, C, C + 1 or 2C + 1. The stream may
+    hold fewer items than ``n_steps``, and then ends early."""
+    case = draw(_loop_cases())
+    chunk = draw(st.sampled_from([1, 2, 3, 5]))
+    case["n_steps"] = draw(st.sampled_from(
+        [None, -1, 0, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
+    return case, chunk
+
+
+class TestChunkedRecordingSameBits:
+    """The loop moves its lists into typed arrays every ``_CHUNK`` steps;
+    with a chunk of a few steps, every column and error still equals the
+    frozen loop's, for one to three risks, the baseline and adaptive
+    stretches, and streams that end inside, at or past a chunk boundary."""
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(drawn=_chunk_cases())
+    def test_every_column_equals_the_frozen_loop(self, drawn):
+        case, chunk = drawn
+        with mock.patch.object(engine, "_CHUNK", chunk):
+            new, new_pulled = _outcome(_run, case, frozen=False)
+        old, old_pulled = _outcome(_frozen_run, case, frozen=True)
+        assert new_pulled == old_pulled
+        if isinstance(old, tuple):
+            assert new == old
+            return
+        assert not isinstance(new, tuple), new
+        for column in ("loss", "theta_pre", "theta_post", "covered", "size",
+                       "lo", "hi", "y", "group"):
+            assert _column_bits(getattr(new, column)) == \
+                _column_bits(getattr(old, column)), column
+
+    @pytest.mark.parametrize("n_steps", [None, 7, 8, 9, 17, 40])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_boundaries_with_every_risk_count(self, n_steps, k):
+        # 20 labels: a run of 40 steps ends early, inside its third chunk
+        case = {"k": k, "aci": False,
+                "labels": [0.5 * (t % 7) - 1.5 for t in range(20)],
+                "q": [(-1.0, 1.0), (0.2, 0.4), (1.0, -1.0)] * 6 + [(0, 0)] * 2,
+                "protocol": "triples", "adversarial": False, "x_width": 1,
+                "label_type": float, "model": "replay", "n_steps": n_steps,
+                "gamma": 0.3, "bound": 0.6, "stretch": "exponential",
+                "losses": ["binary", "mc", "binary"][:k],
+                "multi_spec": k > 1, "two_sided": True,
+                "aggregation": "mean"}
+        with mock.patch.object(engine, "_CHUNK", 8):
+            new, _ = _outcome(_run, case, frozen=False)
+        old, _ = _outcome(_frozen_run, case, frozen=True)
+        assert len(new) == min(20, 20 if n_steps is None else n_steps)
+        for column in ("loss", "theta_pre", "theta_post", "covered", "size",
+                       "lo", "hi", "y", "group"):
+            assert _column_bits(getattr(new, column)) == \
+                _column_bits(getattr(old, column)), column
+
+
+class TestRunMemory:
+    def test_peak_follows_the_finished_trace(self):
+        # the finished one-risk trace holds 65 bytes per step; a list per
+        # column would hold about 260 at the peak
+        n = 100_000
+        rng = np.random.default_rng(0)
+        labels = rng.standard_normal(n).tolist()
+        x = np.zeros(1)
+
+        def stream():
+            for y in labels:
+                yield x, y
+
+        model = ConstantModel({0.05: -1.6, 0.95: 1.6})
+        run_stream(stream(), model, CqrConstructor(), BinaryLossFn(), _spec(),
+                   n_steps=1000)  # first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace = run_stream(stream(), model, CqrConstructor(),
+                               BinaryLossFn(), _spec(), n_steps=n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == n
+        assert peak / n <= 120, f"{peak / n:.1f} B/step"
+
+
+# ---------------------------------------------------------------------------
+# The certificate checks as they were before they went one chunk of rows at
+# a time: frozen whole-column copies, the oracle of the test below.
+# ---------------------------------------------------------------------------
+
+def _frozen_thetas(trace):
+    from riskcal.engine import _columns
+
+    return np.concatenate([_columns(trace, "theta_pre"),
+                           _columns(trace, "theta_post")])
+
+
+def _frozen_upper_theta(trace, spec):
+    if len(trace) == 0:
+        return True, 0.0
+    s = spec.risks
+    hi = np.asarray(s.M) + 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
+    viol = max(float(np.max(_frozen_thetas(trace) - hi)), 0.0)
+    return viol <= 1e-9, viol
+
+
+def _frozen_lower_theta(trace, spec):
+    if len(trace) == 0:
+        return True, 0.0
+    s = spec.risks
+    lo = np.asarray(s.m) - 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
+    viol = max(float(np.max(lo - _frozen_thetas(trace))), 0.0)
+    return viol <= 1e-9, viol
+
+
+def _frozen_prefix_means(trace, s, bound_fn):
+    from riskcal.engine import _columns
+
+    T = np.arange(1, len(trace) + 1, dtype=float)
+    means = np.cumsum(_columns(trace, "loss"), axis=0) / T[:, None]
+    return means, np.column_stack([bound_fn(s, i, T) for i in range(s.k)])
+
+
+def _frozen_upper_risk(trace, spec):
+    from riskcal.engine import upper_deviation_bound
+
+    if len(trace) == 0:
+        return True, 0.0
+    s = spec.risks
+    means, bounds = _frozen_prefix_means(trace, s, upper_deviation_bound)
+    viol = max(float(np.max(means - (np.asarray(s.r) + bounds))), 0.0)
+    return viol <= 1e-9, viol
+
+
+def _frozen_two_sided_risk(trace, spec):
+    if len(trace) == 0:
+        return True, 0.0
+    s = spec.risks
+    means, bounds = _frozen_prefix_means(trace, s, two_sided_deviation_bound)
+    viol = max(float(np.max(np.abs(means - np.asarray(s.r)) - bounds)), 0.0)
+    return viol <= 1e-9, viol
+
+
+def _frozen_recursion(trace, update):
+    from riskcal.engine import _columns
+
+    pre = _columns(trace, "theta_pre")
+    n = len(pre)
+    if n == 0:
+        return True, 0.0
+    post = _columns(trace, "theta_post")
+    t = np.arange(n)
+    expected = np.column_stack([
+        step(t, th, loss)
+        for step, th, loss in zip(update, pre.T, _columns(trace, "loss").T)])
+    viol = float(np.max(np.abs(expected - post)))
+    if n > 1:
+        viol = max(viol, float(np.max(np.abs(post[:-1] - pre[1:]))))
+    return viol <= 1e-9, viol
+
+
+_CHECK_CELLS = st.floats(-3.0, 3.0) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0])
+
+
+@st.composite
+def _checked_traces(draw):
+    """A spec and a trace of 1-20 rows whose cells are drawn (NaN and
+    infinities included), with theta_post chained into the next theta_pre
+    or drawn on its own."""
+    n = draw(st.integers(1, 20))
+    k = draw(st.sampled_from([None, 1, 2, 3]))
+    width = 1 if k is None else k
+    if k is None:
+        spec = RiskSpec(r=0.1, gamma=0.5, m=-1.0, M=1.0, B=1.0)
+    else:
+        spec = MultiRiskSpec(r=(0.1, 0.5, -0.2)[:k], gamma=0.5, m=-1.0,
+                             M=1.0, B=(1.0, 2.0, 1.0)[:k],
+                             two_sided=draw(st.booleans()))
+
+    def column(rows):
+        return np.array(draw(st.lists(_CHECK_CELLS, min_size=rows * width,
+                                      max_size=rows * width)),
+                        dtype=float).reshape(rows, width)
+
+    loss = column(n)
+    pre = column(n)
+    post = (np.concatenate([pre[1:], column(1)]) if draw(st.booleans())
+            else column(n))
+    if k is None:
+        loss, pre, post = loss[:, 0], pre[:, 0], post[:, 0]
+    trace = StreamTrace(loss=loss, theta_pre=pre, theta_post=post,
+                        covered=np.ones(n, dtype=bool), size=np.zeros(n),
+                        lo=np.zeros(n), hi=np.zeros(n), y=np.zeros(n),
+                        group=np.full(n, -1))
+    return spec, trace
+
+
+class TestChunkedChecksSameBits:
+    """The checks go one chunk of rows at a time, carrying the running loss
+    sum; every verdict and violation equals the whole-column checks', bit
+    for bit, and a NaN stays a NaN."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(drawn=_checked_traces(), chunk=st.sampled_from([1, 2, 3, 5, 4096]))
+    def test_every_check_equals_the_frozen_one(self, drawn, chunk):
+        spec, trace = drawn
+        pairs = [(check_upper_theta_bound, _frozen_upper_theta),
+                 (check_lower_theta_bound, _frozen_lower_theta),
+                 (check_upper_risk_bound, _frozen_upper_risk),
+                 (check_two_sided_risk_bound, _frozen_two_sided_risk)]
+        update = control_update(spec)
+        with mock.patch.object(engine, "_CHUNK", chunk), \
+                np.errstate(invalid="ignore"):
+            got = [check(trace, spec) for check, _ in pairs]
+            got.append(check_recursion(trace, update))
+            want = [frozen(trace, spec) for _, frozen in pairs]
+            want.append(_frozen_recursion(trace, update))
+        # a NaN's sign bit depends on numpy's reduction kernel, and no
+        # output shows it: the certificate prints "nan" either way
+        assert [(ok, "nan" if v != v else np.float64(v).tobytes())
+                for ok, v in got] == \
+            [(ok, "nan" if v != v else np.float64(v).tobytes())
+             for ok, v in want]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+    def test_a_break_in_the_chain_is_seen_at_every_row(self, chunk):
+        # shifting every theta from row b on keeps each step's recursion and
+        # breaks the chain between rows b - 1 and b only, which may fall on
+        # a chunk boundary
+        spec = _spec()
+        update = control_update(spec)
+        trace = run_stream(_iid_stream(2, 12), ConstantModel(
+            {0.05: 2, 0.95: 4}), CqrConstructor(), BinaryLossFn(), spec)
+        for b in range(1, len(trace)):
+            pre, post = trace.theta_pre.copy(), trace.theta_post.copy()
+            pre[b:] += 0.25
+            post[b:] += 0.25
+            shifted = dataclasses.replace(trace, theta_pre=pre,
+                                          theta_post=post)
+            with mock.patch.object(engine, "_CHUNK", chunk):
+                ok, viol = check_recursion(shifted, update)
+            assert (ok, viol) == _frozen_recursion(shifted, update)
+            assert not ok and viol == pytest.approx(0.25), b

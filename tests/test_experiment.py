@@ -841,9 +841,15 @@ class TestCli:
 
 
 def _round_trip_config(kind, seed, steps, gamma, m, width, offset):
-    # a narrow [m, M] and a start near m, so both safeguards fire
+    # a narrow [m, M] and a start near m, so both safeguards fire; a config
+    # starts at or below M + 2 gamma B and, two-sided, at or above
+    # m - 2 gamma B
+    two_sided = kind == "single" or bool(seed % 2)
+    theta_init = min(m + offset, (m + width) + 2.0 * gamma * 1.0)
+    if two_sided:
+        theta_init = max(theta_init, m - 2.0 * gamma * 1.0)
     controller = {"gamma": gamma, "m": m, "M": m + width, "B": 1.0,
-                  "theta_init": m + offset}
+                  "theta_init": theta_init}
     if kind == "single":
         return base_config(seed=seed, steps=steps, trials=1,
                            eval_window=[1, steps],
@@ -857,7 +863,7 @@ def _round_trip_config(kind, seed, steps, gamma, m, width, offset):
         stretch={"kind": "exponential"},
         losses=[{"kind": "image_miscoverage", "r": 0.2},
                 {"kind": "center_failure", "r": 0.1}],
-        controller={"kind": "multi", "two_sided": bool(seed % 2),
+        controller={"kind": "multi", "two_sided": two_sided,
                     "aggregation": "max" if seed % 3 else "mean",
                     **controller})
 
@@ -1725,3 +1731,200 @@ class TestSweepOverPaths:
         capsys.readouterr()
         assert cli_main(["verify", str(out)]) == 0
         assert capsys.readouterr().out.count(": PASS") == 2
+
+    @pytest.mark.parametrize("param,short,field", [
+        ("stream.path", "series", "eval_window"),
+        ("model.path", "predictions", "model.path")])
+    def test_short_second_point_fails_before_any_trial(
+            self, tmp_path, capsys, param, short, field):
+        # the second point's file has 250 rows; every point's rows are
+        # checked while the points are validated, so no trial runs
+        cfg = csv_config(tmp_path, trials=1)
+        write = write_series if short == "series" else write_predictions
+        grid = [cfg["stream" if short == "series" else "model"]["path"],
+                str(write(tmp_path / f"{short}250.csv", n=250))]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sw"
+        assert cli_main(["sweep", str(path), "--param", param,
+                         "--grid", *map(json.dumps, grid),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ")
+        assert "250" in err and "Traceback" not in err
+        assert not list(out.rglob("trial_*"))
+
+
+class TestThetaInitRange:
+    """A start outside [m - 2 gamma B, M + 2 gamma B] fails the theta lines
+    whatever the data, so it is a config error at controller.theta_init;
+    the lower end binds two-sided control only. Here gamma = 0.05, B = 1,
+    m = -2 and M = 2."""
+
+    LO, HI = -2.0 - 2.0 * 0.05 * 1.0, 2.0 + 2.0 * 0.05 * 1.0
+
+    def _multi(self, theta_init, two_sided):
+        return base_config(
+            losses=[{"kind": "binary", "r": 0.1}, {"kind": "binary", "r": 0.2}],
+            controller={"kind": "multi", "m": -2.0, "M": 2.0,
+                        "theta_init": theta_init, "two_sided": two_sided})
+
+    def test_start_above_exits_two_before_any_output(self, tmp_path, capsys):
+        cfg = base_config(controller={"kind": "single", "m": -2.0, "M": 2.0,
+                                      "theta_init": 5})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: controller.theta_init: 5.0 is "
+                              f"above M + 2 gamma B = {self.HI}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("side", ["LO", "HI"])
+    def test_boundary_starts_run_and_pass(self, tmp_path, side):
+        theta_init = getattr(self, side)
+        cfg = base_config(steps=200, trials=1, controller={
+            "kind": "single", "m": -2.0, "M": 2.0, "theta_init": theta_init})
+        res = run_experiment(cfg, tmp_path)
+        assert res.trials[0].trace.theta_pre[0] == theta_init
+        assert res.certificate_passed, res.certificate_lines
+
+    @pytest.mark.parametrize("cfg", [
+        base_config(controller={"kind": "single", "m": -2.0, "M": 2.0,
+                                "theta_init": math.nextafter(HI, math.inf)}),
+        base_config(controller={"kind": "single", "m": -2.0, "M": 2.0,
+                                "theta_init": math.nextafter(LO, -math.inf)}),
+    ], ids=["single-above", "single-below"])
+    def test_one_ulp_outside_is_rejected(self, cfg):
+        with pytest.raises(ConfigError, match=r"^controller\.theta_init: "):
+            validate_config(cfg)
+
+    def test_multi_checks_the_lower_end_when_two_sided_only(self):
+        below = [0.0, math.nextafter(self.LO, -math.inf)]
+        validate_config(self._multi(below, two_sided=False))
+        with pytest.raises(ConfigError, match=r"^controller\.theta_init: .* "
+                           r"\(risk 2\) is below m - 2 gamma B"):
+            validate_config(self._multi(below, two_sided=True))
+        above = [math.nextafter(self.HI, math.inf), 0.0]
+        for two_sided in (False, True):
+            with pytest.raises(ConfigError, match=r"^controller\.theta_init: "
+                               r".* \(risk 1\) is above M \+ 2 gamma B"):
+                validate_config(self._multi(above, two_sided))
+
+    def test_the_baseline_takes_no_start_and_is_unaffected(self):
+        validate_config(base_config(
+            stream={"kind": "synthetic"},
+            model={"kind": "linear_pinball", "taus": [0.05, 0.95]},
+            controller={"kind": "baseline_aci", "gamma": 0.005}))
+
+
+# ---------------------------------------------------------------------------
+# The trace writer as it was before it wrote one chunk of rows at a time: a
+# frozen copy, kept as the oracle of the same-bytes test below.
+# ---------------------------------------------------------------------------
+
+def _frozen_write_trace_csv(trace, path, layout="interval"):
+    from itertools import chain, tee
+
+    from riskcal.experiment import _PER_RISK_COLUMNS, _chained
+
+    names, cols = [], []
+    for name in _PER_RISK_COLUMNS:
+        col = getattr(trace, name)
+        if col.ndim == 1:
+            names.append(name)
+            cols.append(col)
+        else:
+            names += [f"{name}_{i + 1}" for i in range(col.shape[1])]
+            cols += list(col.T)
+    if layout == "interval":
+        names += ["set_lo", "set_hi"]
+        cols += [trace.lo, trace.hi]
+    else:
+        names.append("set_size")
+        cols.append(trace.size)
+    n = len(trace)
+    pre, post = trace.theta_pre, trace.theta_post
+    if n and _chained(pre, post):
+        post_cols = post.reshape(n, -1).T
+        k = len(post_cols)
+        fmt = "%.17g," * k
+        posts, lagged = tee(map(fmt.__mod__,
+                                zip(*[col.tolist() for col in post_cols])))
+        first = fmt % tuple(pre.reshape(n, k)[0].tolist())
+        j = names.index("theta_pre" if post.ndim == 1 else "theta_pre_1")
+        head, thetas, tail = cols[:j], [chain((first,), lagged), posts], \
+            cols[j + 2 * k:]
+        row = ("%d," + "%.17g," * len(head) + "%s%s" + "%.17g," * len(tail)
+               + "%d\n")
+    else:
+        head, thetas, tail = cols, [], []
+        row = "%d," + "%.17g," * len(cols) + "%d\n"
+    rows = zip(range(1, n + 1), *[col.tolist() for col in head], *thetas,
+               *[col.tolist() for col in tail], trace.covered.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["step", *names, "covered"]) + "\n")
+        fh.writelines(map(row.__mod__, rows))
+
+
+_CELLS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 0.1, 1e-300, 5e-324])
+
+
+@st.composite
+def _traces(draw):
+    """A trace of 0-20 rows, 1-D or with k = 1 or 2 risk columns, whose
+    theta_post chains into the next theta_pre or (for ``chained`` False)
+    is drawn on its own, except perhaps in one bit."""
+    from riskcal.engine import StreamTrace
+
+    n = draw(st.integers(0, 20))
+    k = draw(st.sampled_from([None, 1, 2]))
+    shape = (n,) if k is None else (n, k)
+    width = 1 if k is None else k
+
+    def column(rows, cols=1):
+        values = draw(st.lists(_CELLS, min_size=rows * cols,
+                               max_size=rows * cols))
+        return np.array(values, dtype=float).reshape(rows, cols)
+
+    pre = column(n, width)
+    post = np.concatenate([pre[1:], column(min(n, 1), width)])
+    how = draw(st.sampled_from(["chained", "drawn", "one bit"]))
+    if how == "drawn":
+        post = column(n, width)
+    elif how == "one bit" and n > 1:
+        bits = post.view(np.int64)
+        bits[draw(st.integers(0, n - 2)), 0] ^= 1
+    flat = [column(n).reshape(n) for _ in range(4)]
+    return StreamTrace(
+        loss=column(n, width).reshape(shape), theta_pre=pre.reshape(shape),
+        theta_post=post.reshape(shape),
+        covered=np.array(draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)), dtype=bool),
+        size=flat[0], lo=flat[1], hi=flat[2], y=flat[3],
+        group=np.full(n, -1))
+
+
+class TestChunkedExportSameBytes:
+    """The writer converts and writes one chunk of rows at a time, carrying
+    the last theta_post it formatted into the next chunk's first theta_pre
+    cells; its files equal the frozen whole-column writer's, byte for
+    byte, for chained and unchained traces."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(trace=_traces(), chunk=st.sampled_from([1, 2, 3, 5]),
+           layout=st.sampled_from(["interval", "size"]))
+    def test_bytes_equal_the_frozen_writer(self, trace, chunk, layout):
+        from unittest import mock
+
+        from riskcal import engine
+
+        with tempfile.TemporaryDirectory() as tmp:
+            with mock.patch.object(engine, "_CHUNK", chunk):
+                write_trace_csv(trace, f"{tmp}/new.csv", layout)
+            _frozen_write_trace_csv(trace, f"{tmp}/old.csv", layout)
+            with open(f"{tmp}/new.csv", "rb") as new, \
+                    open(f"{tmp}/old.csv", "rb") as old:
+                assert new.read() == old.read()

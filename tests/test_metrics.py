@@ -232,6 +232,32 @@ class TestSameBitsWithoutNumpyMa:
         assert _bits(got) == _bits(expected)
         assert before.tobytes() == values.tobytes()  # the input is not moved
 
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(sizes=hnp.arrays(np.float64, st.integers(1, 40),
+                            elements=st.sampled_from(
+                                [0.0, -0.0, 0.5, 1.0, 2.5, 1e-300,
+                                 math.inf, -math.inf, math.nan])
+                            | st.floats(0, 10)))
+    def test_evaluate_length_statistics_are_numpys(self, sizes):
+        # each level partitions its own copy of the finite sizes, so a
+        # +0.0 and a -0.0 land where np.quantile puts them
+        from riskcal.engine import StreamTrace
+
+        n = len(sizes)
+        trace = StreamTrace(
+            loss=np.zeros(n), theta_pre=np.zeros(n), theta_post=np.zeros(n),
+            covered=np.ones(n, dtype=bool), size=sizes, lo=sizes, hi=sizes,
+            y=sizes, group=np.full(n, -1))
+        before = sizes.copy()
+        rep = evaluate(trace)
+        finite = before[np.isfinite(before)]
+        if finite.size:
+            assert _bits(rep.mean_length) == _bits(finite.mean())
+            assert {q: _bits(v) for q, v in rep.length_quantiles.items()} == \
+                {q: _bits(np.quantile(finite, q)) for q in (0.1, 0.5, 0.9)}
+        assert before.tobytes() == sizes.tobytes()
+
     def test_quantile_takes_the_upper_branch_at_one_half(self):
         # at weight exactly 0.5 the two interpolation branches round apart
         # here; numpy takes b - (b - a) * (1 - t)

@@ -617,3 +617,170 @@ class TestFloatFirstSameAsParent:
                                x_mean=None, x_std=None, y_mean=0.0, y_std=1.0)
         assert _items(cs) == _items(_iter_frozen(cs))
         assert all(r.base is x for r, _, _ in cs)
+
+
+# ---------------------------------------------------------------------------
+# CSV ingestion as it was before it collected rows into flat typed columns:
+# a frozen copy, kept as the oracle of the same-arrays test below.
+# ---------------------------------------------------------------------------
+
+def _frozen_csv_ingest(config):
+    import math
+
+    from riskcal.streams import (_NA_TOKENS, _TIME_FEATURES, CsvInputError,
+                                 CsvStream, _parse_timestamp, _time_features,
+                                 _warmup_statistics)
+
+    feats, targets, times, groups = [], [], [], []
+    with open(config.path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvInputError("path", f"{config.path}: missing header row")
+        index = {name: j for j, name in enumerate(header)}
+        feature_cols = list(config.feature_cols)
+        if not feature_cols:
+            reserved = {config.target_col, config.timestamp_col}
+            feature_cols = [c for c in header if c not in reserved]
+        needed = [("target_col", config.target_col)]
+        needed += [("feature_cols", c) for c in feature_cols]
+        if config.augment_time or config.timestamp_col:
+            needed.append(("timestamp_col", config.timestamp_col))
+        for fld, col in needed:
+            if col not in index:
+                raise CsvInputError(
+                    fld, f"{config.path}: column {col!r} not in header")
+        value_cols = [(col, index[col])
+                      for col in [config.target_col] + feature_cols]
+        ts_col = index.get(config.timestamp_col)
+        for idx, row in enumerate(filter(None, reader), start=1):
+            n = len(row)
+            values = []
+            for col, j in value_cols:
+                try:
+                    value = float(row[j])
+                except (ValueError, IndexError):
+                    value = math.nan
+                if value != value:
+                    raw = row[j].strip() if j < n else ""
+                    if raw.lower() in _NA_TOKENS:
+                        warnings.warn(f"row {idx} rejected: missing value "
+                                      f"in column {col!r}")
+                        break
+                    try:
+                        value = float(raw)
+                    except ValueError as exc:
+                        raise CsvInputError(
+                            "path",
+                            f"row {idx}, column {col!r}: cannot parse {raw!r}"
+                        ) from exc
+                values.append(value)
+            else:
+                if config.augment_time:
+                    raw = row[ts_col].strip() if ts_col < n else ""
+                    ts = _parse_timestamp(raw, config.timestamp_format, idx)
+                    times.append(_time_features(ts))
+                    groups.append(ts.weekday())
+                else:
+                    groups.append(-1)
+                targets.append(values[0])
+                feats.append(values[1:])
+    if not feats:
+        raise CsvInputError("path", f"{config.path}: no usable rows")
+    if config.warmup > len(feats):
+        raise CsvInputError(
+            "warmup",
+            f"warm-up size {config.warmup} exceeds row count {len(feats)}")
+    warmup = config.warmup
+    X = np.asarray(feats, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    x_mean, x_std, y_mean, y_std = _warmup_statistics(
+        X[:warmup], y[:warmup], feature_cols)
+    X = (X - x_mean) / x_std
+    y = (y - y_mean) / y_std
+    names = list(feature_cols)
+    if config.augment_time:
+        X = np.hstack([X, np.asarray(times, dtype=float)])
+        names += list(_TIME_FEATURES)
+    group = np.asarray(groups, dtype=int)
+    for arr in (X, y, group):
+        arr.setflags(write=False)
+    return CsvStream(x=X, y=y, group=group, feature_names=names,
+                     x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
+
+
+# each list ends with a stamp its format cannot parse
+_ISO = ["2021-03-01T00:00:00", "2021-03-06 13:45", "2020-02-29T23:59:59",
+        "2021-03-0"]
+_EPOCH = ["1614556800", "1614556800.5", "-86400", "1e30"]
+_VALUES = ["1.5", " -2 ", "0", "3e2", "inf", "+nan", "1e400", "-0.0", "7"]
+_NA = ["", "NA", " nan ", "null", "None"]
+
+
+@st.composite
+def _csv_files(draw):
+    """A CSV file and the config reading it: rows with NA tokens, short
+    rows, blank lines, unparseable cells, ISO or epoch timestamps, with or
+    without time features, and a warm-up that may exceed the rows."""
+    fmt = draw(st.sampled_from(["iso", "epoch"]))
+    stamps = _ISO if fmt == "iso" else _EPOCH
+    stamps = stamps[:-1] * 8 + stamps[-1:]
+    header = ["ts", "target", "f1", "f2"]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(
+            ["full"] * 12 + ["na", "na", "short", "short", "blank", "bad"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        cells = [draw(st.sampled_from(stamps))] + [
+            draw(st.sampled_from(_VALUES)) for _ in range(3)]
+        if kind == "na":
+            cells[draw(st.integers(1, 3))] = draw(st.sampled_from(_NA))
+        elif kind == "short":
+            cells = cells[:draw(st.integers(1, 3))]
+        elif kind == "bad":
+            cells[draw(st.integers(1, 3))] = "x1"
+        lines.append(",".join(cells))
+    config = {
+        "timestamp_col": "ts", "target_col": "target",
+        "feature_cols": draw(st.sampled_from([[], ["f1"], ["f2", "f1"]])),
+        "warmup": draw(st.integers(1, 5)),
+        "augment_time": draw(st.booleans()), "timestamp_format": fmt}
+    return "\n".join(lines) + "\n", config
+
+
+def _ingest_outcome(ingest, path, config):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            cs = ingest(CsvStreamConfig(path, **config))
+        except ValueError as exc:
+            result = ("raised", type(exc), str(exc),
+                      getattr(exc, "field", None))
+        else:
+            arrays = [(a.dtype, a.shape, a.flags.writeable,
+                       np.ascontiguousarray(a).tobytes())
+                      for a in (cs.x, cs.y, cs.group, cs.x_mean, cs.x_std)]
+            result = (arrays, cs.feature_names,
+                      np.float64(cs.y_mean).tobytes(),
+                      np.float64(cs.y_std).tobytes())
+    return result, [(w.category, str(w.message)) for w in seen]
+
+
+class TestColumnarIngestSameArrays:
+    """Ingestion into flat typed columns gives the frozen list-per-row
+    ingestion's arrays, statistics, warnings (text and order) and errors."""
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(drawn=_csv_files())
+    def test_equals_the_frozen_ingestion(self, drawn):
+        text, config = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            new = _ingest_outcome(csv_ingest, path, config)
+            old = _ingest_outcome(_frozen_csv_ingest, path, config)
+        assert new == old
