@@ -184,8 +184,8 @@ class _Recorder:
     moves them into one typed array per column, so the run holds at most a
     chunk of steps as Python objects. The arrays grow geometrically, but
     never past ``n_steps``, which a stream may not reach (a CSV stream ends
-    at its last row). A run shorter than one chunk allocates no array
-    while it runs: its lists are converted once, at the end.
+    at its last row). A run shorter than one chunk fills its arrays once,
+    at the end, at its length.
     """
 
     _DTYPES = (float, float, bool, float, float, float, float, int)
@@ -193,7 +193,7 @@ class _Recorder:
     def __init__(self, k: int, n_steps: int | None):
         self.lists = tuple([] for _ in self._DTYPES)
         self.widths = (k, k, 1, 1, 1, 1, 1, 1)  # values per step
-        self.arrays = None
+        self.arrays = [np.empty(0, dtype) for dtype in self._DTYPES]
         self.n = 0    # steps in the arrays
         self.cap = 0  # steps the arrays can hold
         self.limit = math.inf if n_steps is None else max(n_steps, 0)
@@ -201,26 +201,21 @@ class _Recorder:
     def flush(self) -> None:
         """Move the listed steps to the arrays and empty the lists."""
         n = self.n + len(self.lists[2])  # covered: one value per step
-        if n > self.cap:
+        grow = n > self.cap
+        if grow:
             self.cap = min(2 * n, self.limit)
-            if self.arrays is None:
-                self.arrays = [np.empty(self.cap * w, dtype) for w, dtype
-                               in zip(self.widths, self._DTYPES)]
-            else:
-                for arr, w in zip(self.arrays, self.widths):
-                    # nothing else refers to the array while the loop runs
-                    arr.resize(self.cap * w, refcheck=False)
+        # one column at a time, so a list is freed before the next column
+        # grows
         for arr, lst, w in zip(self.arrays, self.lists, self.widths):
+            if grow:
+                # nothing else refers to the array while the loop runs
+                arr.resize(self.cap * w, refcheck=False)
             arr[self.n * w:n * w] = lst
             lst.clear()
         self.n = n
 
     def finish(self) -> list:
-        """The recorded columns as flat arrays of the run's length; the
-        conversion of each value is ``np.asarray``'s."""
-        if self.arrays is None:
-            return [np.asarray(lst, dtype)
-                    for lst, dtype in zip(self.lists, self._DTYPES)]
+        """The recorded columns as flat arrays of the run's length."""
         # the run is over: the arrays need hold no more than its steps
         self.limit = self.n + len(self.lists[2])
         self.flush()

@@ -93,15 +93,11 @@ def _levels(g: np.ndarray) -> np.ndarray:
     return s[first]
 
 
-def _quantile(values: np.ndarray, q: float) -> float:
-    """``np.quantile(values, q)`` (the linear method) of a 1-D float array,
-    bit for bit: the same partition of a copy, the same neighbours, and
-    numpy's two-branch interpolation ``_lerp``."""
-    return _partitioned_quantile(values.copy(), q)
-
-
 def _partitioned_quantile(arr: np.ndarray, q: float) -> float:
-    """``_quantile`` of ``arr``, partitioning ``arr`` itself in place."""
+    """``np.quantile(arr, q)`` (the linear method) of a 1-D float array,
+    bit for bit: the same partition, the same neighbours, and numpy's
+    two-branch interpolation ``_lerp``. ``arr`` itself is partitioned in
+    place, where numpy partitions a copy."""
     n = arr.size
     virtual = (n - 1) * q
     if virtual >= n - 1:  # at or past the last element

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from riskcal.metrics import (_levels, _quantile, coverage, delta_coverage,
-                             evaluate, mc_risk, miscoverage_streaks, msl)
+from riskcal.metrics import (_levels, _partitioned_quantile, coverage,
+                             delta_coverage, evaluate, mc_risk,
+                             miscoverage_streaks, msl)
 
 
 class TestMsl:
@@ -183,8 +184,8 @@ def _bits(v) -> bytes:
 
 
 class TestSameBitsWithoutNumpyMa:
-    """``_levels`` and ``_quantile`` stand in for ``np.unique`` and
-    ``np.quantile`` (which load numpy.ma) and must give their bits."""
+    """``_levels`` and ``_partitioned_quantile`` stand in for ``np.unique``
+    and ``np.quantile`` (which load numpy.ma) and must give their bits."""
 
     @settings(max_examples=400, deadline=None, database=None,
               derandomize=True)
@@ -228,7 +229,7 @@ class TestSameBitsWithoutNumpyMa:
         before = values.copy()
         with np.errstate(all="ignore"):
             expected = np.quantile(values, q)
-            got = _quantile(values, q)
+            got = _partitioned_quantile(values.copy(), q)
         assert _bits(got) == _bits(expected)
         assert before.tobytes() == values.tobytes()  # the input is not moved
 
@@ -262,6 +263,7 @@ class TestSameBitsWithoutNumpyMa:
         # at weight exactly 0.5 the two interpolation branches round apart
         # here; numpy takes b - (b - a) * (1 - t)
         values = np.array([0.9053558666731177, -1.303157231604361])
-        assert _quantile(values, 0.5) == -0.19890068246562154
-        assert _bits(_quantile(values, 0.5)) == \
+        assert _partitioned_quantile(values.copy(), 0.5) == \
+            -0.19890068246562154
+        assert _bits(_partitioned_quantile(values.copy(), 0.5)) == \
             _bits(np.quantile(values, 0.5))
