@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from operator import gt, le, lt
+from operator import add, gt, le, lt, sub
 
 import numpy as np
 
@@ -457,6 +457,39 @@ def run_stream(stream, model, constructor, loss_fn, spec: RiskSpec,
 _TOLERANCE = 1e-9
 
 
+def _spans(n: int) -> list:
+    """The (start, stop) row spans of at most ``_CHUNK`` rows that cover n
+    rows in order: the one chunk walk of the checks and of the export."""
+    return [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
+
+
+def _verdict(*sides):
+    """Every check's (ok, worst violation), from each chunk's largest excess,
+    one list per side checked. A side's violation is its largest excess, NaN
+    if any is, clamped at 0 (0.0 with no rows); all must hold, and Python's
+    max reports the worst, keeping a first side's NaN over a later one's."""
+    viols = [max(float(np.max(np.asarray(side, dtype=float))), 0.0)
+             if side else 0.0 for side in sides]
+    return all(v <= _TOLERANCE for v in viols), max(viols)
+
+
+def _envelope(spec) -> tuple:
+    """(m_i - 2*gamma_i*B_i for every risk i, M_i + 2*gamma_i*B_i for every
+    risk i): the theta lines' bounds, which anchor both deviation bounds."""
+    s = spec.risks
+    reach = [2.0 * g * b for g, b in zip(s.gamma, s.B)]
+    return tuple(map(sub, s.m, reach)), tuple(map(add, s.M, reach))
+
+
+def _upper_bound(s, envelope, i: int, T):
+    return (envelope[1][i] - s.theta_init[i]) / s.gamma[i] / T
+
+
+def _two_sided_bound(s, envelope, i: int, T):
+    t0 = s.theta_init[i]
+    return max(t0 - envelope[0][i], envelope[1][i] - t0) / (s.gamma[i] * T)
+
+
 def risk_bound(spec: RiskSpec, T: int) -> float:
     """Worst-case deviation of the T-step average loss from the target:
     (M - m + 4*gamma*B) / (gamma*T)."""
@@ -471,9 +504,7 @@ def upper_deviation_bound(spec, i: int, T):
     array of horizons."""
     if np.any(np.asarray(T) < 1):
         raise ValueError(f"T must be >= 1, got {T}")
-    s = spec.risks
-    d = (s.M[i] + 2.0 * s.gamma[i] * s.B[i] - s.theta_init[i]) / s.gamma[i]
-    return d / T
+    return _upper_bound(spec.risks, _envelope(spec), i, T)
 
 
 def two_sided_deviation_bound(spec, i: int, T):
@@ -483,11 +514,7 @@ def two_sided_deviation_bound(spec, i: int, T):
     horizons."""
     if np.any(np.asarray(T) < 1):
         raise ValueError(f"T must be >= 1, got {T}")
-    s = spec.risks
-    m_lo = s.m[i] - 2.0 * s.gamma[i] * s.B[i]
-    m_hi = s.M[i] + 2.0 * s.gamma[i] * s.B[i]
-    t0 = s.theta_init[i]
-    return max(t0 - m_lo, m_hi - t0) / (s.gamma[i] * T)
+    return _two_sided_bound(spec.risks, _envelope(spec), i, T)
 
 
 def _columns(trace, name: str) -> np.ndarray:
@@ -496,31 +523,25 @@ def _columns(trace, name: str) -> np.ndarray:
     return col[:, None] if col.ndim == 1 else col
 
 
-def _chunks(trace, *names):
-    """The named per-risk columns, one (rows, k) slice of at most
-    ``_CHUNK`` rows at a time."""
-    for name in names:
-        col = _columns(trace, name)
-        for a in range(0, len(col), _CHUNK):
-            yield col[a:a + _CHUNK]
-
-
-def _worst(values) -> float:
-    """The largest of ``values``, NaN if any is NaN."""
-    return float(np.max(np.asarray(values, dtype=float)))
+def _theta_lines(trace, spec, upper=True, lower=True):
+    """The verdict of the upper theta line, the lower one, or both (a
+    one-risk run's one line), over every coordinate before and after each
+    update."""
+    lo, hi = map(np.asarray, _envelope(spec))
+    excesses = [excess for excess, side in (
+        (lambda th: th - hi, upper), (lambda th: lo - th, lower)) if side]
+    cols = _columns(trace, "theta_pre"), _columns(trace, "theta_post")
+    spans = _spans(len(trace))
+    return _verdict(*[[np.max(excess(col[a:b]))
+                       for col in cols for a, b in spans]
+                      for excess in excesses])
 
 
 def check_upper_theta_bound(trace: StreamTrace, spec):
     """Every coordinate, before and after each update, stays at or below
     M_i + 2*gamma_i*B_i. Returns (ok, worst_violation); the violation is 0
     when the bound holds."""
-    if len(trace) == 0:
-        return True, 0.0
-    s = spec.risks
-    hi = np.asarray(s.M) + 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
-    viol = max(_worst([np.max(part - hi) for part in
-                       _chunks(trace, "theta_pre", "theta_post")]), 0.0)
-    return viol <= _TOLERANCE, viol
+    return _theta_lines(trace, spec, lower=False)
 
 
 def check_lower_theta_bound(trace: StreamTrace, spec):
@@ -528,57 +549,45 @@ def check_lower_theta_bound(trace: StreamTrace, spec):
     two-sided control of one risk, and with k risks on a run where no step
     has one coordinate above M_i and another below m_j (see
     ``multirisk``)."""
-    if len(trace) == 0:
-        return True, 0.0
+    return _theta_lines(trace, spec, upper=False)
+
+
+def _prefix_check(trace, spec, bound, excess):
+    """The verdict on ``excess(means, r, bounds)`` over every prefix length
+    T: ``means`` holds the (T, k) prefix means of the loss, ``bounds`` each
+    risk i's ``bound(risks, envelope, i, T)``. The running sum carries from
+    chunk to chunk, so every mean has the bits of one whole-column cumsum."""
     s = spec.risks
-    lo = np.asarray(s.m) - 2.0 * np.asarray(s.gamma) * np.asarray(s.B)
-    viol = max(_worst([np.max(lo - part) for part in
-                       _chunks(trace, "theta_pre", "theta_post")]), 0.0)
-    return viol <= _TOLERANCE, viol
-
-
-def _prefix_excess(trace, s, bound_fn, excess) -> float:
-    """The largest ``excess(means, r, bounds)`` over every prefix length T,
-    where ``means`` holds the (T, k) prefix means of the loss and
-    ``bounds`` ``bound_fn`` for every risk. Rows go one chunk at a time;
-    the running sum carries over, and a cumsum adds in sequence, so every
-    mean has the bits of one whole-column cumsum."""
+    envelope = _envelope(spec)
     loss = _columns(trace, "loss")
     r = np.asarray(s.r)
     worst = []
     sums = None
-    for a in range(0, len(loss), _CHUNK):
-        part = loss[a:a + _CHUNK]
+    for a, b in _spans(len(loss)):
+        part = loss[a:b]
         if sums is not None:
             # the running sum goes on into the chunk's first row
             part = part.copy()
             part[0] += sums[-1]
         sums = np.cumsum(part, axis=0)
-        T = np.arange(a + 1, a + len(part) + 1, dtype=float)
-        bounds = np.column_stack([bound_fn(s, i, T) for i in range(s.k)])
+        T = np.arange(a + 1, b + 1, dtype=float)
+        bounds = np.column_stack([bound(s, envelope, i, T)
+                                  for i in range(s.k)])
         worst.append(np.max(excess(sums / T[:, None], r, bounds)))
-    return _worst(worst)
+    return _verdict(worst)
 
 
 def check_upper_risk_bound(trace: StreamTrace, spec):
     """mean loss_i over every prefix <= r_i + D_i/T for every risk i."""
-    if len(trace) == 0:
-        return True, 0.0
-    viol = max(_prefix_excess(
-        trace, spec.risks, upper_deviation_bound,
-        lambda means, r, bounds: means - (r + bounds)), 0.0)
-    return viol <= _TOLERANCE, viol
+    return _prefix_check(trace, spec, _upper_bound,
+                         lambda means, r, bounds: means - (r + bounds))
 
 
 def check_two_sided_risk_bound(trace: StreamTrace, spec):
     """|mean loss_i - r_i| over every prefix <= the two-sided bound, for
     every risk i; holds where ``check_lower_theta_bound`` does."""
-    if len(trace) == 0:
-        return True, 0.0
-    viol = max(_prefix_excess(
-        trace, spec.risks, two_sided_deviation_bound,
-        lambda means, r, bounds: np.abs(means - r) - bounds), 0.0)
-    return viol <= _TOLERANCE, viol
+    return _prefix_check(trace, spec, _two_sided_bound,
+                         lambda means, r, bounds: np.abs(means - r) - bounds)
 
 
 def check_recursion(trace: StreamTrace, update):
@@ -592,12 +601,9 @@ def check_recursion(trace: StreamTrace, update):
     if len(update) != k:
         raise ValueError(f"got {len(update)} update steps for {k} risks")
     n = len(pre)
-    if n == 0:
-        return True, 0.0
     post, loss = _columns(trace, "theta_post"), _columns(trace, "loss")
     replayed, chained = [], []
-    for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
+    for a, b in _spans(n):
         t = np.arange(a, b)
         expected = np.column_stack([
             step(t, th, ls)
@@ -607,12 +613,11 @@ def check_recursion(trace: StreamTrace, update):
         c = min(b, n - 1)
         if c > a:
             chained.append(np.max(np.abs(post[a:c] - pre[a + 1:c + 1])))
-    viol = _worst(replayed)
-    if chained:
-        # Python's max keeps the replay's violation over a NaN from the
-        # chain (inf - inf), as it always has
-        viol = max(viol, _worst(chained))
-    return viol <= _TOLERANCE, viol
+    if chained and math.isnan(np.max(chained)):
+        # a NaN from the chain (inf - inf) is passed over; a NaN from the
+        # replay fails the check
+        chained = []
+    return _verdict(replayed, chained)
 
 
 def loss_contract_guaranteed(loss_fn, spec: RiskSpec) -> bool:

@@ -580,9 +580,8 @@ def validate_config(cfg: dict) -> ResolvedConfig:
                      f"losses[{i}]")
         # the theta lines check the first step's theta_pre, so a start
         # outside their bounds fails them whatever the data
-        for i, (t0, g, m, M, b) in enumerate(zip(
-                risks.theta_init, risks.gamma, risks.m, risks.M, risks.B)):
-            lo, hi = m - 2.0 * g * b, M + 2.0 * g * b
+        for i, (t0, lo, hi) in enumerate(zip(risks.theta_init,
+                                             *engine._envelope(risks))):
             risk = f" (risk {i + 1})" if risks.k > 1 else ""
             _require(t0 <= hi, "controller.theta_init",
                      f"{t0}{risk} is above M + 2 gamma B = {hi}")
@@ -659,11 +658,6 @@ def _trial_report(rc: ResolvedConfig, trace) -> dict:
 # Certificates
 # ---------------------------------------------------------------------------
 
-def _both(*results):
-    """One verdict from several checks: all must hold; the worst violation."""
-    return all(ok for ok, _ in results), max(viol for _, viol in results)
-
-
 def certificate_for_trace(trace, rc: ResolvedConfig, label: str) -> list:
     """Bound-check verdict lines for one trace: (name, verdict, detail).
 
@@ -673,8 +667,8 @@ def certificate_for_trace(trace, rc: ResolvedConfig, label: str) -> list:
     """
     spec, kind = rc.spec, rc.controller.kind
     lines = []
-    bounds = []       # (name, (ok, violation)) per deterministic bound
-    recursion = None  # (name, update function)
+    bounds = []     # (name, (ok, violation)) per deterministic bound
+    recursion = []  # the same for the replayed update, if the line exists
     guaranteed = True
     if kind == "single":
         loss_fn = rc.losses[0].build()
@@ -684,10 +678,11 @@ def certificate_for_trace(trace, rc: ResolvedConfig, label: str) -> list:
                       f"full={loss_fn.full_space_loss} r={spec.r} "
                       f"empty_min={loss_fn.empty_set_loss_min}"))
         bounds = [
-            ("theta_bound", _both(engine.check_upper_theta_bound(trace, spec),
-                                  engine.check_lower_theta_bound(trace, spec))),
+            # one line for both sides of the theta envelope
+            ("theta_bound", engine._theta_lines(trace, spec)),
             ("risk_bound", engine.check_two_sided_risk_bound(trace, spec))]
-        recursion = ("recursion", engine.control_update(spec))
+        recursion = [("recursion", engine.check_recursion(
+            trace, engine.control_update(spec)))]
     elif kind == "multi":
         bounds = [
             ("upper_theta_bound", engine.check_upper_theta_bound(trace, spec)),
@@ -700,21 +695,16 @@ def certificate_for_trace(trace, rc: ResolvedConfig, label: str) -> list:
                  engine.check_two_sided_risk_bound(trace, spec))]
     else:  # baseline_aci
         c = rc.controller.fields
-        recursion = ("alpha_recursion",
-                     baseline.aci_update(c["gamma"], c["alpha"], c["warmup"]))
+        recursion = [("alpha_recursion", engine.check_recursion(
+            trace, baseline.aci_update(c["gamma"], c["alpha"], c["warmup"])))]
 
-    for name, (ok, viol) in bounds:
-        # the bounds of a vacuous guarantee are informational
-        if guaranteed:
-            verdict = "PASS" if ok else "FAIL"
-        else:
-            verdict = "INFO_PASS" if ok else "INFO_FAIL"
-        lines.append((f"{label} {name}", verdict, f"max violation {viol:.3e}"))
-    if recursion is not None:
-        name, update = recursion
-        ok, viol = engine.check_recursion(trace, update)
-        lines.append((f"{label} {name}", "PASS" if ok else "FAIL",
-                      f"max violation {viol:.3e}"))
+    # the bounds of a vacuous guarantee are informational; a recursion line
+    # never is
+    for info, checks in (("" if guaranteed else "INFO_", bounds),
+                         ("", recursion)):
+        for name, (ok, viol) in checks:
+            lines.append((f"{label} {name}", info + ("PASS" if ok else "FAIL"),
+                          f"max violation {viol:.3e}"))
     return lines
 
 
@@ -755,7 +745,7 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
     read back exactly. When every row's theta_post is the next row's
     theta_pre bit for bit, each parameter is formatted once and written
     twice. Rows are converted to Python values and written one chunk of
-    ``engine._CHUNK`` rows at a time, so the export holds no whole-column
+    rows at a time (``engine._spans``), so the export holds no whole-column
     copy of the trace.
     """
     names, cols = [], []
@@ -793,8 +783,7 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
         row = "%d," + "%.17g," * (len(cols) - 1) + "%d\n"
     with open(Path(path), "w", newline="") as fh:
         fh.write(",".join(["step", *names, "covered"]) + "\n")
-        for a in range(0, n, engine._CHUNK):
-            b = min(a + engine._CHUNK, n)
+        for a, b in engine._spans(n):
             steps = range(a + 1, b + 1)
             if chained:
                 posts, lagged = tee(map(fmt.__mod__, zip(

@@ -176,8 +176,10 @@ class ConstantHeuristic:
     """Unit uncertainty in both directions for every pixel."""
 
     def __init__(self, value: float = 1.0):
-        if value < 0:
-            raise ValueError("constant heuristic value must be nonnegative")
+        # False for a NaN too
+        if not 0 <= value < math.inf:
+            raise ValueError("constant heuristic value must be finite and "
+                             f"nonnegative, got {value}")
         self.value = value
 
     def maps(self, shape):

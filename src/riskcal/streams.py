@@ -194,7 +194,8 @@ class KnownQuantileConfig:
 
     def __post_init__(self):
         _check_numbers(self, counts=("n_features",),
-                       finite=("slope", "intercept", "noise_std"))
+                       finite=("slope", "intercept"),
+                       nonnegative=("noise_std",))
 
 
 class KnownQuantileStream:

@@ -1134,3 +1134,45 @@ class TestChunkedChecksSameBits:
                 ok, viol = check_recursion(shifted, update)
             assert (ok, viol) == _frozen_recursion(shifted, update)
             assert not ok and viol == pytest.approx(0.25), b
+
+
+def _frozen_both(*results):
+    """A one-risk run's theta line as it was read from the two checks: all
+    must hold; the worst violation by Python's max."""
+    return all(ok for ok, _ in results), max(viol for _, viol in results)
+
+
+class TestOneThetaLineSameBits:
+    """A one-risk run's theta line walks both sides in one check; its
+    verdict and violation equal the two whole-column checks' combined as
+    they were, bit for bit and with the sign of zero: a NaN on the upper
+    side shows, one on the lower side alone leaves the violation
+    finite."""
+
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    @given(drawn=_checked_traces(), chunk=st.sampled_from([1, 2, 3, 4096]))
+    def test_both_sides_equal_the_frozen_pair(self, drawn, chunk):
+        spec, trace = drawn
+        with mock.patch.object(engine, "_CHUNK", chunk), \
+                np.errstate(invalid="ignore"):
+            ok, viol = engine._theta_lines(trace, spec)
+            want_ok, want = _frozen_both(_frozen_upper_theta(trace, spec),
+                                         _frozen_lower_theta(trace, spec))
+        assert ok == want_ok
+        assert (viol != viol) == (want != want)
+        if viol == viol:
+            assert np.float64(viol).tobytes() == np.float64(want).tobytes()
+
+    def test_a_nan_below_alone_fails_with_a_finite_violation(self):
+        # m = -inf makes the lower line -inf; a theta of -inf is NaN below
+        # it and -inf under the upper line
+        spec = MultiRiskSpec(r=(0.1,), gamma=0.5, m=-math.inf, M=1.0,
+                             B=1.0, two_sided=True)
+        col = np.array([[0.0], [-math.inf]])
+        trace = StreamTrace(loss=np.zeros((2, 1)), theta_pre=col,
+                            theta_post=col, covered=np.ones(2, dtype=bool),
+                            size=np.zeros(2), lo=np.zeros(2), hi=np.zeros(2),
+                            y=np.zeros(2), group=np.full(2, -1))
+        with np.errstate(invalid="ignore"):
+            assert engine._theta_lines(trace, spec) == (False, 0.0)

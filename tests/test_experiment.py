@@ -1379,6 +1379,9 @@ class TestSchema:
                                 "noise_std": math.nan}}, "stream"),
         ({**_SCALAR, "stream": {"kind": "known_quantile",
                                 "noise_std": math.inf}}, "stream"),
+        # a negative noise scale swaps the oracle's quantiles
+        ({**_SCALAR, "stream": {"kind": "known_quantile",
+                                "noise_std": -1}}, "stream"),
         ({**_SCALAR, "stream": {"kind": "known_quantile", "slope": math.nan}},
          "stream"),
         ({**_SCALAR, "stream": {"kind": "known_quantile", "slope": math.inf}},
@@ -1395,6 +1398,11 @@ class TestSchema:
         ({"stream": {"kind": "image", "frame_corr": 1.5}}, "stream"),
         ({"stream": {"kind": "image", "frame_corr": -1.01}}, "stream"),
         ({"stream": {"kind": "image", "shift_period": -1}}, "stream"),
+        # the constant heuristic's value is finite and >= 0
+        ({"constructor": {"kind": "image", "heuristic": {
+            "kind": "constant", "value": math.inf}}}, "constructor"),
+        ({"constructor": {"kind": "image", "heuristic": {
+            "kind": "constant", "value": math.nan}}}, "constructor"),
         # a constant model's outputs are finite
         ({**_SCALAR, "stream": {"kind": "known_quantile"},
           "model": {"kind": "constant", "default": math.nan}}, "model"),

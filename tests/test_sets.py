@@ -95,6 +95,13 @@ class TestImageInterval:
         g = image_interval(pred, l_map, u_map, 2.0)
         assert np.all(g.lo == -2.0) and np.all(g.hi == 2.0)
 
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+    def test_constant_heuristic_rejects_a_value_not_finite_and_nonnegative(
+            self, value):
+        # an infinite or NaN value made NaN set sizes
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ConstantHeuristic(value)
+
     def test_negative_lambda_inverts_pixels(self):
         pred = np.zeros((2, 2))
         g = image_interval(pred, np.ones((2, 2)), np.ones((2, 2)), -1.0)
