@@ -75,6 +75,8 @@ class WindowQuantileConstructor:
                  largest: bool = False):
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
+        if warmup < 0:
+            raise ValueError("warmup must be >= 0")
         self.window = deque(maxlen=window_size)
         self._sorted = []
         self.tau_lo = tau_lo

@@ -41,10 +41,10 @@ from .sets import (FULL_SPACE, ConstantHeuristic, CqrConstructor,
                    ImageIntervalConstructor, PreviousResidualsHeuristic,
                    QuantileScaleConstructor, RunningResidualHeuristic)
 from .stretching import STRETCH_KINDS, Stretch
-from .streams import (CsvInputError, CsvStreamConfig, ImageStreamConfig,
-                      KnownQuantileConfig, KnownQuantileStream,
-                      SyntheticConfig, csv_ingest, image_stream,
-                      successive_difference_scale, synthetic_stream)
+from .streams import (CsvStreamConfig, ImageStreamConfig, KnownQuantileConfig,
+                      KnownQuantileStream, SyntheticConfig, csv_ingest,
+                      image_stream, successive_difference_scale,
+                      synthetic_stream)
 
 SCHEMA_VERSION = 1
 
@@ -124,7 +124,7 @@ def _read_input(section: str, read, arg, key):
                           f"cannot read {exc.filename}: "
                           f"{exc.strerror or exc}") from exc
     except ValueError as exc:
-        fld = exc.field if isinstance(exc, CsvInputError) else "path"
+        fld = getattr(exc, "field", "path")
         raise ConfigError(f"{section}.{fld}", str(exc)) from exc
     return memo[key]
 
@@ -252,7 +252,10 @@ class _Type(NamedTuple):
 
 _INT = _Type("an integer", _is_int)
 _COUNT = _Type("an integer >= 1", lambda v: _is_int(v) and v >= 1)
+_NONNEG = _Type("an integer >= 0", lambda v: _is_int(v) and v >= 0)
 _NUM = _Type("a number", _is_num, float)
+_FINITE = _Type("a finite number", lambda v: _is_num(v) and math.isfinite(v),
+                float)
 _BOOL = _Type("a boolean", lambda v: isinstance(v, bool))
 _STR = _Type("a string", lambda v: isinstance(v, str))
 _STRS = _Type("a list of strings", lambda v: _is_list(v, _STR.test), list)
@@ -262,6 +265,9 @@ _TAUS = _Type("a nonempty list of numbers in (0, 1)",
 _PER_RISK = _Type("a number or a list of numbers, one per risk",
                   lambda v: _is_num(v) or _is_list(v, _is_num),
                   lambda v: float(v) if _is_num(v) else tuple(map(float, v)))
+_FINITE_PER_RISK = _PER_RISK._replace(
+    what="a finite number or a list of finite numbers, one per risk",
+    test=lambda v: _FINITE.test(v) or _is_list(v, _FINITE.test))
 _BETA = _Type('a number or "auto"', lambda v: v == "auto" or _is_num(v),
               lambda v: v if v == "auto" else float(v))
 _LEVELS = _Type("an object of numbers keyed by quantile level",
@@ -348,10 +354,11 @@ class _List(NamedTuple):
                      for i, v in enumerate(value))
 
 
-def _control(t) -> dict:
-    """gamma, m, M and B of the single (t a number) and multi controllers."""
-    return {"gamma": (t, 0.05), "m": (t, -9999.0), "M": (t, 9999.0),
-            "B": (t, _DERIVED)}
+def _control(t, finite) -> dict:
+    """gamma, m, M and B of the single (t a number) and multi controllers;
+    an infinite m, M or B would make every bound vacuous."""
+    return {"gamma": (t, 0.05), "m": (finite, -9999.0),
+            "M": (finite, 9999.0), "B": (finite, _DERIVED)}
 
 
 # Every model takes the levels the cqr constructor, the baseline and the
@@ -440,15 +447,16 @@ _TOP = {
                                   beta_low=_BETA, beta_high=_BETA), None),
     }, default_kind=Stretch.kind), {}),
     "controller": (_Section({
-        "single": ({**_control(_NUM), "theta_init": (_NUM, _DERIVED)}, None),
-        "multi": ({**_control(_PER_RISK), **_takes(
+        "single": ({**_control(_NUM, _FINITE),
+                    "theta_init": (_NUM, _DERIVED)}, None),
+        "multi": ({**_control(_PER_RISK, _FINITE_PER_RISK), **_takes(
             engine.MultiRiskSpec, theta_init=_PER_RISK, aggregation=_STR,
             two_sided=_BOOL)}, None),
-        "baseline_aci": ({"gamma": _control(_NUM)["gamma"],
+        "baseline_aci": ({"gamma": _control(_NUM, _FINITE)["gamma"],
                           "alpha": (_NUM, _DERIVED),
                           "window": _takes(baseline.run_aci_stream,
                                            window_size=_COUNT)["window_size"],
-                          **_takes(baseline.run_aci_stream, warmup=_INT,
+                          **_takes(baseline.run_aci_stream, warmup=_NONNEG,
                                    largest=_BOOL)}, None),
     }), _REQUIRED),
 }
@@ -456,8 +464,8 @@ _TOP = {
 
 class ResolvedConfig(SimpleNamespace):
     """``validate_config``'s result: the top-level fields (a section as a
-    _Part), the controller's ``spec`` (None for the baseline), the reports'
-    ``alpha`` and the trace ``layout``."""
+    _Part), the controller's ``spec`` (``baseline.aci_spec`` for the
+    baseline), the reports' ``alpha`` and the trace ``layout``."""
 
 
 def _check(path: str, build, *args, **kwargs):
@@ -541,7 +549,6 @@ def validate_config(cfg: dict) -> ResolvedConfig:
     if c.get("B") is _DERIVED:  # each loss's declared bound
         bounds = tuple(fn.bound for fn in loss_fns)
         c["B"] = bounds if controller.kind == "multi" else bounds[0]
-    rc.spec = None
     if controller.kind == "baseline_aci":
         _require(len(losses) == 1 and losses[0].kind == "binary", "losses",
                  "the baseline controls the binary loss only")
@@ -551,7 +558,8 @@ def validate_config(cfg: dict) -> ResolvedConfig:
                  "the baseline applies no stretch")
         c["alpha"] = r if c["alpha"] is _DERIVED else c["alpha"]
         _require(0 < c["alpha"] < 1, "controller.alpha", "must be in (0, 1)")
-        _check("controller", baseline.aci_spec, c["gamma"], c["alpha"])
+        rc.spec = _check("controller", baseline.aci_spec, c["gamma"],
+                         c["alpha"])
     elif controller.kind == "single":
         _require(len(losses) == 1, "losses",
                  "single controller takes exactly one loss")
@@ -572,28 +580,29 @@ def validate_config(cfg: dict) -> ResolvedConfig:
     # inverts to alpha = r/(1+r).
     _require(losses[0].kind != "mc" or r > -1, "losses[0].r",
              "an MC target must be > -1")
-    if rc.spec is not None:  # the loop aborts on a loss above its B
-        risks = rc.spec.risks
-        for i, (b, fn) in enumerate(zip(risks.B, loss_fns)):
-            _require(b >= fn.bound, "controller.B",
-                     f"{b} is below the declared bound {fn.bound} of "
-                     f"losses[{i}]")
-        # the theta lines check the first step's theta_pre, so a start
-        # outside their bounds fails them whatever the data
-        for i, (t0, lo, hi) in enumerate(zip(risks.theta_init,
-                                             *engine._envelope(risks))):
-            risk = f" (risk {i + 1})" if risks.k > 1 else ""
-            _require(t0 <= hi, "controller.theta_init",
-                     f"{t0}{risk} is above M + 2 gamma B = {hi}")
-            _require(not risks.two_sided or t0 >= lo, "controller.theta_init",
-                     f"{t0}{risk} is below m - 2 gamma B = {lo}; two-sided "
-                     f"control needs theta_init >= m - 2 gamma B")
-        if stretch.kind == "error_adaptive":
-            # its update takes exp(beta_loss * |loss - r|), and |loss| <= B
-            x = stretch.fields["beta_loss"] * (risks.B[0] + abs(risks.r[0]))
-            _require(x <= _EXP_MAX, "stretch.beta_loss",
-                     f"beta_loss * max|loss - r| = {x:.6g} overflows exp "
-                     f"(the limit is {_EXP_MAX:.6g})")
+    # the loop aborts on a loss above its B; the baseline's spec (B = 1,
+    # m = -inf, M = inf) meets these rules trivially
+    risks = rc.spec.risks
+    for i, (b, fn) in enumerate(zip(risks.B, loss_fns)):
+        _require(b >= fn.bound, "controller.B",
+                 f"{b} is below the declared bound {fn.bound} of "
+                 f"losses[{i}]")
+    # the theta lines check the first step's theta_pre, so a start
+    # outside their bounds fails them whatever the data
+    for i, (t0, lo, hi) in enumerate(zip(risks.theta_init,
+                                         *engine._envelope(risks))):
+        risk = f" (risk {i + 1})" if risks.k > 1 else ""
+        _require(t0 <= hi, "controller.theta_init",
+                 f"{t0}{risk} is above M + 2 gamma B = {hi}")
+        _require(not risks.two_sided or t0 >= lo, "controller.theta_init",
+                 f"{t0}{risk} is below m - 2 gamma B = {lo}; two-sided "
+                 f"control needs theta_init >= m - 2 gamma B")
+    if stretch.kind == "error_adaptive":
+        # its update takes exp(beta_loss * |loss - r|), and |loss| <= B
+        x = stretch.fields["beta_loss"] * (risks.B[0] + abs(risks.r[0]))
+        _require(x <= _EXP_MAX, "stretch.beta_loss",
+                 f"beta_loss * max|loss - r| = {x:.6g} overflows exp "
+                 f"(the limit is {_EXP_MAX:.6g})")
     rc.alpha = (r if losses[0].kind == "binary"
                 else r / (1.0 + r) if losses[0].kind == "mc" else 0.1)
     # k-risk traces have always recorded the set size only
@@ -766,34 +775,34 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
     cols.append(trace.covered)
     n = len(trace)
     pre, post = trace.theta_pre, trace.theta_post
+    # each row's theta_pre cells, and its theta_post cells, are one string
+    k = 1 if post.ndim == 1 else post.shape[1]
+    fmt = "%.17g," * k
+    j = names.index("theta_pre" if post.ndim == 1 else "theta_pre_1")
+    head, tail = cols[:j], cols[j + 2 * k:]
+    pre_cols, post_cols = cols[j:j + k], cols[j + k:j + 2 * k]
+    row = ("%d," + "%.17g," * len(head) + "%s%s"
+           + "%.17g," * (len(tail) - 1) + "%d\n")
     chained = n > 0 and _chained(pre, post)
     if chained:
         # a row's theta_pre cells are the previous row's theta_post cells:
-        # each row's theta_post is formatted once, into both
-        post_cols = post.reshape(n, -1).T
-        k = len(post_cols)
-        fmt = "%.17g," * k
-        j = names.index("theta_pre" if post.ndim == 1 else "theta_pre_1")
-        head, tail = cols[:j], cols[j + 2 * k:]
-        row = ("%d," + "%.17g," * len(head) + "%s%s"
-               + "%.17g," * (len(tail) - 1) + "%d\n")
+        # each row's theta_post is formatted once, into both; carry holds
         # the theta_pre cells of the chunk's first row
         carry = fmt % tuple(pre.reshape(n, k)[0].tolist())
-    else:
-        row = "%d," + "%.17g," * (len(cols) - 1) + "%d\n"
     with open(Path(path), "w", newline="") as fh:
         fh.write(",".join(["step", *names, "covered"]) + "\n")
         for a, b in engine._spans(n):
-            steps = range(a + 1, b + 1)
+            posts = map(fmt.__mod__, zip(
+                *[col[a:b].tolist() for col in post_cols]))
             if chained:
-                posts, lagged = tee(map(fmt.__mod__, zip(
-                    *[col[a:b].tolist() for col in post_cols])))
-                rows = zip(steps, *[col[a:b].tolist() for col in head],
-                           chain((carry,), lagged), posts,
-                           *[col[a:b].tolist() for col in tail])
+                posts, lagged = tee(posts)
+                pres = chain((carry,), lagged)
             else:
-                rows = zip(steps, *[col[a:b].tolist() for col in cols])
-            fh.writelines(map(row.__mod__, rows))
+                pres = map(fmt.__mod__, zip(
+                    *[col[a:b].tolist() for col in pre_cols]))
+            fh.writelines(map(row.__mod__, zip(
+                range(a + 1, b + 1), *[col[a:b].tolist() for col in head],
+                pres, posts, *[col[a:b].tolist() for col in tail])))
             if chained:
                 # zip stops at the last step, one short of lagged's end:
                 # the chunk's last theta_post cells

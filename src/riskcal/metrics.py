@@ -9,7 +9,7 @@ across trials cannot silently deflate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -128,20 +128,9 @@ class EvalReport:
     n_steps: int = 0
 
     def to_dict(self) -> dict:
-        d = {
-            "coverage": self.coverage,
-            "mc_risk": self.mc_risk,
-            "msl": self.msl,
-            "delta_coverage": self.delta_coverage,
-            "delta_coverage_scaled": (self.delta_coverage * 100.0
-                                      if not math.isnan(self.delta_coverage)
-                                      else math.nan),
-            "mean_loss": self.mean_loss,
-            "mean_length": self.mean_length,
-            "length_quantiles": self.length_quantiles,
-            "window": list(self.window),
-            "n_steps": self.n_steps,
-        }
+        d = asdict(self)
+        d["delta_coverage_scaled"] = self.delta_coverage * 100.0
+        d["window"] = list(self.window)
         return d
 
 

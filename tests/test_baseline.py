@@ -72,6 +72,10 @@ class TestQuantileWindow:
         with pytest.raises(ValueError, match="window_size"):
             WindowQuantileConstructor(window_size=0)
 
+    def test_warmup_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="warmup"):
+            WindowQuantileConstructor(warmup=-1)
+
     def test_window_content_is_last_n_scores(self):
         # replay-verified: after T steps the window holds the scores of
         # steps T-n .. T-1 exactly

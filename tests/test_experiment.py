@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from riskcal import baseline
 from riskcal.cli import main as cli_main
 from riskcal.engine import RiskSpec, risk_bound
 from riskcal.experiment import (ConfigError, certificate_passed,
@@ -1435,6 +1436,19 @@ class TestSchema:
          "model.taus"),
         ({**_SCALAR, "model": {"kind": "linear_pinball",
                                "taus": [0.05, 1.5]}}, "model.taus"),
+        # the safeguards and the loss bound are finite: an infinite one
+        # makes every bound line vacuous
+        ({**_SCALAR, "controller": {"kind": "single", "M": math.inf}},
+         "controller.M"),
+        ({**_SCALAR, "controller": {"kind": "single", "B": math.inf}},
+         "controller.B"),
+        ({**_SCALAR, "controller": {"kind": "single", "m": -math.inf}},
+         "controller.m"),
+        ({"controller": {"kind": "multi", "gamma": 0.05, "M": [math.inf]}},
+         "controller.M"),
+        # the baseline's warm-up is a count of steps
+        ({**_SCALAR, "controller": {"kind": "baseline_aci", "warmup": -1}},
+         "controller.warmup"),
     ])
     def test_rejected_field_exits_two(self, tmp_path, capsys, change, field):
         cfg = _image_config()
@@ -1476,6 +1490,11 @@ class TestSchema:
         assert (rc.spec.gamma, rc.spec.B, rc.spec.theta_init) == \
             (0.05, 20.0, -0.2)
         assert rc.stretch.kind == "none"
+
+    def test_baseline_resolves_its_spec(self):
+        rc = validate_config(base_config(controller={
+            "kind": "baseline_aci", "gamma": 0.01, "alpha": 0.2}))
+        assert rc.spec == baseline.aci_spec(0.01, 0.2)
 
 
 # Valid configs of every section kind, for the schema fuzz below. No input
