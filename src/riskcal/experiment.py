@@ -587,11 +587,19 @@ def validate_config(cfg: dict) -> ResolvedConfig:
         _require(b >= fn.bound, "controller.B",
                  f"{b} is below the declared bound {fn.bound} of "
                  f"losses[{i}]")
-    # the theta lines check the first step's theta_pre, so a start
-    # outside their bounds fails them whatever the data
-    for i, (t0, lo, hi) in enumerate(zip(risks.theta_init,
-                                         *engine._envelope(risks))):
+    for i, (t0, g, lo, hi) in enumerate(zip(
+            risks.theta_init, risks.gamma, *engine._envelope(risks))):
         risk = f" (risk {i + 1})" if risks.k > 1 else ""
+        # the bound lines divide the envelope by gamma * T: where either
+        # overflows they read a vacuous PASS or a NaN FAIL on any data; the
+        # baseline's envelope is infinite by design and has no bound lines
+        _require(controller.kind == "baseline_aci"
+                 or all(map(math.isfinite, (lo, hi, g * rc.steps))),
+                 "controller.gamma",
+                 f"{g}{risk} overflows: m - 2 gamma B = {lo}, M + 2 gamma B "
+                 f"= {hi}, gamma * steps = {g * rc.steps}")
+        # the theta lines check the first step's theta_pre, so a start
+        # outside their bounds fails them whatever the data
         _require(t0 <= hi, "controller.theta_init",
                  f"{t0}{risk} is above M + 2 gamma B = {hi}")
         _require(not risks.two_sided or t0 >= lo, "controller.theta_init",
@@ -613,13 +621,20 @@ def validate_config(cfg: dict) -> ResolvedConfig:
 
 @dataclass
 class TrialResult:
-    trace: object
+    """One finished trial: its report, its seed and its validation pinball
+    loss (``sweep``'s score). The trace is not kept: it is on disk as
+    ``trial_XXX/trace.csv`` (``read_trace_csv``), and ``run_trial(rc, i)``
+    runs it again."""
     report: dict
     seed: int
+    val_pinball: float
 
 
 @dataclass
 class ExperimentResult:
+    """What ``run_experiment`` returns: the config, one ``TrialResult`` per
+    trial, the aggregate report and the certificate lines. It holds no
+    trace, so its size does not grow with the run's length."""
     config: dict
     trials: list = field(default_factory=list)
     aggregate: dict = field(default_factory=dict)
@@ -813,7 +828,12 @@ def read_trace_csv(path):
     """Read a trace CSV back into a StreamTrace; the inverse of
     write_trace_csv. The label and group columns are not exported and come
     back as NaN and -1. A ``step`` column that is not 1..T, for T rows, is
-    a ValueError naming the first row at fault."""
+    a ValueError naming the first row at fault.
+
+    The float columns are views of the one parsed (T, columns) array, so
+    the trace holds one copy of the file's numbers; a k-risk column is a
+    view too when its k columns are adjacent, as write_trace_csv writes
+    them."""
     with open(Path(path)) as fh:
         header = fh.readline().strip().split(",")
         with warnings.catch_warnings():
@@ -821,7 +841,7 @@ def read_trace_csv(path):
             warnings.filterwarnings("ignore", "loadtxt: input contained")
             body = np.loadtxt(fh, delimiter=",", ndmin=2)
     body = body.reshape(-1, len(header))
-    cols = dict(zip(header, body.T.copy()))
+    cols = dict(zip(header, body.T))
     n = len(body)
     bad = np.flatnonzero(cols["step"] != np.arange(1, n + 1))
     if bad.size:
@@ -833,7 +853,11 @@ def read_trace_csv(path):
         if name in cols:
             return cols[name]
         k = sum(1 for c in cols if c.startswith(f"{name}_"))
-        return np.column_stack([cols[f"{name}_{i + 1}"] for i in range(k)])
+        names = [f"{name}_{i + 1}" for i in range(k)]
+        j = header.index(names[0]) if k and names[0] in cols else 0
+        if k and header[j:j + k] == names:
+            return body[:, j:j + k]
+        return np.column_stack([cols[c] for c in names])
 
     nan = np.full(n, math.nan)
     lo, hi = cols.get("set_lo", nan), cols.get("set_hi", nan)
@@ -856,18 +880,23 @@ def recompute_certificate(out_dir) -> list:
     out = Path(out_dir)
     with open(out / "config.json") as fh:
         rc = validate_config(json.load(fh))
-    csv_run = rc.stream.kind == "csv"
     lines = []
     for trial_dir in sorted(out.glob("trial_*")):
-        path = trial_dir / "trace.csv"
-        trace = read_trace_csv(path)
-        n = len(trace)
-        if n > rc.steps or (n < rc.steps and not csv_run):
-            raise ValueError(f"{path}: {n} rows for a run of "
-                             f"{'at most ' if csv_run else ''}{rc.steps} "
-                             f"steps")
-        lines.extend(certificate_for_trace(trace, rc, trial_dir.name))
+        lines.extend(_trace_certificate(rc, trial_dir))
     return lines
+
+
+def _trace_certificate(rc: ResolvedConfig, trial_dir: Path) -> list:
+    """The certificate lines of one exported trace. The trace is released
+    on return, before the next one is read."""
+    path = trial_dir / "trace.csv"
+    trace = read_trace_csv(path)
+    n, csv_run = len(trace), rc.stream.kind == "csv"
+    if n > rc.steps or (n < rc.steps and not csv_run):
+        raise ValueError(f"{path}: {n} rows for a run of "
+                         f"{'at most ' if csv_run else ''}{rc.steps} "
+                         f"steps")
+    return certificate_for_trace(trace, rc, trial_dir.name)
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +926,11 @@ def _aggregate_reports(reports: list) -> dict:
 
 @_reads_inputs_once
 def run_experiment(cfg: dict, out_dir=None) -> ExperimentResult:
-    """Run all trials, write artifacts, and assemble the certificate."""
+    """Run all trials, write artifacts, and assemble the certificate.
+
+    Trials run one after another, and each trial's trace is exported and
+    released before the next starts, so the call holds at most one trace.
+    The result keeps each trial's report and score, not its trace."""
     rc = validate_config(cfg)
     _check_input_rows(rc)
     result = ExperimentResult(config=cfg)
@@ -910,23 +943,31 @@ def run_experiment(cfg: dict, out_dir=None) -> ExperimentResult:
     reports = []
     try:
         for i in range(rc.trials):
-            trace = run_trial(rc, i)
-            report = _trial_report(rc, trace)
-            trial_dir = out / f"trial_{i:03d}"
-            trial_dir.mkdir(exist_ok=True)
-            write_trace_csv(trace, trial_dir / "trace.csv", rc.layout)
-            with open(trial_dir / "report.json", "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-            result.trials.append(TrialResult(trace, report, rc.seed + i))
-            result.certificate_lines.extend(
-                certificate_for_trace(trace, rc, f"trial_{i:03d}"))
-            reports.append(report)
+            trial, lines = _run_and_export(rc, i, out)
+            result.trials.append(trial)
+            result.certificate_lines.extend(lines)
+            reports.append(trial.report)
     except KeyboardInterrupt:
         # Flush whatever finished, then let the interrupt propagate.
         _flush_summary(result, reports, out)
         raise
     _flush_summary(result, reports, out)
     return result
+
+
+def _run_and_export(rc: ResolvedConfig, i: int, out: Path) -> tuple:
+    """Run trial i and write its trace.csv and report.json; returns its
+    TrialResult and certificate lines. The trace is released on return,
+    before the next trial starts."""
+    trace = run_trial(rc, i)
+    report = _trial_report(rc, trace)
+    trial_dir = out / f"trial_{i:03d}"
+    trial_dir.mkdir(exist_ok=True)
+    write_trace_csv(trace, trial_dir / "trace.csv", rc.layout)
+    with open(trial_dir / "report.json", "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+    trial = TrialResult(report, rc.seed + i, _val_pinball(rc, trace))
+    return trial, certificate_for_trace(trace, rc, trial_dir.name)
 
 
 _REPORT_COLUMNS = ("coverage", "mc_risk", "msl", "delta_coverage",
@@ -1024,15 +1065,15 @@ def sweep(cfg: dict, param: str, grid: list, out_dir=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for value, (sub_cfg, sub_rc) in zip(grid, points):
+    for value, (sub_cfg, _) in zip(grid, points):
         # a value holding a "/" (a path) stays one directory name
         name = str(value).replace("%", "%25").replace("/", "%2F")
         sub_out = out / f"sweep_{param.replace('.', '_')}_{name}"
         res = run_experiment(sub_cfg, sub_out)
-        scores = [_val_pinball(sub_rc, t.trace) for t in res.trials]
         rows.append({
             "value": value,
-            "val_pinball": float(np.mean(scores)),
+            "val_pinball": float(np.mean([t.val_pinball
+                                          for t in res.trials])),
             "coverage": res.aggregate["coverage"]["mean"],
             "msl": res.aggregate["msl"]["mean"],
             "mean_length": res.aggregate["mean_length"]["mean"],

@@ -974,6 +974,58 @@ class TestRunMemory:
         assert peak / n <= 120, f"{peak / n:.1f} B/step"
 
 
+class TestExperimentMemory:
+    """``run_experiment`` and ``recompute_certificate`` hold one trial's
+    trace at a time. For a 3-trial run of n steps per trial, the result
+    keeps no trace, the run peaks at one trace (65 B/step) plus the
+    export's chunk, and ``recompute_certificate`` holds one trace as one
+    copy of its parsed rows. Figures are bytes per step of one trial,
+    under ``tracemalloc``; a run that kept every trace read 197, 226 and
+    219."""
+
+    N, TRIALS = 20_000, 3
+
+    @pytest.fixture(scope="class")
+    def measured(self, tmp_path_factory):
+        from riskcal.experiment import recompute_certificate, run_experiment
+
+        tmp = tmp_path_factory.mktemp("experiment_memory")
+        cfg = {"schema_version": 1, "seed": 0,
+               "stream": {"kind": "synthetic"}, "model": {"kind": "constant"},
+               "constructor": {"kind": "cqr"},
+               "losses": [{"kind": "binary", "r": 0.1}],
+               "stretch": {"kind": "none"},
+               "controller": {"kind": "single", "gamma": 0.05, "m": -2.0,
+                              "M": 2.0, "B": 1.0}}
+        # first-call allocations
+        run_experiment({**cfg, "steps": 1000, "trials": 1}, tmp / "warm")
+        recompute_certificate(tmp / "warm")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = run_experiment(
+                {**cfg, "steps": self.N, "trials": self.TRIALS}, tmp / "run")
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lines = recompute_certificate(tmp / "run")
+            verify = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert result.certificate_passed and lines == result.certificate_lines
+        return {"kept": (kept - base) / self.N, "peak": (peak - base) / self.N,
+                "verify": verify / self.N}
+
+    def test_result_keeps_no_trace(self, measured):
+        assert measured["kept"] <= 8, f"{measured['kept']:.1f} B/step"
+
+    def test_run_peaks_at_one_trace(self, measured):
+        assert measured["peak"] <= 130, f"{measured['peak']:.1f} B/step"
+
+    def test_verify_peaks_at_one_parsed_trace(self, measured):
+        assert measured["verify"] <= 120, f"{measured['verify']:.1f} B/row"
+
+
 # ---------------------------------------------------------------------------
 # The certificate checks as they were before they went one chunk of rows at
 # a time: frozen whole-column copies, the oracle of the test below.

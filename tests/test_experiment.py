@@ -11,11 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from riskcal import baseline
 from riskcal.cli import main as cli_main
-from riskcal.engine import RiskSpec, risk_bound
+from riskcal.engine import RiskSpec, StreamTrace, risk_bound
 from riskcal.experiment import (ConfigError, certificate_passed,
                                 read_trace_csv, recompute_certificate,
-                                run_experiment, sweep, validate_config,
-                                write_trace_csv)
+                                run_experiment, run_trial, sweep,
+                                validate_config, write_trace_csv)
 
 
 def base_config(**overrides):
@@ -241,15 +241,17 @@ class TestRunExperiment:
         single = run_experiment(base_config(
             trials=1, steps=500, stretch=stretch,
             controller={"kind": "single", **controller}), tmp_path / "s")
-        multi = run_experiment(base_config(
+        multi_cfg = base_config(
             trials=1, steps=500, stretch=stretch,
-            controller={"kind": "multi", "two_sided": True, **controller}),
-            tmp_path / "m")
-        frozen = run_experiment(base_config(
+            controller={"kind": "multi", "two_sided": True, **controller})
+        multi = run_experiment(multi_cfg, tmp_path / "m")
+        frozen_cfg = base_config(
             trials=1, steps=500, stretch={"kind": "none"},
-            controller={"kind": "multi", "two_sided": True, **controller}),
-            tmp_path / "f")
-        s, m, f = (r.trials[0].trace for r in (single, multi, frozen))
+            controller={"kind": "multi", "two_sided": True, **controller})
+        s = read_trace_csv(tmp_path / "s" / "trial_000" / "trace.csv")
+        # a k-risk trace.csv holds the set size, not its endpoints
+        m, f = (run_trial(validate_config(cfg), 0)
+                for cfg in (multi_cfg, frozen_cfg))
         # lambda moves exactly as in the single-risk controller
         np.testing.assert_array_equal(m.theta_post[:, 0], s.theta_post)
         np.testing.assert_array_equal(m.hi, s.hi)
@@ -420,10 +422,12 @@ class TestReplayReadOnce:
         assert loads == [cfg["model"]["path"]]
         # the stream is the file, so only the replay cursor could tell the
         # trials apart
-        first = res.trials[0].trace
-        for trial in res.trials[1:]:
+        first, *rest = (read_trace_csv(tmp_path / "out" / f"trial_{i:03d}"
+                                       / "trace.csv")
+                        for i in range(len(res.trials)))
+        for trace in rest:
             for col in ("lo", "hi", "theta_post", "loss"):
-                np.testing.assert_array_equal(getattr(trial.trace, col),
+                np.testing.assert_array_equal(getattr(trace, col),
                                               getattr(first, col))
 
     def test_gamma_sweep_loads_once_and_each_point_starts_at_row_0(
@@ -435,10 +439,10 @@ class TestReplayReadOnce:
         firsts = {(t.lo[0], t.hi[0]) for t in (
             read_trace_csv(tmp_path / f"sw/sweep_controller_gamma_{g}"
                            f"/trial_000/trace.csv") for g in (0.02, 0.05, 0.1))}
-        alone = run_experiment({**cfg, "controller": {
+        run_experiment({**cfg, "controller": {
             "kind": "single", "gamma": 0.1}}, tmp_path / "alone")
-        assert firsts == {(alone.trials[0].trace.lo[0],
-                           alone.trials[0].trace.hi[0])}
+        alone = read_trace_csv(tmp_path / "alone/trial_000/trace.csv")
+        assert firsts == {(alone.lo[0], alone.hi[0])}
 
     def test_each_run_loads_again(self, tmp_path, loads):
         cfg = self._config(tmp_path, trials=1)
@@ -1191,7 +1195,7 @@ class TestTraceRoundTripProperty:
             res = run_experiment(cfg, out)
             back = read_trace_csv(f"{out}/trial_000/trace.csv")
             again = recompute_certificate(out)
-        trace = res.trials[0].trace
+        trace = run_trial(validate_config(cfg), 0)
         # the label and group are not exported; neither enters the report
         # of a group-free stream
         assert json.dumps(_trial_report(validate_config(cfg), back),
@@ -1449,6 +1453,12 @@ class TestSchema:
         # the baseline's warm-up is a count of steps
         ({**_SCALAR, "controller": {"kind": "baseline_aci", "warmup": -1}},
          "controller.warmup"),
+        # finite fields whose theta envelope, or gamma * steps, overflows
+        ({**_SCALAR, "controller": {"kind": "single", "gamma": 5e307,
+                                    "m": -1e308, "M": 1e308}},
+         "controller.gamma"),
+        ({**_SCALAR, "controller": {"kind": "single", "gamma": 1e308}},
+         "controller.gamma"),
     ])
     def test_rejected_field_exits_two(self, tmp_path, capsys, change, field):
         cfg = _image_config()
@@ -1624,8 +1634,9 @@ class TestSchemaFuzz:
             return
         with tempfile.TemporaryDirectory() as out:
             result = run_experiment(cfg, out)
+            trace = read_trace_csv(f"{out}/trial_000/trace.csv")
         assert len(result.trials) == 1
-        assert len(result.trials[0].trace) == 60
+        assert len(trace) == 60
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
@@ -1709,8 +1720,8 @@ class TestReplayTooShort:
         cfg["stream"]["path"] = str(write_series(tmp_path / "s300.csv", 300))
         cfg["model"]["path"] = str(write_predictions(tmp_path / "p300.csv",
                                                      n=300))
-        res = run_experiment(cfg, tmp_path / "out")
-        assert len(res.trials[0].trace) == 300
+        run_experiment(cfg, tmp_path / "out")
+        assert len(read_trace_csv(tmp_path / "out/trial_000/trace.csv")) == 300
 
 
 class TestCsvWindowsPastTheLastRow:
@@ -1813,7 +1824,8 @@ class TestThetaInitRange:
         cfg = base_config(steps=200, trials=1, controller={
             "kind": "single", "m": -2.0, "M": 2.0, "theta_init": theta_init})
         res = run_experiment(cfg, tmp_path)
-        assert res.trials[0].trace.theta_pre[0] == theta_init
+        trace = read_trace_csv(tmp_path / "trial_000" / "trace.csv")
+        assert trace.theta_pre[0] == theta_init
         assert res.certificate_passed, res.certificate_lines
 
     @pytest.mark.parametrize("cfg", [
@@ -1955,3 +1967,145 @@ class TestChunkedExportSameBytes:
             with open(f"{tmp}/new.csv", "rb") as new, \
                     open(f"{tmp}/old.csv", "rb") as old:
                 assert new.read() == old.read()
+
+
+# ---------------------------------------------------------------------------
+# The trace reader as it was before its columns became views of the parsed
+# rows: a frozen copy, the oracle of the same-bits test below.
+# ---------------------------------------------------------------------------
+
+def _frozen_read_trace_csv(path):
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained")
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    body = body.reshape(-1, len(header))
+    cols = dict(zip(header, body.T.copy()))
+    n = len(body)
+    bad = np.flatnonzero(cols["step"] != np.arange(1, n + 1))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{path}: row {i + 1} has step "
+                         f"{cols['step'][i]:.17g}; steps run 1..{n}")
+
+    def per_risk(name):
+        if name in cols:
+            return cols[name]
+        k = sum(1 for c in cols if c.startswith(f"{name}_"))
+        return np.column_stack([cols[f"{name}_{i + 1}"] for i in range(k)])
+
+    nan = np.full(n, math.nan)
+    lo, hi = cols.get("set_lo", nan), cols.get("set_hi", nan)
+    if "set_size" in cols:
+        size = cols["set_size"]
+    else:
+        size = np.where(np.isnan(lo), 0.0, hi - lo)
+    return StreamTrace(
+        loss=per_risk("loss"), theta_pre=per_risk("theta_pre"),
+        theta_post=per_risk("theta_post"),
+        covered=cols["covered"].astype(bool), size=size, lo=lo, hi=hi,
+        y=nan, group=np.full(n, -1, dtype=int))
+
+
+def _frozen_recompute_certificate(out):
+    from riskcal.experiment import certificate_for_trace
+
+    rc = validate_config(json.loads((out / "config.json").read_text()))
+    return [line for trial_dir in sorted(out.glob("trial_*"))
+            for line in certificate_for_trace(
+                _frozen_read_trace_csv(trial_dir / "trace.csv"), rc,
+                trial_dir.name)]
+
+
+@st.composite
+def _k_risk_traces(draw):
+    """A trace of 0-20 rows, 1-D or with k = 1, 2 or 3 risk columns, of any
+    cells, NaN, +-inf and -0.0 among them."""
+    n = draw(st.integers(0, 20))
+    k = draw(st.sampled_from([None, 1, 2, 3]))
+    shape = (n,) if k is None else (n, k)
+
+    def column(shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(_CELLS, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    return StreamTrace(
+        loss=column(shape), theta_pre=column(shape), theta_post=column(shape),
+        covered=np.array(draw(st.lists(st.booleans(), min_size=n,
+                                       max_size=n)), dtype=bool),
+        size=column(n), lo=column(n), hi=column(n), y=np.full(n, math.nan),
+        group=np.full(n, -1))
+
+
+class TestReaderKeepsItsBits:
+    """``read_trace_csv`` holds one copy of the parsed rows (its columns are
+    views) and reads what the frozen copying reader read: every column's
+    bits, the renumbered-step error and the re-derived certificates."""
+
+    def _same(self, path):
+        with np.errstate(invalid="ignore"):  # a set of inf - inf cells
+            new, old = read_trace_csv(path), _frozen_read_trace_csv(path)
+        for name in (f.name for f in dataclasses.fields(StreamTrace)):
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            bits = [np.ascontiguousarray(c).view(np.int64)
+                    if c.dtype == np.float64 else c.astype(np.int64)
+                    for c in (a, b)]
+            np.testing.assert_array_equal(*bits, err_msg=name)
+
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    @given(trace=_k_risk_traces(), layout=st.sampled_from(["interval", "size"]),
+           data=st.data())
+    def test_columns_keep_their_bits(self, trace, layout, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/trace.csv"
+            write_trace_csv(trace, path, layout)
+            self._same(path)
+            # a file whose columns come in another order, which moves a
+            # k-risk column's cells apart
+            with open(path) as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()]
+            order = data.draw(st.permutations(range(len(rows[0]))))
+            with open(path, "w") as fh:
+                fh.writelines(",".join(row[i] for i in order) + "\n"
+                              for row in rows)
+            self._same(path)
+
+    @pytest.mark.parametrize("header", [
+        "step,loss,theta_pre,theta_post,set_lo,set_hi,covered",
+        "step,loss_1,loss_2,theta_pre_1,theta_pre_2,theta_post_1,"
+        "theta_post_2,set_size,covered"])
+    def test_header_only_file(self, tmp_path, header):
+        path = tmp_path / "trace.csv"
+        path.write_text(header + "\n")
+        self._same(path)
+        assert len(read_trace_csv(path)) == 0
+
+    @pytest.mark.parametrize("row,step", [(1, "0"), (3, "3.5"), (5, "9")])
+    def test_renumbered_step_raises_the_same_error(self, tmp_path, row, step):
+        col = np.linspace(0.0, 1.0, 5)
+        trace = StreamTrace(
+            loss=col, theta_pre=col, theta_post=col,
+            covered=np.ones(5, dtype=bool), size=col, lo=col, hi=col,
+            y=col, group=np.zeros(5, int))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        lines = path.read_text().splitlines()
+        lines[row] = step + lines[row][lines[row].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as old:
+            _frozen_read_trace_csv(path)
+        with pytest.raises(ValueError) as new:
+            read_trace_csv(path)
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("kind", ["single", "multi", "baseline", "csv"])
+    def test_recomputed_certificate_is_the_frozen_readers(self, tmp_path,
+                                                          kind):
+        _verify_run(kind, tmp_path)
+        lines = recompute_certificate(tmp_path / "run")
+        assert lines and lines == _frozen_recompute_certificate(
+            tmp_path / "run")
