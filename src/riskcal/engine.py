@@ -21,6 +21,7 @@ streams may run in parallel with no shared state.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from operator import add, gt, le, lt, sub
@@ -150,7 +151,9 @@ class StreamTrace:
     sets) the announced endpoints plus the revealed label. ``loss``,
     ``theta_pre`` and ``theta_post`` are 1-D for a RiskSpec run and (T, k)
     for a k-risk run. A one-risk run's columns take 65 bytes per step: 8
-    for each float column and for ``group``, 1 for ``covered``.
+    for each float column and for ``group``, 1 for ``covered``. A trace the
+    loop records views the typed arrays it filled, which hold at most 1/16
+    more.
     """
 
     loss: np.ndarray
@@ -175,54 +178,13 @@ _STOP = object()  # what an adaptive stream's next_x returns at its end
 # holds 8.
 _CHUNK = 4096
 
-
-class _Recorder:
-    """A run's trace columns while the loop records them.
-
-    The loop appends each step's values to ``lists``: loss and theta_pre
-    (k values per step), covered, size, lo, hi, y and group. ``flush``
-    moves them into one typed array per column, so the run holds at most a
-    chunk of steps as Python objects. The arrays grow geometrically, but
-    never past ``n_steps``, which a stream may not reach (a CSV stream ends
-    at its last row). A run shorter than one chunk fills its arrays once,
-    at the end, at its length.
-    """
-
-    _DTYPES = (float, float, bool, float, float, float, float, int)
-
-    def __init__(self, k: int, n_steps: int | None):
-        self.lists = tuple([] for _ in self._DTYPES)
-        self.widths = (k, k, 1, 1, 1, 1, 1, 1)  # values per step
-        self.arrays = [np.empty(0, dtype) for dtype in self._DTYPES]
-        self.n = 0    # steps in the arrays
-        self.cap = 0  # steps the arrays can hold
-        self.limit = math.inf if n_steps is None else max(n_steps, 0)
-
-    def flush(self) -> None:
-        """Move the listed steps to the arrays and empty the lists."""
-        n = self.n + len(self.lists[2])  # covered: one value per step
-        grow = n > self.cap
-        if grow:
-            self.cap = min(2 * n, self.limit)
-        # one column at a time, so a list is freed before the next column
-        # grows
-        for arr, lst, w in zip(self.arrays, self.lists, self.widths):
-            if grow:
-                # nothing else refers to the array while the loop runs
-                arr.resize(self.cap * w, refcheck=False)
-            arr[self.n * w:n * w] = lst
-            lst.clear()
-        self.n = n
-
-    def finish(self) -> list:
-        """The recorded columns as flat arrays of the run's length."""
-        # the run is over: the arrays need hold no more than its steps
-        self.limit = self.n + len(self.lists[2])
-        self.flush()
-        if self.cap > self.n:  # the stream ended before n_steps
-            for arr, w in zip(self.arrays, self.widths):
-                arr.resize(self.n * w, refcheck=False)
-        return self.arrays
+# The typecode of each column's typed array, and the dtype of its numpy
+# view, in the loop's record order: loss and theta_pre (k values per step),
+# covered, size, lo, hi, y and group. array("b") takes no np.bool_, so
+# covered goes in through bool, numpy's truth value; array("q") takes no
+# float, so a group id that is not an integer is a TypeError.
+_COLUMNS = (("d", float), ("d", float), ("b", bool), ("d", float),
+            ("d", float), ("d", float), ("d", float), ("q", np.int64))
 
 
 def _mean(values) -> float:
@@ -263,11 +225,12 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     scalars; the ``none`` stretch's identity is not called; and the record
     methods are bound.
 
-    Each step appends its values to the lists of a ``_Recorder``. The loop
-    runs one chunk of ``_CHUNK`` steps at a time and then moves the chunk
-    into typed arrays, so a run's peak memory follows its finished trace,
-    not the Python objects that build it; a chunk that comes up short ends
-    the run. ``theta_post`` is not recorded: it is the ``theta_pre`` array
+    Each step appends its values to one list per column. The loop runs one
+    chunk of ``_CHUNK`` steps at a time and then moves each list into its
+    column's ``array.array`` (``_COLUMNS``), so a run's peak memory follows
+    its finished trace, not the Python objects that build it; a chunk that
+    comes up short ends the run. The trace's columns are numpy views of the
+    arrays. ``theta_post`` is not recorded: it is the ``theta_pre`` array
     shifted by one step, plus the last theta.
     """
     risks = spec.risks
@@ -318,8 +281,9 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     learn = model.update
     labels = (float, int, np.floating)
 
-    rec = _Recorder(k, n_steps)
-    losses_rec, theta_pre, covered, sizes, los, his, ys, groups = rec.lists
+    lists = tuple([] for _ in _COLUMNS)
+    arrays = [array(code) for code, _ in _COLUMNS]
+    losses_rec, theta_pre, covered, sizes, los, his, ys, groups = lists
     record_loss, record_losses = losses_rec.append, losses_rec.extend
     record_pre, record_pres = theta_pre.append, theta_pre.extend
     record_covered, record_size = covered.append, sizes.append
@@ -408,12 +372,18 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
                 prev_loss = loss
             observe(x, y, model)
             learn(x, y)
-        if len(covered) < chunk:
+        short = len(covered) < chunk
+        # one column at a time, so a list is freed before the next column
+        # grows
+        for arr, lst in zip(arrays, lists):
+            arr.fromlist(list(map(bool, lst)) if lst is covered else lst)
+            lst.clear()
+        if short:
             break
-        rec.flush()
         start += chunk
 
-    loss_col, pre, covered, sizes, los, his, ys, groups = rec.finish()
+    loss_col, pre, covered, sizes, los, his, ys, groups = (
+        np.frombuffer(arr, dtype) for arr, (_, dtype) in zip(arrays, _COLUMNS))
     n = len(covered)
     post = np.empty_like(pre)
     if n:
@@ -547,9 +517,22 @@ def check_upper_theta_bound(trace: StreamTrace, spec):
 def check_lower_theta_bound(trace: StreamTrace, spec):
     """Every coordinate stays at or above m_i - 2*gamma_i*B_i; holds for
     two-sided control of one risk, and with k risks on a run where no step
-    has one coordinate above M_i and another below m_j (see
-    ``multirisk``)."""
+    has one coordinate above M_i and another below m_j (a conflict step;
+    see ``multirisk``)."""
     return _theta_lines(trace, spec, upper=False)
+
+
+def _conflict_steps(trace, spec) -> int:
+    """The number of rows whose theta_pre has some coordinate i above its M_i
+    and some coordinate j below its m_j. The full space wins on such a step,
+    so the coordinate below its floor takes its full-space loss and can keep
+    falling: the lower lines need not hold on a trace that has one."""
+    s = spec.risks
+    M, m = np.asarray(s.M), np.asarray(s.m)
+    pre = _columns(trace, "theta_pre")
+    return sum(int(np.count_nonzero(np.any(pre[a:b] > M, axis=1)
+                                    & np.any(pre[a:b] < m, axis=1)))
+               for a, b in _spans(len(pre)))
 
 
 def _prefix_check(trace, spec, bound, excess):

@@ -36,7 +36,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import baseline, engine, losses as losses_mod, metrics, multirisk
-from .models import ConstantModel, LinearPinballModel, ReplayModel
+from .models import (ConstantModel, LinearPinballModel, ReplayModel,
+                     pinball_loss)
 from .sets import (FULL_SPACE, ConstantHeuristic, CqrConstructor,
                    ImageIntervalConstructor, PreviousResidualsHeuristic,
                    QuantileScaleConstructor, RunningResidualHeuristic)
@@ -687,13 +688,18 @@ def certificate_for_trace(trace, rc: ResolvedConfig, label: str) -> list:
 
     Every line comes from the k-general checks in ``engine``; each controller
     kind keeps the line names it has always written. A recursion line
-    replays the update function the trial's loop applied.
+    replays the update function the trial's loop applied. The bound lines of
+    a vacuous loss contract are informational (INFO_PASS / INFO_FAIL), and so
+    are a two-sided k-risk run's lower lines when its trace has a conflict
+    step (``engine._conflict_steps``); their detail then gives the count.
     """
     spec, kind = rc.spec, rc.controller.kind
     lines = []
     bounds = []     # (name, (ok, violation)) per deterministic bound
+    lower = []      # the same for a k-risk run's lower lines
     recursion = []  # the same for the replayed update, if the line exists
     guaranteed = True
+    conflicts = 0
     if kind == "single":
         loss_fn = rc.losses[0].build()
         guaranteed = engine.loss_contract_guaranteed(loss_fn, spec)
@@ -712,7 +718,8 @@ def certificate_for_trace(trace, rc: ResolvedConfig, label: str) -> list:
             ("upper_theta_bound", engine.check_upper_theta_bound(trace, spec)),
             ("upper_risk_bound", engine.check_upper_risk_bound(trace, spec))]
         if spec.two_sided:
-            bounds += [
+            conflicts = engine._conflict_steps(trace, spec)
+            lower = [
                 ("lower_theta_bound",
                  engine.check_lower_theta_bound(trace, spec)),
                 ("two_sided_risk_bound",
@@ -722,13 +729,15 @@ def certificate_for_trace(trace, rc: ResolvedConfig, label: str) -> list:
         recursion = [("alpha_recursion", engine.check_recursion(
             trace, baseline.aci_update(c["gamma"], c["alpha"], c["warmup"])))]
 
-    # the bounds of a vacuous guarantee are informational; a recursion line
-    # never is
-    for info, checks in (("" if guaranteed else "INFO_", bounds),
-                         ("", recursion)):
+    # the bounds of a vacuous guarantee, and the lower lines of a trace with
+    # a conflict step, are informational; a recursion line never is
+    note = f", {conflicts} conflict steps" if conflicts else ""
+    for info, tail, checks in (("" if guaranteed else "INFO_", "", bounds),
+                               ("INFO_" if conflicts else "", note, lower),
+                               ("", "", recursion)):
         for name, (ok, viol) in checks:
             lines.append((f"{label} {name}", info + ("PASS" if ok else "FAIL"),
-                          f"max violation {viol:.3e}"))
+                          f"max violation {viol:.3e}{tail}"))
     return lines
 
 
@@ -827,8 +836,10 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
 def read_trace_csv(path):
     """Read a trace CSV back into a StreamTrace; the inverse of
     write_trace_csv. The label and group columns are not exported and come
-    back as NaN and -1. A ``step`` column that is not 1..T, for T rows, is
-    a ValueError naming the first row at fault.
+    back as NaN and -1, and a size-layout trace's lo and hi as NaN: these
+    placeholders are read-only broadcasts of one value, which hold no
+    memory per row. A ``step`` column that is not 1..T, for T rows, is a
+    ValueError naming the first row at fault.
 
     The float columns are views of the one parsed (T, columns) array, so
     the trace holds one copy of the file's numbers; a k-risk column is a
@@ -859,7 +870,7 @@ def read_trace_csv(path):
             return body[:, j:j + k]
         return np.column_stack([cols[c] for c in names])
 
-    nan = np.full(n, math.nan)
+    nan = np.broadcast_to(math.nan, n)
     lo, hi = cols.get("set_lo", nan), cols.get("set_hi", nan)
     if "set_size" in cols:
         size = cols["set_size"]
@@ -870,7 +881,7 @@ def read_trace_csv(path):
         loss=per_risk("loss"), theta_pre=per_risk("theta_pre"),
         theta_post=per_risk("theta_post"),
         covered=cols["covered"].astype(bool), size=size, lo=lo, hi=hi,
-        y=nan, group=np.full(n, -1, dtype=int))
+        y=nan, group=np.broadcast_to(np.int64(-1), n))
 
 
 def recompute_certificate(out_dir) -> list:
@@ -995,14 +1006,6 @@ def _flush_summary(result: ExperimentResult, reports: list, out: Path) -> None:
         fh.write(certificate_text(result.certificate_lines))
 
 
-def _pinball_terms(y: np.ndarray, yhat: np.ndarray, tau: float) -> np.ndarray:
-    """``models.pinball_loss`` of each row, with the same formula."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    d = y - yhat
-    return np.where(d > 0, tau * d, (1.0 - tau) * -d)
-
-
 def _val_pinball(rc: ResolvedConfig, trace) -> float:
     """Validation-window pinball loss of the calibrated interval endpoints:
     the mean over the window's rows of the two endpoints' mean loss, inf if
@@ -1014,8 +1017,8 @@ def _val_pinball(rc: ResolvedConfig, trace) -> float:
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()
             and np.isfinite(y).all()):
         return math.inf
-    terms = 0.5 * (_pinball_terms(y, lo, min(taus))
-                   + _pinball_terms(y, hi, max(taus)))
+    terms = 0.5 * (pinball_loss(y, lo, min(taus))
+                   + pinball_loss(y, hi, max(taus)))
     # cumsum adds left to right from 0.0, as a running total does; the
     # pairwise sum of np.sum could differ in the last bits
     total = np.cumsum(np.concatenate(([0.0], terms)))[-1]

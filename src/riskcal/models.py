@@ -16,15 +16,15 @@ import warnings
 import numpy as np
 
 
-def pinball_loss(y: float, yhat: float, tau: float) -> float:
+def pinball_loss(y, yhat, tau: float):
     """Quantile (pinball) loss: tau*(y-yhat) above the estimate,
-    (1-tau)*(yhat-y) at or below it."""
+    (1-tau)*(yhat-y) at or below it. ``y`` and ``yhat`` may be arrays,
+    which give the loss of each element; scalars give a float."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    d = y - yhat
-    if d > 0:
-        return tau * d
-    return (1.0 - tau) * (-d)
+    d = np.subtract(y, yhat)
+    loss = np.where(d > 0, tau * d, (1.0 - tau) * -d)
+    return loss if loss.ndim else float(loss)
 
 
 def pinball_grad(y: float, yhat: float, tau: float) -> float:

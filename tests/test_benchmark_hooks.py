@@ -21,10 +21,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # change to this set, either way, shows in the diff of this file.
 NEVER_CALLED = {
     # the loop advances lambda with Stretch.next_lam; Stretch.updated has no
-    # caller in the package (ROADMAP item 3)
+    # caller in the package (ROADMAP item 1)
     "stretching.update",
     # the ACI baseline keeps a sorted window and reads its quantile there;
-    # empirical_quantile has no caller in the loop (ROADMAP item 4)
+    # empirical_quantile has no caller in the loop (ROADMAP item 1)
     "baseline.quantile",
 }
 

@@ -946,6 +946,95 @@ class TestChunkedRecordingSameBits:
                 _column_bits(getattr(old, column)), column
 
 
+class _OddSet:
+    """A set whose ``contains`` answers with a preset value of any type and
+    whose size is a float32."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def contains(self, y):
+        return self.answer
+
+    def size(self):
+        return np.float32(0.3)
+
+
+class _OddConstructor:
+    """Sets whose cells are numpy scalars, in turn: an interval with float32
+    endpoints (its ``contains`` gives an np.bool_), one with float64
+    endpoints, and _OddSets that answer 2, 0.5, 0, NaN and np.False_."""
+
+    scored = False
+
+    def __init__(self):
+        self.t = 0
+
+    def build(self, x, theta, model):
+        self.t += 1
+        turn = self.t % 7
+        if turn == 0:
+            return Interval(np.float32(-0.7), np.float32(0.9))
+        if turn == 1:
+            return Interval(np.float64(-1.1), np.float64(0.2))
+        return _OddSet([2, 0.5, 0, math.nan, np.False_][turn - 2])
+
+    def observe(self, x, y, model):
+        pass
+
+
+class TestRecorderInputs:
+    """The loop records numpy scalars and non-bool ``contains`` results
+    exactly as the frozen loop's ``np.asarray`` does: np.bool_ and truthy
+    values as numpy's truth value, np.int64 groups, float32 and float64
+    cells. A group id that is not an integer is a TypeError."""
+
+    N = 23
+
+    def _parts(self, groups, losses):
+        n = self.N
+        labels = [np.float32(0.25 * (t % 9) - 1.0) if t % 2
+                  else np.float64(0.1 * t) for t in range(n)]
+        stream = _CountedItems(list(zip([None] * n, labels, groups)))
+        model = ConstantModel({0.05: -1.0, 0.95: 1.0})
+        spec = _spec(m=-100.0, M=100.0, B=2.0)
+        loss = iter(losses)
+        return (stream, model, _OddConstructor(),
+                (lambda y, s: next(loss),), spec)
+
+    def test_columns_equal_the_frozen_loop(self):
+        n = self.N
+        groups = [np.int64(t % 4) if t % 3 else t % 4 for t in range(n)]
+        losses = [np.float32(0.5 - 0.1 * (t % 3)) if t % 2
+                  else np.float64(0.3) for t in range(n)]
+        stream, model, constructor, loss_fns, spec = self._parts(groups,
+                                                                 losses)
+        with mock.patch.object(engine, "_CHUNK", 5):
+            new = _run(stream, model, constructor, loss_fns, spec,
+                       control_update(spec), None, None)
+        stream, model, constructor, loss_fns, spec = self._parts(groups,
+                                                                 losses)
+        old = _frozen_run(stream, model, constructor, loss_fns, spec,
+                          _frozen_control_update(spec), None, None)
+        assert len(new) == n
+        for column in ("loss", "theta_pre", "theta_post", "covered", "size",
+                       "lo", "hi", "y", "group"):
+            assert _column_bits(getattr(new, column)) == \
+                _column_bits(getattr(old, column)), column
+        assert new.covered.dtype == bool and new.group.dtype == np.int64
+        # the _OddSets of steps 2-6: 2, 0.5 and NaN are covered, 0 and
+        # np.False_ are not
+        assert new.covered[1:6].tolist() == [True, True, False, True, False]
+
+    @pytest.mark.parametrize("group", [2.5, np.float64(2.0)])
+    def test_a_group_that_is_not_an_integer_raises(self, group):
+        groups = [1] * (self.N - 1) + [group]
+        parts = self._parts(groups, [0.1] * self.N)
+        spec = parts[-1]
+        with pytest.raises(TypeError):
+            _run(*parts, control_update(spec), None, None)
+
+
 class TestRunMemory:
     def test_peak_follows_the_finished_trace(self):
         # the finished one-risk trace holds 65 bytes per step; a list per

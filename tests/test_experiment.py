@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from datetime import datetime, timedelta
 
@@ -2109,3 +2110,43 @@ class TestReaderKeepsItsBits:
         lines = recompute_certificate(tmp_path / "run")
         assert lines and lines == _frozen_recompute_certificate(
             tmp_path / "run")
+
+
+class TestReaderPlaceholders:
+    """The columns ``read_trace_csv`` cannot read from the file (y, group,
+    and a size-layout trace's lo and hi) are read-only broadcasts of one
+    value. The trace it returns holds the parsed rows, ``covered`` and, for
+    the interval layout, the rebuilt set size: no other memory per row. A
+    reader that filled the placeholders held 16 more bytes per row."""
+
+    N = 20_000
+
+    @pytest.mark.parametrize("layout", ["interval", "size"])
+    def test_trace_holds_its_rows_and_no_placeholder(self, tmp_path, layout):
+        n = self.N
+        col = np.linspace(-1.0, 1.0, n)
+        trace = StreamTrace(
+            loss=col, theta_pre=col, theta_post=col,
+            covered=np.ones(n, dtype=bool), size=col + 2.0, lo=col - 1.0,
+            hi=col + 1.0, y=np.full(n, math.nan), group=np.full(n, -1))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path, layout)
+        read_trace_csv(path)  # first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            back = read_trace_csv(path)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        placeholders = ["y", "group"] + (["lo", "hi"] if layout == "size"
+                                         else [])
+        for name in placeholders:
+            assert not getattr(back, name).flags.writeable, name
+        np.testing.assert_array_equal(back.group, -1)
+        assert np.isnan(back.y).all()
+        # 8 bytes per parsed cell and 1 for covered, plus the interval
+        # layout's set size
+        columns = len(path.read_text().split("\n", 1)[0].split(","))
+        rows = 8 * columns + 1 + (8 if layout == "interval" else 0)
+        assert kept / n <= rows + 2, f"{kept / n:.1f} B/row, rows {rows}"

@@ -17,6 +17,7 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from riskcal import engine
 from riskcal.engine import (_STOP, MultiRiskSpec, RiskSpec,
                             check_lower_theta_bound, check_recursion,
                             check_two_sided_risk_bound,
@@ -185,6 +186,8 @@ def test_certificate_lines_hold_against_an_adaptive_adversary(case):
     if not spec.risks.two_sided:
         return
     conflicts = _conflict_steps(trace, spec)
+    # the certificate's chunked count agrees with this whole-column one
+    assert engine._conflict_steps(trace, spec) == conflicts
     if spec.risks.k == 1:
         assert conflicts == 0
     if conflicts == 0:

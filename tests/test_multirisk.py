@@ -1,14 +1,20 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from riskcal.engine import (_STOP, RiskSpec, check_lower_theta_bound,
-                            check_recursion, check_two_sided_risk_bound,
+from riskcal.cli import main as cli_main
+from riskcal.engine import (_STOP, RiskSpec, _conflict_steps,
+                            check_lower_theta_bound, check_recursion,
+                            check_two_sided_risk_bound,
                             check_upper_risk_bound, check_upper_theta_bound,
                             control_update, run_stream,
                             two_sided_deviation_bound, upper_deviation_bound)
+from riskcal.experiment import (certificate_for_trace, certificate_passed,
+                                certificate_text, recompute_certificate,
+                                validate_config, write_trace_csv)
 from riskcal.losses import BinaryLossFn, CenterFailureFn, ImageMiscoverageFn
 from riskcal.models import ConstantModel
 from riskcal.multirisk import MultiRiskSpec, run_multi_stream
@@ -258,7 +264,8 @@ class TestTwoSidedConflict:
     """With k > 1 the empty-set safeguard does not make convergence
     two-sided: on a step where one coordinate is above its M and another
     below its m, the full space wins and the lower one keeps falling. The
-    upper lines still hold, and the certificate's lower lines fail."""
+    upper lines still hold and the lower lines fail; the certificate counts
+    such conflict steps and marks its lower lines informational."""
 
     def test_lower_lines_fail_and_upper_lines_hold(self):
         spec = MultiRiskSpec(r=(0.05, 0.5), gamma=0.05, m=-5.0, M=5.0,
@@ -271,6 +278,50 @@ class TestTwoSidedConflict:
         assert check_upper_risk_bound(trace, spec)[0]
         assert not check_lower_theta_bound(trace, spec)[0]
         assert not check_two_sided_risk_bound(trace, spec)[0]
+
+    def test_certificate_marks_the_lower_lines_informational(self, tmp_path,
+                                                             capsys):
+        # the adversary's spec, resolved from a config as a run resolves it
+        cfg = {"schema_version": 1, "steps": 5000, "trials": 1, "seed": 0,
+               "stream": {"kind": "image"}, "model": {"kind": "constant"},
+               "constructor": {"kind": "image"},
+               "losses": [{"kind": "image_miscoverage", "r": 0.05},
+                          {"kind": "center_failure", "r": 0.5}],
+               "stretch": {"kind": "none"},
+               "controller": {"kind": "multi", "gamma": 0.05, "m": -5.0,
+                              "M": 5.0, "B": 1.0, "aggregation": "max",
+                              "two_sided": True}}
+        rc = validate_config(cfg)
+        trace = run_multi_stream(
+            [(None, 0.0)] * 5000, ConstantModel({0.05: -1.0, 0.95: 1.0}),
+            CqrConstructor(), [_SentinelLoss(1.0), _SentinelLoss(0.0)],
+            rc.spec)
+        conflicts = _conflict_steps(trace, rc.spec)
+        pre = trace.theta_pre
+        assert conflicts == np.sum((pre[:, 0] > 5.0) & (pre[:, 1] < -5.0)) > 0
+
+        lines = certificate_for_trace(trace, rc, "trial_000")
+        verdicts = {name.split()[1]: (verdict, detail)
+                    for name, verdict, detail in lines}
+        assert verdicts["upper_theta_bound"][0] == "PASS"
+        assert verdicts["upper_risk_bound"][0] == "PASS"
+        for name in ("lower_theta_bound", "two_sided_risk_bound"):
+            verdict, detail = verdicts[name]
+            assert verdict == "INFO_FAIL"
+            assert detail.endswith(f", {conflicts} conflict steps")
+        assert certificate_passed(lines)
+
+        # the run directory as run_experiment writes it: verify re-derives
+        # the same lines from the trace alone
+        out = tmp_path / "run"
+        (out / "trial_000").mkdir(parents=True)
+        (out / "config.json").write_text(json.dumps(cfg))
+        write_trace_csv(trace, out / "trial_000" / "trace.csv", rc.layout)
+        (out / "certificate.txt").write_text(certificate_text(lines))
+        assert recompute_certificate(out) == lines
+        capsys.readouterr()
+        assert cli_main(["verify", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}: PASS\n"
 
 
 class _GroupedAdversary:
