@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 
 import numpy as np
 
@@ -193,8 +194,9 @@ class ReplayModel:
     the rows here. ``update`` advances the cursor; ``predict`` reads the
     current row, so the calibration loop's ordering is preserved.
 
-    Each column is checked finite as a float array, then kept as a list of
-    Python floats in place of the array, so ``predict`` is a list index.
+    Each column is checked finite as a float array, then copied into one
+    stdlib ``array('d')`` in place of the array: 8 bytes per step and
+    level, and ``predict`` is an index that returns a Python float.
     ``predict`` looks ``tau`` up as given and, when that misses (a str,
     say), as ``float(tau)``; a number equal to a tracked level finds the
     same row either way.
@@ -215,12 +217,14 @@ class ReplayModel:
                 raise ValueError("prediction columns have unequal lengths")
             if not np.isfinite(v).all():
                 raise ValueError(f"non-finite prediction for tau={t}")
-            self._rows[t] = v.tolist()
+            self._rows[t] = array("d", v.tobytes())
         self._t = 0
 
     @classmethod
     def from_csv(cls, path) -> "ReplayModel":
-        """Columns named q_<tau>, e.g. q_0.05,q_0.95; one row per step."""
+        """Columns named q_<tau>, e.g. q_0.05,q_0.95; one row per step. Two
+        columns of one level (q_0.05 twice, or q_0.05 and q_0.050) are a
+        ValueError that names both."""
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
             if header is None:
@@ -228,13 +232,19 @@ class ReplayModel:
             cols = [i for i, c in enumerate(header) if c.startswith("q_")]
             if not cols:
                 raise ValueError(f"{path}: no q_<tau> columns in header")
+            taus = [float(header[i][2:]) for i in cols]
+            for j, tau in enumerate(taus):
+                if tau in taus[:j]:
+                    first = header[cols[taus.index(tau)]]
+                    raise ValueError(
+                        f"{path}: columns {first!r} and {header[cols[j]]!r} "
+                        f"both replay level {tau}")
             with warnings.catch_warnings():
                 # a header-only file replays zero steps
                 warnings.filterwarnings("ignore", "loadtxt: input contained")
                 data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
         data = data.reshape(-1, len(cols))
-        return cls({float(header[i][2:]): data[:, j]
-                    for j, i in enumerate(cols)})
+        return cls(dict(zip(taus, data.T)))
 
     def rewind(self) -> None:
         """Move the cursor back to the first row, for a run that replays the

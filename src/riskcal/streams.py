@@ -352,8 +352,9 @@ class CsvStream:
     the file that every trial reading it shares, so a consumer that writes
     into a row fails instead of changing the data the next trial sees.
     Iteration yields ``(row, label, group)``: a read-only view of the row
-    of ``x``, a Python float and a Python int. Each pass converts ``y`` and
-    ``group`` to lists once, so no item pays for a numpy scalar.
+    of ``x``, a Python float and a Python int. A pass reads ``y`` and
+    ``group`` through ``memoryview``s, which build each Python value as it
+    is read, so no item pays for a numpy scalar and no pass copies a column.
     """
 
     x: np.ndarray
@@ -366,7 +367,7 @@ class CsvStream:
     y_std: float
 
     def __iter__(self):
-        return zip(self.x, self.y.tolist(), self.group.tolist())
+        return zip(self.x, memoryview(self.y), memoryview(self.group))
 
     def __len__(self) -> int:
         return len(self.y)
@@ -384,12 +385,15 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
     field at fault; a missing or unreadable one raises ``OSError``.
 
     Accepted rows go into flat typed columns, 8 bytes per value (88 bytes
-    per row with three features and the six time features), which become
-    ``X``, ``y`` and ``group`` without a per-row Python list.
+    per row with three features and the six time features): each row's
+    features and time features into one ``array('d')`` whose view is
+    ``X``, the targets and the groups into their own. The feature columns
+    of ``X`` and the targets are standardized in place once the warm-up
+    statistics are taken, so ``X`` is never copied.
     """
     targets = array("d")
-    feats = array("d")  # the row's features, one after another
-    times = array("d")  # the row's six time features
+    # each row's features, then its six time features: the rows of X
+    rows_x = array("d")
     groups = array("q")
 
     with open(config.path, newline="") as fh:
@@ -445,12 +449,12 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
                 if config.augment_time:
                     raw = row[ts_col].strip() if ts_col < n else ""
                     ts = _parse_timestamp(raw, config.timestamp_format, idx)
-                    times.fromlist(_time_features(ts))
+                    values += _time_features(ts)
                     groups.append(ts.weekday())
                 else:
                     groups.append(-1)
                 targets.append(values[0])
-                feats.fromlist(values[1:])
+                rows_x.fromlist(values[1:])
 
     rows = len(targets)
     if not rows:
@@ -461,18 +465,20 @@ def csv_ingest(config: CsvStreamConfig) -> CsvStream:
             f"warm-up size {config.warmup} exceeds row count {rows}")
     warmup = config.warmup
 
-    X = np.frombuffer(feats, dtype=float).reshape(rows, len(feature_cols))
-    y = np.frombuffer(targets, dtype=float)
-
-    x_mean, x_std, y_mean, y_std = _warmup_statistics(
-        X[:warmup], y[:warmup], feature_cols)
-    X = (X - x_mean) / x_std
-    y = (y - y_mean) / y_std
     names = list(feature_cols)
     if config.augment_time:
-        X = np.hstack([X, np.frombuffer(times, dtype=float).reshape(
-            rows, len(_TIME_FEATURES))])
         names += list(_TIME_FEATURES)
+    X = np.frombuffer(rows_x, dtype=float).reshape(rows, len(names))
+    y = np.frombuffer(targets, dtype=float)
+    feats = X[:, :len(feature_cols)]
+
+    x_mean, x_std, y_mean, y_std = _warmup_statistics(
+        feats[:warmup], y[:warmup], feature_cols)
+    # standardized in place: no copy of X or y
+    feats -= x_mean
+    feats /= x_std
+    y -= y_mean
+    y /= y_std
 
     group = np.frombuffer(groups, dtype=np.int64)
     for arr in (X, y, group):

@@ -918,6 +918,19 @@ class TestInputFileErrors:
         assert "config error" in err and "model.taus" in err
         assert "[0.1]" in err
 
+    @pytest.mark.parametrize("second", ["q_0.05", "q_0.050"])
+    def test_replay_names_a_level_twice(self, tmp_path, capsys, second):
+        # neither column of a level named twice may go unread
+        cfg = csv_config(tmp_path)
+        path = tmp_path / "p.csv"
+        head, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([f"{head},{second}"]
+                                  + [f"{row},9.0" for row in rows]) + "\n")
+        assert self._cli(tmp_path, cfg, "run") == 2
+        assert capsys.readouterr().err == (
+            f"config error: model.path: {path}: columns 'q_0.05' and "
+            f"'{second}' both replay level 0.05\n")
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_auto_bounds_on_a_one_row_stream(self, tmp_path, capsys, command):
         cfg = csv_config(tmp_path, eval_window=None, val_window=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,7 +401,7 @@ class TestReplayModel:
 class _ReplayModelFrozen:
     """ReplayModel as it kept each column as a float array and converted
     the current row with ``float`` on every ``predict``: the reference for
-    the list-backed model."""
+    ReplayModel, whose ``predict`` is an index."""
 
     def __init__(self, predictions: dict):
         self.taus = tuple(sorted(float(t) for t in predictions))
@@ -445,8 +446,8 @@ _REPLAY_VALUES = (st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestReplayModelSameBits:
-    """The list-backed ReplayModel against the array-backed one: the same
-    floats, types, errors and messages, before and after the replay is
+    """ReplayModel against the numpy-array-backed one: the same floats,
+    types, errors and messages, before and after the replay is
     exhausted."""
 
     @settings(max_examples=300, deadline=None, database=None,
@@ -482,6 +483,123 @@ class TestReplayModelSameBits:
                 assert got == _replay_outcome(lambda: old.predict(None, tau))
             new.update(None, 0.0)
             old.update(None, 0.0)
+
+
+class _ReplayModelListFrozen:
+    """ReplayModel as it kept each column as a list of Python floats: the
+    reference for the model that keeps each column as an ``array('d')``."""
+
+    def __init__(self, predictions: dict):
+        self.taus = tuple(sorted(float(t) for t in predictions))
+        if not self.taus:
+            raise ValueError("need at least one tracked quantile level")
+        self._rows = {float(t): np.asarray(v, dtype=float)
+                      for t, v in predictions.items()}
+        self.n_steps = len(next(iter(self._rows.values())))
+        for t, v in self._rows.items():
+            if v.ndim != 1:
+                raise ValueError(f"prediction column for tau={t} must be "
+                                 f"one-dimensional, got shape {v.shape}")
+            if len(v) != self.n_steps:
+                raise ValueError("prediction columns have unequal lengths")
+            if not np.isfinite(v).all():
+                raise ValueError(f"non-finite prediction for tau={t}")
+            self._rows[t] = v.tolist()
+        self._t = 0
+
+    def rewind(self) -> None:
+        self._t = 0
+
+    def predict(self, x, tau: float) -> float:
+        try:
+            return self._rows[tau][self._t]
+        except (KeyError, IndexError, TypeError):
+            pass
+        if self._t >= self.n_steps:
+            raise RuntimeError(
+                f"replay exhausted after {self.n_steps} steps")
+        rows = self._rows.get(float(tau))
+        if rows is None:
+            raise ValueError(f"tau {tau} is not replayed; have {self.taus}")
+        return rows[self._t]
+
+    def update(self, x, y: float) -> None:
+        self._t += 1
+
+
+class TestReplayModelSameAsLists:
+    """The ``array('d')``-backed ReplayModel against the list-backed one,
+    over whole replays: every ``predict`` gives the same value and type,
+    ``rewind`` starts both over, and an untracked level and the end of the
+    replay raise the same errors with the same messages."""
+
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    @given(data=st.data())
+    def test_whole_replay(self, data):
+        keys = data.draw(st.lists(st.sampled_from(_REPLAY_KEYS), min_size=1,
+                                  max_size=3, unique_by=float))
+        n = data.draw(st.integers(0, 6))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        cols = {k: data.draw(st.lists(finite, min_size=n, max_size=n))
+                for k in keys}
+        if data.draw(st.booleans()):  # strided float arrays
+            cols = {k: np.repeat(np.asarray(v, dtype=float), 2)[::2]
+                    for k, v in cols.items()}
+        new, old = ReplayModel(cols), _ReplayModelListFrozen(cols)
+        assert (new.taus, new.n_steps) == (old.taus, old.n_steps)
+        queries = keys + [np.float64(keys[0]), str(float(keys[0])), 0.3,
+                          "abc", math.nan, [0.05]]
+        steps = data.draw(st.lists(st.sampled_from(["update"] * 6
+                                                   + ["rewind"]),
+                                   min_size=n + 2, max_size=2 * n + 4))
+        for step in steps:
+            for tau in queries:
+                got = _replay_outcome(lambda: new.predict(None, tau))
+                assert got == _replay_outcome(lambda: old.predict(None, tau))
+            for model in (new, old):
+                if step == "update":
+                    model.update(None, 0.0)
+                else:
+                    model.rewind()
+        # read to the end of the replay, and one step past it
+        new.rewind()
+        old.rewind()
+        for _ in range(n + 1):
+            for tau in keys:
+                got = _replay_outcome(lambda: new.predict(None, tau))
+                assert got == _replay_outcome(lambda: old.predict(None, tau))
+            new.update(None, 0.0)
+            old.update(None, 0.0)
+        assert _replay_outcome(lambda: new.predict(None, keys[0]))[0] \
+            is RuntimeError
+
+
+class TestReplayMemory:
+    """``ReplayModel.from_csv`` keeps 8 bytes per row and level, plus the
+    typed array's slack of up to 1/16: about 17 bytes per row for two
+    levels of a 20,000-row file under ``tracemalloc``, where lists of
+    Python floats kept 64."""
+
+    N = 20_000
+
+    def test_from_csv_keeps_typed_columns(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        rng = np.random.default_rng(0)
+        with open(path, "w") as fh:
+            fh.write("q_0.05,q_0.95\n")
+            for lo, hi in rng.normal(size=(self.N, 2)).tolist():
+                fh.write(f"{lo!r},{hi!r}\n")
+        ReplayModel.from_csv(path)  # first-call allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model = ReplayModel.from_csv(path)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert model.n_steps == self.N
+        assert kept / self.N <= 20, f"kept {kept / self.N:.1f} B/row"
 
 
 class TestOracleUnderCalibration:
