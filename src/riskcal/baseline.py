@@ -128,7 +128,7 @@ def aci_update(gamma: float, alpha: float, warmup: int):
 
     alpha_t stays frozen for the first ``warmup`` steps, which announce the
     full space rather than a constructed set. The loop passes an int ``t``;
-    ``engine.check_recursion`` passes the whole column of step indices, so
+    the checks (``engine._walk``) pass a chunk's column of step indices, so
     the freeze multiplies the step by ``t >= warmup`` (exactly 0 or 1)
     instead of branching.
     """

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import islice
 from operator import add, gt, le, lt, sub
@@ -429,7 +430,7 @@ _TOLERANCE = 1e-9
 
 def _spans(n: int) -> list:
     """The (start, stop) row spans of at most ``_CHUNK`` rows that cover n
-    rows in order: the one chunk walk of the checks and of the export."""
+    rows in order: the one chunk walk of ``_walk`` and of the export."""
     return [(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK)]
 
 
@@ -451,15 +452,6 @@ def _envelope(spec) -> tuple:
     return tuple(map(sub, s.m, reach)), tuple(map(add, s.M, reach))
 
 
-def _upper_bound(s, envelope, i: int, T):
-    return (envelope[1][i] - s.theta_init[i]) / s.gamma[i] / T
-
-
-def _two_sided_bound(s, envelope, i: int, T):
-    t0 = s.theta_init[i]
-    return max(t0 - envelope[0][i], envelope[1][i] - t0) / (s.gamma[i] * T)
-
-
 def risk_bound(spec: RiskSpec, T: int) -> float:
     """Worst-case deviation of the T-step average loss from the target:
     (M - m + 4*gamma*B) / (gamma*T)."""
@@ -474,7 +466,8 @@ def upper_deviation_bound(spec, i: int, T):
     array of horizons."""
     if np.any(np.asarray(T) < 1):
         raise ValueError(f"T must be >= 1, got {T}")
-    return _upper_bound(spec.risks, _envelope(spec), i, T)
+    s = spec.risks
+    return (_envelope(spec)[1][i] - s.theta_init[i]) / s.gamma[i] / T
 
 
 def two_sided_deviation_bound(spec, i: int, T):
@@ -484,7 +477,9 @@ def two_sided_deviation_bound(spec, i: int, T):
     horizons."""
     if np.any(np.asarray(T) < 1):
         raise ValueError(f"T must be >= 1, got {T}")
-    return _two_sided_bound(spec.risks, _envelope(spec), i, T)
+    s, (lo, hi) = spec.risks, _envelope(spec)
+    t0 = s.theta_init[i]
+    return max(t0 - lo[i], hi[i] - t0) / (s.gamma[i] * T)
 
 
 def _columns(trace, name: str) -> np.ndarray:
@@ -493,25 +488,87 @@ def _columns(trace, name: str) -> np.ndarray:
     return col[:, None] if col.ndim == 1 else col
 
 
-def _theta_lines(trace, spec, upper=True, lower=True):
-    """The verdict of the upper theta line, the lower one, or both (a
-    one-risk run's one line), over every coordinate before and after each
-    update."""
-    lo, hi = map(np.asarray, _envelope(spec))
-    excesses = [excess for excess, side in (
-        (lambda th: th - hi, upper), (lambda th: lo - th, lower)) if side]
-    cols = _columns(trace, "theta_pre"), _columns(trace, "theta_post")
-    spans = _spans(len(trace))
-    return _verdict(*[[np.max(excess(col[a:b]))
-                       for col in cols for a, b in spans]
-                      for excess in excesses])
+# Each check's (ok, worst violation) on one trace, None where not checked,
+# and the conflict steps; ``theta`` is both theta lines, a one-risk run's one.
+_Verdicts = namedtuple("_Verdicts", "upper_theta lower_theta theta upper_risk "
+                       "two_sided_risk conflicts recursion")
+
+
+def _walk(trace, spec=None, update=None) -> _Verdicts:
+    """Every certificate verdict on one trace from one walk of its rows in
+    ``_spans`` chunks: against ``spec``, both theta lines, both deviation
+    bounds on the prefix means of the loss, and the conflict steps (some
+    theta_pre_i above M_i and some theta_pre_j below m_j: the full space
+    wins, so coordinate j can keep falling and the lower lines need not
+    hold); against ``update``, each step's replay and each theta_post's
+    chain into the next theta_pre. A pass reads its own chunk and carries
+    the running loss sum (so each prefix mean has the bits of one cumsum)
+    and the last theta_post. A spec or an update for another risk count
+    than the trace's is a ValueError."""
+    pre, post, loss = (_columns(trace, name)
+                       for name in ("theta_pre", "theta_post", "loss"))
+    k = pre.shape[1]
+    if spec is not None and spec.risks.k != k:
+        raise ValueError(
+            f"got a spec of {spec.risks.k} risks for a trace of {k} risks")
+    if update is not None and len(update) != k:
+        raise ValueError(f"got {len(update)} update steps for {k} risks")
+    if spec is not None:
+        lo, hi = map(np.asarray, _envelope(spec))
+        r, m, M = (np.asarray(getattr(spec.risks, f)) for f in "rmM")
+    # each theta line's chunk maxima, theta_pre's before theta_post's
+    above, below = ([], []), ([], [])
+    upper, two_sided, replayed, chained = [], [], [], []
+    conflicts = 0
+    sums = last = None
+    for a, b in _spans(len(pre)):
+        if spec is not None:
+            for j, rows in enumerate((pre[a:b], post[a:b])):
+                above[j].append(np.max(rows - hi))
+                below[j].append(np.max(lo - rows))
+            conflicts += int(np.count_nonzero(np.any(pre[a:b] > M, axis=1)
+                                              & np.any(pre[a:b] < m, axis=1)))
+            part = loss[a:b]
+            if sums is not None:
+                # the running sum goes on into the chunk's first row
+                part = part.copy()
+                part[0] += sums[-1]
+            sums = np.cumsum(part, axis=0)
+            T = np.arange(a + 1, b + 1, dtype=float)
+            means = sums / T[:, None]
+            ups, twos = (np.column_stack([bound(spec, i, T) for i in range(k)])
+                         for bound in (upper_deviation_bound,
+                                       two_sided_deviation_bound))
+            upper.append(np.max(means - (r + ups)))
+            two_sided.append(np.max(np.abs(means - r) - twos))
+        if update is not None:
+            t = np.arange(a, b)
+            expected = np.column_stack([
+                step(t, th, ls)
+                for step, th, ls in zip(update, pre[a:b].T, loss[a:b].T)])
+            replayed.append(np.max(np.abs(expected - post[a:b])))
+            # each theta_post is the next row's theta_pre, across chunks too
+            before = (post[a:b - 1] if last is None
+                      else np.concatenate([last, post[a:b - 1]]))
+            if len(before):
+                chained.append(np.max(np.abs(before - pre[b - len(before):b])))
+            last = post[b - 1:b]
+    if chained and math.isnan(np.max(chained)):
+        # a NaN from the chain (inf - inf) is passed over; a NaN from the
+        # replay fails the check
+        chained = []
+    up, down = above[0] + above[1], below[0] + below[1]
+    return _Verdicts(*((None,) * 6 if spec is None else (
+        _verdict(up), _verdict(down), _verdict(up, down), _verdict(upper),
+        _verdict(two_sided), conflicts)),
+        None if update is None else _verdict(replayed, chained))
 
 
 def check_upper_theta_bound(trace: StreamTrace, spec):
     """Every coordinate, before and after each update, stays at or below
     M_i + 2*gamma_i*B_i. Returns (ok, worst_violation); the violation is 0
     when the bound holds."""
-    return _theta_lines(trace, spec, lower=False)
+    return _walk(trace, spec).upper_theta
 
 
 def check_lower_theta_bound(trace: StreamTrace, spec):
@@ -519,58 +576,18 @@ def check_lower_theta_bound(trace: StreamTrace, spec):
     two-sided control of one risk, and with k risks on a run where no step
     has one coordinate above M_i and another below m_j (a conflict step;
     see ``multirisk``)."""
-    return _theta_lines(trace, spec, upper=False)
-
-
-def _conflict_steps(trace, spec) -> int:
-    """The number of rows whose theta_pre has some coordinate i above its M_i
-    and some coordinate j below its m_j. The full space wins on such a step,
-    so the coordinate below its floor takes its full-space loss and can keep
-    falling: the lower lines need not hold on a trace that has one."""
-    s = spec.risks
-    M, m = np.asarray(s.M), np.asarray(s.m)
-    pre = _columns(trace, "theta_pre")
-    return sum(int(np.count_nonzero(np.any(pre[a:b] > M, axis=1)
-                                    & np.any(pre[a:b] < m, axis=1)))
-               for a, b in _spans(len(pre)))
-
-
-def _prefix_check(trace, spec, bound, excess):
-    """The verdict on ``excess(means, r, bounds)`` over every prefix length
-    T: ``means`` holds the (T, k) prefix means of the loss, ``bounds`` each
-    risk i's ``bound(risks, envelope, i, T)``. The running sum carries from
-    chunk to chunk, so every mean has the bits of one whole-column cumsum."""
-    s = spec.risks
-    envelope = _envelope(spec)
-    loss = _columns(trace, "loss")
-    r = np.asarray(s.r)
-    worst = []
-    sums = None
-    for a, b in _spans(len(loss)):
-        part = loss[a:b]
-        if sums is not None:
-            # the running sum goes on into the chunk's first row
-            part = part.copy()
-            part[0] += sums[-1]
-        sums = np.cumsum(part, axis=0)
-        T = np.arange(a + 1, b + 1, dtype=float)
-        bounds = np.column_stack([bound(s, envelope, i, T)
-                                  for i in range(s.k)])
-        worst.append(np.max(excess(sums / T[:, None], r, bounds)))
-    return _verdict(worst)
+    return _walk(trace, spec).lower_theta
 
 
 def check_upper_risk_bound(trace: StreamTrace, spec):
     """mean loss_i over every prefix <= r_i + D_i/T for every risk i."""
-    return _prefix_check(trace, spec, _upper_bound,
-                         lambda means, r, bounds: means - (r + bounds))
+    return _walk(trace, spec).upper_risk
 
 
 def check_two_sided_risk_bound(trace: StreamTrace, spec):
     """|mean loss_i - r_i| over every prefix <= the two-sided bound, for
     every risk i; holds where ``check_lower_theta_bound`` does."""
-    return _prefix_check(trace, spec, _two_sided_bound,
-                         lambda means, r, bounds: np.abs(means - r) - bounds)
+    return _walk(trace, spec).two_sided_risk
 
 
 def check_recursion(trace: StreamTrace, update):
@@ -578,29 +595,8 @@ def check_recursion(trace: StreamTrace, update):
     (``control_update`` or ``baseline.aci_update``) and chain step to step.
     Step i replays column i, with ``t`` the column of 0-based step indices;
     a step count other than the trace's risk count is a ValueError. Guards
-    against tampered or corrupted traces. Rows go one chunk at a time."""
-    pre = _columns(trace, "theta_pre")
-    k = pre.shape[1]
-    if len(update) != k:
-        raise ValueError(f"got {len(update)} update steps for {k} risks")
-    n = len(pre)
-    post, loss = _columns(trace, "theta_post"), _columns(trace, "loss")
-    replayed, chained = [], []
-    for a, b in _spans(n):
-        t = np.arange(a, b)
-        expected = np.column_stack([
-            step(t, th, ls)
-            for step, th, ls in zip(update, pre[a:b].T, loss[a:b].T)])
-        replayed.append(np.max(np.abs(expected - post[a:b])))
-        # each theta_post is the next row's theta_pre, across chunks too
-        c = min(b, n - 1)
-        if c > a:
-            chained.append(np.max(np.abs(post[a:c] - pre[a + 1:c + 1])))
-    if chained and math.isnan(np.max(chained)):
-        # a NaN from the chain (inf - inf) is passed over; a NaN from the
-        # replay fails the check
-        chained = []
-    return _verdict(replayed, chained)
+    against tampered or corrupted traces."""
+    return _walk(trace, update=update).recursion
 
 
 def loss_contract_guaranteed(loss_fn, spec: RiskSpec) -> bool:

@@ -686,12 +686,12 @@ def _trial_report(rc: ResolvedConfig, trace) -> dict:
 def certificate_for_trace(trace, rc: ResolvedConfig, label: str) -> list:
     """Bound-check verdict lines for one trace: (name, verdict, detail).
 
-    Every line comes from the k-general checks in ``engine``; each controller
-    kind keeps the line names it has always written. A recursion line
-    replays the update function the trial's loop applied. The bound lines of
-    a vacuous loss contract are informational (INFO_PASS / INFO_FAIL), and so
-    are a two-sided k-risk run's lower lines when its trace has a conflict
-    step (``engine._conflict_steps``); their detail then gives the count.
+    Every line comes from one walk of the trace (``engine._walk``); each
+    controller kind keeps the line names it has always written. A recursion
+    line replays the update function the trial's loop applied. The bound
+    lines of a vacuous loss contract are informational (INFO_PASS /
+    INFO_FAIL), and so are a two-sided k-risk run's lower lines when its
+    trace has a conflict step; their detail then gives the count.
     """
     spec, kind = rc.spec, rc.controller.kind
     lines = []
@@ -707,27 +707,24 @@ def certificate_for_trace(trace, rc: ResolvedConfig, label: str) -> list:
                       "GUARANTEED" if guaranteed else "NOT_GUARANTEED",
                       f"full={loss_fn.full_space_loss} r={spec.r} "
                       f"empty_min={loss_fn.empty_set_loss_min}"))
-        bounds = [
-            # one line for both sides of the theta envelope
-            ("theta_bound", engine._theta_lines(trace, spec)),
-            ("risk_bound", engine.check_two_sided_risk_bound(trace, spec))]
-        recursion = [("recursion", engine.check_recursion(
-            trace, engine.control_update(spec)))]
+        walk = engine._walk(trace, spec, engine.control_update(spec))
+        # one line for both sides of the theta envelope
+        bounds = [("theta_bound", walk.theta),
+                  ("risk_bound", walk.two_sided_risk)]
+        recursion = [("recursion", walk.recursion)]
     elif kind == "multi":
-        bounds = [
-            ("upper_theta_bound", engine.check_upper_theta_bound(trace, spec)),
-            ("upper_risk_bound", engine.check_upper_risk_bound(trace, spec))]
+        walk = engine._walk(trace, spec)
+        bounds = [("upper_theta_bound", walk.upper_theta),
+                  ("upper_risk_bound", walk.upper_risk)]
         if spec.two_sided:
-            conflicts = engine._conflict_steps(trace, spec)
-            lower = [
-                ("lower_theta_bound",
-                 engine.check_lower_theta_bound(trace, spec)),
-                ("two_sided_risk_bound",
-                 engine.check_two_sided_risk_bound(trace, spec))]
+            conflicts = walk.conflicts
+            lower = [("lower_theta_bound", walk.lower_theta),
+                     ("two_sided_risk_bound", walk.two_sided_risk)]
     else:  # baseline_aci
         c = rc.controller.fields
-        recursion = [("alpha_recursion", engine.check_recursion(
-            trace, baseline.aci_update(c["gamma"], c["alpha"], c["warmup"])))]
+        walk = engine._walk(trace, update=baseline.aci_update(
+            c["gamma"], c["alpha"], c["warmup"]))
+        recursion = [("alpha_recursion", walk.recursion)]
 
     # the bounds of a vacuous guarantee, and the lower lines of a trace with
     # a conflict step, are informational; a recursion line never is

@@ -203,11 +203,16 @@ class ReplayModel:
     """
 
     def __init__(self, predictions: dict):
-        self.taus = tuple(sorted(float(t) for t in predictions))
+        self._rows = {}
+        for t, v in predictions.items():
+            if float(t) in self._rows:
+                first = next(u for u in predictions if float(u) == float(t))
+                raise ValueError(f"keys {first!r} and {t!r} both replay "
+                                 f"level {float(t)}")
+            self._rows[float(t)] = np.asarray(v, dtype=float)
+        self.taus = tuple(sorted(self._rows))
         if not self.taus:
             raise ValueError("need at least one tracked quantile level")
-        self._rows = {float(t): np.asarray(v, dtype=float)
-                      for t, v in predictions.items()}
         self.n_steps = len(next(iter(self._rows.values())))
         for t, v in self._rows.items():
             if v.ndim != 1:

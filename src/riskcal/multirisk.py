@@ -13,9 +13,9 @@ its full-space loss on such a step, which is below its target, and can
 keep falling without bound (the README gives a two-risk adversary that does
 this). The lower bounds hold on a run where no step has one coordinate
 above its M_i and another below its m_j (a conflict step), given the strict
-loss contract L(full) < r_i < L(empty). The certificate checks them; on a
-trace with a conflict step it reports them as INFO_PASS / INFO_FAIL with the
-number of conflict steps.
+loss contract L(full) < r_i < L(empty). The certificate checks them and,
+on a trace with a conflict step (counted by ``engine._walk``), reports them
+as INFO_PASS / INFO_FAIL with the number of conflict steps.
 
 The spec, the loop and the certificates live in ``engine``, which runs every
 controller; this module is the k-risk entry point.

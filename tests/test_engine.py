@@ -531,6 +531,30 @@ class TestRecursionIsExact:
                  (BinaryLossFn(),), _spec(), control_update(two), None, None)
 
 
+class TestRiskCountMustMatchTheTrace:
+    """Every check raises, naming both counts, when its spec or update is
+    for another number of risks than the trace's, instead of broadcasting
+    one risk's lines over every column or one column over every risk."""
+
+    @pytest.mark.parametrize("check", [
+        check_upper_theta_bound, check_lower_theta_bound,
+        check_upper_risk_bound, check_two_sided_risk_bound, check_recursion])
+    def test_every_check_both_ways(self, check):
+        model = ConstantModel({0.05: 2.0, 0.95: 4.0})
+        two = MultiRiskSpec(r=(0.1, 0.1), gamma=0.05, m=-1.0, M=1.0, B=1.0,
+                            two_sided=True)
+        pair = run_multi_stream(_iid_stream(0, 20), model, CqrConstructor(),
+                                (BinaryLossFn(), BinaryLossFn()), two)
+        single = run_stream(_iid_stream(0, 20), model, CqrConstructor(),
+                            BinaryLossFn(), _spec())
+        for trace, spec, spec_k, trace_k in ((pair, _spec(), 1, 2),
+                                             (single, two, 2, 1)):
+            arg = control_update(spec) if check is check_recursion else spec
+            with pytest.raises(ValueError, match=rf"got (a spec of )?"
+                                                 rf"{spec_k} .* {trace_k} risks"):
+                check(trace, arg)
+
+
 # ---------------------------------------------------------------------------
 # The loop as it was before it bound its per-run choices: a frozen copy, with
 # the update functions of the same version, kept as the oracle of the
@@ -1297,7 +1321,7 @@ class TestOneThetaLineSameBits:
         spec, trace = drawn
         with mock.patch.object(engine, "_CHUNK", chunk), \
                 np.errstate(invalid="ignore"):
-            ok, viol = engine._theta_lines(trace, spec)
+            ok, viol = engine._walk(trace, spec).theta
             want_ok, want = _frozen_both(_frozen_upper_theta(trace, spec),
                                          _frozen_lower_theta(trace, spec))
         assert ok == want_ok
@@ -1316,4 +1340,4 @@ class TestOneThetaLineSameBits:
                             size=np.zeros(2), lo=np.zeros(2), hi=np.zeros(2),
                             y=np.zeros(2), group=np.full(2, -1))
         with np.errstate(invalid="ignore"):
-            assert engine._theta_lines(trace, spec) == (False, 0.0)
+            assert engine._walk(trace, spec).theta == (False, 0.0)

@@ -270,6 +270,36 @@ class TestRunExperiment:
         assert abs(res.trials[0].report["coverage"] - 0.9) < 0.05
 
 
+class TestOneWalkPerCertificate:
+    """Every line of a trace's certificate comes from one walk of its rows
+    in ``engine._spans`` chunks, for every controller kind."""
+
+    @pytest.mark.parametrize("overrides, line", [
+        ({}, "theta_bound"),
+        ({"stream": {"kind": "image"}, "model": {"kind": "constant"},
+          "constructor": {"kind": "image"},
+          "losses": [{"kind": "image_miscoverage", "r": 0.2},
+                     {"kind": "center_failure", "r": 0.1}],
+          "controller": {"kind": "multi", "gamma": 0.05, "m": -5.0, "M": 5.0,
+                         "B": 1.0, "aggregation": "max", "two_sided": True}},
+         "two_sided_risk_bound"),
+        ({"controller": {"kind": "baseline_aci", "gamma": 0.05,
+                         "alpha": 0.1, "window": 50}}, "alpha_recursion"),
+    ], ids=["single", "two-sided-multi", "baseline"])
+    def test_one_walk(self, overrides, line):
+        from unittest import mock
+
+        from riskcal import engine
+        from riskcal.experiment import certificate_for_trace
+
+        rc = validate_config(base_config(steps=200, trials=1, **overrides))
+        trace = run_trial(rc, 0)
+        with mock.patch.object(engine, "_spans", wraps=engine._spans) as spans:
+            lines = certificate_for_trace(trace, rc, "trial_000")
+        assert spans.call_count == 1
+        assert f"trial_000 {line}" in [name for name, _, _ in lines]
+
+
 class TestArtifacts:
     def test_reports_csv_written(self, tmp_path):
         cfg = base_config(trials=2, steps=400)

@@ -187,7 +187,7 @@ def test_certificate_lines_hold_against_an_adaptive_adversary(case):
         return
     conflicts = _conflict_steps(trace, spec)
     # the certificate's chunked count agrees with this whole-column one
-    assert engine._conflict_steps(trace, spec) == conflicts
+    assert engine._walk(trace, spec).conflicts == conflicts
     if spec.risks.k == 1:
         assert conflicts == 0
     if conflicts == 0:

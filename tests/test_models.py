@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -339,6 +341,13 @@ class TestReplayModel:
         # a column of rows would replay lists, not floats
         with pytest.raises(ValueError, match=r"one-dimensional.*\(2, 1\)"):
             ReplayModel({0.5: [[1.0], [2.0]]})
+
+    @pytest.mark.parametrize("second", ["0.05", "0.050", Decimal("0.05")])
+    def test_two_keys_for_one_level(self, second):
+        # each key is its own dict entry but names level 0.05 again
+        with pytest.raises(ValueError, match=re.escape(
+                f"keys 0.05 and {second!r} both replay level 0.05")):
+            ReplayModel({0.05: [1.0], second: [2.0], 0.95: [3.0]})
 
     def test_from_csv_drives_the_engine(self, tmp_path):
         # precomputed predictions stand in for an externally trained model

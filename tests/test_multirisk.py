@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from riskcal.cli import main as cli_main
-from riskcal.engine import (_STOP, RiskSpec, _conflict_steps,
+from riskcal.engine import (_STOP, RiskSpec, _walk,
                             check_lower_theta_bound, check_recursion,
                             check_two_sided_risk_bound,
                             check_upper_risk_bound, check_upper_theta_bound,
@@ -296,7 +296,7 @@ class TestTwoSidedConflict:
             [(None, 0.0)] * 5000, ConstantModel({0.05: -1.0, 0.95: 1.0}),
             CqrConstructor(), [_SentinelLoss(1.0), _SentinelLoss(0.0)],
             rc.spec)
-        conflicts = _conflict_steps(trace, rc.spec)
+        conflicts = _walk(trace, rc.spec).conflicts
         pre = trace.theta_pre
         assert conflicts == np.sum((pre[:, 0] > 5.0) & (pre[:, 1] < -5.0)) > 0
 
