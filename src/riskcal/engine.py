@@ -504,7 +504,13 @@ def _walk(trace, spec=None, update=None) -> _Verdicts:
     chain into the next theta_pre. A pass reads its own chunk and carries
     the running loss sum (so each prefix mean has the bits of one cumsum)
     and the last theta_post. A spec or an update for another risk count
-    than the trace's is a ValueError."""
+    than the trace's is a ValueError, and so is a loss or theta_post column
+    of another shape than theta_pre's."""
+    for name in ("theta_post", "loss"):
+        shape, want = getattr(trace, name).shape, trace.theta_pre.shape
+        if shape != want:
+            raise ValueError(f"trace {name} has shape {shape} where "
+                             f"theta_pre has {want}")
     pre, post, loss = (_columns(trace, name)
                        for name in ("theta_pre", "theta_post", "loss"))
     k = pre.shape[1]

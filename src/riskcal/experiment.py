@@ -836,36 +836,58 @@ def read_trace_csv(path):
     back as NaN and -1, and a size-layout trace's lo and hi as NaN: these
     placeholders are read-only broadcasts of one value, which hold no
     memory per row. A ``step`` column that is not 1..T, for T rows, is a
-    ValueError naming the first row at fault.
+    ValueError naming the first row at fault; so is a missing column (a
+    k-risk column is missing when one of its ``_1.._k`` columns is, for the
+    widest k of the three) and rows of another width than the header, each
+    naming the column.
 
     The float columns are views of the one parsed (T, columns) array, so
     the trace holds one copy of the file's numbers; a k-risk column is a
     view too when its k columns are adjacent, as write_trace_csv writes
-    them."""
+    them. The body is parsed from the path, which numpy reads in blocks
+    (through a handle it takes one line at a time)."""
     with open(Path(path)) as fh:
         header = fh.readline().strip().split(",")
-        with warnings.catch_warnings():
-            # a header-only file is a trace of 0 rows
-            warnings.filterwarnings("ignore", "loadtxt: input contained")
-            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # a header-only file is a trace of 0 rows
+        warnings.filterwarnings("ignore", "loadtxt: input contained")
+        try:
+            body = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    width = body.shape[1] if len(body) else len(header)
+    if width != len(header):
+        at = (f"no field for column {header[width]!r}" if width < len(header)
+              else f"fields past the last column {header[-1]!r}")
+        raise ValueError(f"{path}: rows hold {width} fields for "
+                         f"{len(header)} columns: {at}")
     body = body.reshape(-1, len(header))
     cols = dict(zip(header, body.T))
+
+    def need(name):
+        if name not in cols:
+            raise ValueError(f"{path}: no {name!r} column")
+        return cols[name]
+
     n = len(body)
-    bad = np.flatnonzero(cols["step"] != np.arange(1, n + 1))
+    bad = np.flatnonzero(need("step") != np.arange(1, n + 1))
     if bad.size:
         i = bad[0]
         raise ValueError(f"{path}: row {i + 1} has step "
                          f"{cols['step'][i]:.17g}; steps run 1..{n}")
 
+    # a k-risk trace has the columns name_1..name_k of each per-risk name
+    k = max(sum(1 for c in cols if c.startswith(f"{name}_"))
+            for name in ("loss", "theta_pre", "theta_post"))
+
     def per_risk(name):
-        if name in cols:
-            return cols[name]
-        k = sum(1 for c in cols if c.startswith(f"{name}_"))
+        if name in cols or not k:
+            return need(name)
         names = [f"{name}_{i + 1}" for i in range(k)]
-        j = header.index(names[0]) if k and names[0] in cols else 0
-        if k and header[j:j + k] == names:
+        j = header.index(names[0]) if names[0] in cols else 0
+        if header[j:j + k] == names:
             return body[:, j:j + k]
-        return np.column_stack([cols[c] for c in names])
+        return np.column_stack([need(c) for c in names])
 
     nan = np.broadcast_to(math.nan, n)
     lo, hi = cols.get("set_lo", nan), cols.get("set_hi", nan)
@@ -877,7 +899,7 @@ def read_trace_csv(path):
     return engine.StreamTrace(
         loss=per_risk("loss"), theta_pre=per_risk("theta_pre"),
         theta_post=per_risk("theta_post"),
-        covered=cols["covered"].astype(bool), size=size, lo=lo, hi=hi,
+        covered=need("covered").astype(bool), size=size, lo=lo, hi=hi,
         y=nan, group=np.broadcast_to(np.int64(-1), n))
 
 

@@ -229,25 +229,30 @@ class ReplayModel:
     def from_csv(cls, path) -> "ReplayModel":
         """Columns named q_<tau>, e.g. q_0.05,q_0.95; one row per step. Two
         columns of one level (q_0.05 twice, or q_0.05 and q_0.050) are a
-        ValueError that names both."""
+        ValueError that names both. The rows are parsed from the path, which
+        numpy reads in blocks, after the header's physical lines (a quoted
+        header cell may span two)."""
         with open(path, newline="") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise ValueError(f"{path}: missing header row")
-            cols = [i for i, c in enumerate(header) if c.startswith("q_")]
-            if not cols:
-                raise ValueError(f"{path}: no q_<tau> columns in header")
-            taus = [float(header[i][2:]) for i in cols]
-            for j, tau in enumerate(taus):
-                if tau in taus[:j]:
-                    first = header[cols[taus.index(tau)]]
-                    raise ValueError(
-                        f"{path}: columns {first!r} and {header[cols[j]]!r} "
-                        f"both replay level {tau}")
-            with warnings.catch_warnings():
-                # a header-only file replays zero steps
-                warnings.filterwarnings("ignore", "loadtxt: input contained")
-                data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            skip = reader.line_num
+        if header is None:
+            raise ValueError(f"{path}: missing header row")
+        cols = [i for i, c in enumerate(header) if c.startswith("q_")]
+        if not cols:
+            raise ValueError(f"{path}: no q_<tau> columns in header")
+        taus = [float(header[i][2:]) for i in cols]
+        for j, tau in enumerate(taus):
+            if tau in taus[:j]:
+                first = header[cols[taus.index(tau)]]
+                raise ValueError(
+                    f"{path}: columns {first!r} and {header[cols[j]]!r} "
+                    f"both replay level {tau}")
+        with warnings.catch_warnings():
+            # a header-only file replays zero steps
+            warnings.filterwarnings("ignore", "loadtxt: input contained")
+            data = np.loadtxt(path, delimiter=",", usecols=cols, ndmin=2,
+                              skiprows=skip)
         data = data.reshape(-1, len(cols))
         return cls(dict(zip(taus, data.T)))
 

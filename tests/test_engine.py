@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from operator import gt, le, lt
 from unittest import mock
@@ -553,6 +554,28 @@ class TestRiskCountMustMatchTheTrace:
             with pytest.raises(ValueError, match=rf"got (a spec of )?"
                                                  rf"{spec_k} .* {trace_k} risks"):
                 check(trace, arg)
+
+    @pytest.mark.parametrize("check", [
+        check_upper_theta_bound, check_lower_theta_bound,
+        check_upper_risk_bound, check_two_sided_risk_bound, check_recursion])
+    @pytest.mark.parametrize("name,shape", [
+        ("loss", (50, 2)), ("theta_post", (50, 2)), ("theta_post", (45,))])
+    def test_columns_of_another_shape_than_theta_pre(self, check, name,
+                                                     shape):
+        # a one-risk trace of 50 rows with one column widened or cut short,
+        # which broadcast over the other columns or passed unread
+        model = ConstantModel({0.05: 2.0, 0.95: 4.0})
+        trace = run_stream(_iid_stream(0, 50), model, CqrConstructor(),
+                           BinaryLossFn(), _spec())
+        col = getattr(trace, name)
+        bad = (np.column_stack([col, col]) if len(shape) == 2
+               else col[:shape[0]])
+        trace = dataclasses.replace(trace, **{name: bad})
+        arg = control_update(_spec()) if check is check_recursion else _spec()
+        with pytest.raises(ValueError, match=re.escape(
+                f"trace {name} has shape {shape} where theta_pre has "
+                f"(50,)")):
+            check(trace, arg)
 
 
 # ---------------------------------------------------------------------------

@@ -1221,6 +1221,65 @@ class TestVerifyStepsAndRows:
         assert out == (f"{tmp_path / 'run'}: ERROR {path}: 400 rows for a "
                        "run of at most 399 steps\n")
 
+
+class TestVerifyNamesWhatIsMissing:
+    """A trace without one of the columns the certificate reads, or whose
+    rows are of another width than its header, fails ``riskcal verify``
+    with exit 1 and an error that names the file and the column (a bare
+    ``KeyError`` or numpy's ``need at least one array to concatenate``
+    before)."""
+
+    def _verify(self, tmp_path, capsys, path, edit):
+        lines = [edit(line.split(","))
+                 for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        capsys.readouterr()
+        status = cli_main(["verify", str(tmp_path / "run")])
+        return status, capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind,drop,name", [
+        ("single", ["step"], "step"), ("single", ["loss"], "loss"),
+        ("single", ["theta_pre"], "theta_pre"),
+        ("single", ["theta_post"], "theta_post"),
+        ("single", ["covered"], "covered"),
+        ("multi", ["loss_1", "loss_2"], "loss_1"),
+        ("multi", ["theta_pre_1"], "theta_pre_1"),
+        ("multi", ["theta_post_2"], "theta_post_2"),
+        ("multi", ["step"], "step"), ("baseline", ["covered"], "covered")])
+    def test_missing_column(self, tmp_path, capsys, kind, drop, name):
+        path = _verify_run(kind, tmp_path)
+        header = path.read_text().split("\n", 1)[0].split(",")
+        keep = [i for i, c in enumerate(header) if c not in drop]
+        status, out = self._verify(tmp_path, capsys, path, lambda cells: [
+            cells[i] for i in keep])
+        assert (status, out) == (
+            1, f"{tmp_path / 'run'}: ERROR {path}: no {name!r} column\n")
+
+    @pytest.mark.parametrize("cut,at", [
+        (1, "no field for column 'covered'"),
+        (3, "no field for column 'set_lo'"),
+        (-1, "fields past the last column 'covered'")])
+    def test_rows_of_another_width(self, tmp_path, capsys, cut, at):
+        path = _verify_run("single", tmp_path)
+        status, out = self._verify(tmp_path, capsys, path, lambda cells: (
+            cells if cells[0] == "step"  # the header
+            else cells[:-cut] if cut > 0 else cells + ["0"]))
+        width = 7 - cut
+        assert (status, out) == (
+            1, f"{tmp_path / 'run'}: ERROR {path}: rows hold {width} fields "
+               f"for 7 columns: {at}\n")
+
+    def test_one_short_row(self, tmp_path, capsys):
+        path = _verify_run("single", tmp_path)
+        status, out = self._verify(
+            tmp_path, capsys, path,
+            lambda cells: cells[:-1] if cells[0] == "50" else cells)
+        assert status == 1
+        assert out.startswith(
+            f"{tmp_path / 'run'}: ERROR {path}: the number of columns "
+            f"changed from 7 to 6 at row 50")
+
+
 class TestTraceRoundTripProperty:
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(kind=st.sampled_from(["single", "multi"]),
@@ -2083,6 +2142,17 @@ def _k_risk_traces(draw):
         group=np.full(n, -1))
 
 
+def _assert_same_bits(new, old):
+    """Every column of two traces has one dtype, shape and bits."""
+    for name in (f.name for f in dataclasses.fields(StreamTrace)):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        bits = [np.ascontiguousarray(c).view(np.int64)
+                if c.dtype == np.float64 else c.astype(np.int64)
+                for c in (a, b)]
+        np.testing.assert_array_equal(*bits, err_msg=name)
+
+
 class TestReaderKeepsItsBits:
     """``read_trace_csv`` holds one copy of the parsed rows (its columns are
     views) and reads what the frozen copying reader read: every column's
@@ -2090,14 +2160,8 @@ class TestReaderKeepsItsBits:
 
     def _same(self, path):
         with np.errstate(invalid="ignore"):  # a set of inf - inf cells
-            new, old = read_trace_csv(path), _frozen_read_trace_csv(path)
-        for name in (f.name for f in dataclasses.fields(StreamTrace)):
-            a, b = getattr(new, name), getattr(old, name)
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            bits = [np.ascontiguousarray(c).view(np.int64)
-                    if c.dtype == np.float64 else c.astype(np.int64)
-                    for c in (a, b)]
-            np.testing.assert_array_equal(*bits, err_msg=name)
+            _assert_same_bits(read_trace_csv(path),
+                              _frozen_read_trace_csv(path))
 
     @settings(max_examples=200, deadline=None, database=None,
               derandomize=True)
@@ -2153,6 +2217,100 @@ class TestReaderKeepsItsBits:
         lines = recompute_certificate(tmp_path / "run")
         assert lines and lines == _frozen_recompute_certificate(
             tmp_path / "run")
+
+
+# ---------------------------------------------------------------------------
+# The trace reader as it was when it parsed the body through the open
+# handle, one line at a time: a frozen copy, the oracle of the by-path
+# test below.
+# ---------------------------------------------------------------------------
+
+def _frozen_read_trace_csv_by_handle(path):
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained")
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    body = body.reshape(-1, len(header))
+    cols = dict(zip(header, body.T))
+    n = len(body)
+    bad = np.flatnonzero(cols["step"] != np.arange(1, n + 1))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{path}: row {i + 1} has step "
+                         f"{cols['step'][i]:.17g}; steps run 1..{n}")
+
+    def per_risk(name):
+        if name in cols:
+            return cols[name]
+        k = sum(1 for c in cols if c.startswith(f"{name}_"))
+        names = [f"{name}_{i + 1}" for i in range(k)]
+        j = header.index(names[0]) if k and names[0] in cols else 0
+        if k and header[j:j + k] == names:
+            return body[:, j:j + k]
+        return np.column_stack([cols[c] for c in names])
+
+    nan = np.broadcast_to(math.nan, n)
+    lo, hi = cols.get("set_lo", nan), cols.get("set_hi", nan)
+    if "set_size" in cols:
+        size = cols["set_size"]
+    else:
+        size = np.where(np.isnan(lo), 0.0, hi - lo)
+    return StreamTrace(
+        loss=per_risk("loss"), theta_pre=per_risk("theta_pre"),
+        theta_post=per_risk("theta_post"),
+        covered=cols["covered"].astype(bool), size=size, lo=lo, hi=hi,
+        y=nan, group=np.broadcast_to(np.int64(-1), n))
+
+
+def _edited_trace_file(path, layout, k, edit):
+    """A trace of 6 rows of awkward cells written in ``layout`` with k risk
+    columns (1-D for k None), its text then passed through ``edit``."""
+    values = np.array([math.inf, -0.0, math.nan, 5e-324, 1 / 3, -1e300])
+    shape = (6,) if k is None else (6, k)
+    per_risk = np.resize(values, shape)
+    trace = StreamTrace(
+        loss=per_risk, theta_pre=per_risk[::-1].copy(), theta_post=per_risk,
+        covered=np.arange(6) % 2 == 0, size=values, lo=values,
+        hi=values[::-1].copy(), y=np.full(6, math.nan), group=np.full(6, -1))
+    write_trace_csv(trace, path, layout)
+    with open(path, newline="") as fh:
+        text = fh.read()
+    with open(path, "w", newline="") as fh:
+        fh.write(edit(text))
+
+
+# each edit of a written trace file: its name, and the new text
+_TEXT_EDITS = {
+    "as written": lambda text: text,
+    "header only": lambda text: text.split("\n", 1)[0] + "\n",
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "comment lines": lambda text: text.replace(
+        "\n", "\n# a comment, 1,2\n", 2).replace("\n3,", "\n#\n3,"),
+    "trailing blank lines": lambda text: text + "\n\n\n",
+    "crlf, comments and blank lines": lambda text: (
+        text.replace("\n2,", "\n# note\n\n2,") + "\n").replace(
+            "\n", "\r\n"),
+}
+
+
+class TestReaderByPathSameBits:
+    """``read_trace_csv`` parses the body from the path, after the header's
+    one line, and reads what the frozen reader that parsed it through the
+    open handle read: every column's dtype, shape and bits, on both
+    layouts, one and two risks, and files with CRLF line ends, comment
+    lines, blank lines or no rows."""
+
+    @pytest.mark.parametrize("edit", list(_TEXT_EDITS))
+    @pytest.mark.parametrize("layout,k", [("interval", None), ("size", 2),
+                                          ("interval", 2), ("size", None)])
+    def test_columns_keep_their_bits(self, tmp_path, layout, k, edit):
+        path = tmp_path / "trace.csv"
+        _edited_trace_file(path, layout, k, _TEXT_EDITS[edit])
+        with np.errstate(invalid="ignore"):  # a set of inf - inf cells
+            new = read_trace_csv(path)
+            _assert_same_bits(new, _frozen_read_trace_csv_by_handle(path))
+        assert len(new) == (0 if edit == "header only" else 6)
 
 
 class TestReaderPlaceholders:

@@ -1,6 +1,8 @@
+import csv
 import math
 import re
 import tracemalloc
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -582,6 +584,72 @@ class TestReplayModelSameAsLists:
             old.update(None, 0.0)
         assert _replay_outcome(lambda: new.predict(None, keys[0]))[0] \
             is RuntimeError
+
+
+def _frozen_from_csv_by_handle(path):
+    """ReplayModel.from_csv as it parsed the rows through the open handle,
+    one line at a time: the oracle of the by-path test below."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"{path}: missing header row")
+        cols = [i for i, c in enumerate(header) if c.startswith("q_")]
+        if not cols:
+            raise ValueError(f"{path}: no q_<tau> columns in header")
+        taus = [float(header[i][2:]) for i in cols]
+        for j, tau in enumerate(taus):
+            if tau in taus[:j]:
+                first = header[cols[taus.index(tau)]]
+                raise ValueError(
+                    f"{path}: columns {first!r} and {header[cols[j]]!r} "
+                    f"both replay level {tau}")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained")
+            data = np.loadtxt(fh, delimiter=",", usecols=cols, ndmin=2)
+    data = data.reshape(-1, len(cols))
+    return ReplayModel(dict(zip(taus, data.T)))
+
+
+_REPLAY_ROWS = [[0.1, -0.0, 7.0], [5e-324, 1e300, -1.7976931348623157e308],
+                [1 / 3, 2.0, -2.5], [-1e-300, 0.5, 2.2250738585072014e-308]]
+
+# a replay file's text: its name, and its header and the text after the rows
+_REPLAY_FILES = {
+    "plain": ("q_0.95,other,q_0.05\n", ""),
+    "header only": ("q_0.95,other,q_0.05\n", None),
+    "quoted header across two lines":
+        ('q_0.95,"a note\nof two lines",q_0.05\n', ""),
+    "quoted level across two lines": ('"q_0.95\n",other,q_0.05\n', ""),
+    "comment and blank lines": ("q_0.95,other,q_0.05\n# a comment\n",
+                                "\n# the end\n\n\n"),
+}
+
+
+class TestReplayByPathSameBits:
+    """``ReplayModel.from_csv`` parses the rows from the path, after the
+    header's physical lines, and replays what the frozen reader that parsed
+    them through the open handle replayed, bit for bit, with LF and with
+    CRLF line ends."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("name", list(_REPLAY_FILES))
+    def test_same_levels_and_bits(self, tmp_path, name, newline):
+        header, tail = _REPLAY_FILES[name]
+        rows = [] if tail is None else _REPLAY_ROWS
+        text = header + "".join(",".join(repr(v) for v in row) + "\n"
+                                for row in rows) + (tail or "")
+        path = tmp_path / "preds.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text.replace("\n", newline))
+        new, old = ReplayModel.from_csv(path), _frozen_from_csv_by_handle(path)
+        assert (new.taus, new.n_steps) == (old.taus, old.n_steps) == (
+            (0.05, 0.95), len(rows))
+        for _ in range(len(rows) + 1):  # every row, and one past the end
+            for tau in new.taus:
+                got = _replay_outcome(lambda: new.predict(None, tau))
+                assert got == _replay_outcome(lambda: old.predict(None, tau))
+            new.update(None, 0.0)
+            old.update(None, 0.0)
 
 
 class TestReplayMemory:
