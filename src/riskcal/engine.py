@@ -151,10 +151,13 @@ class StreamTrace:
     update, the loss, coverage flag, set-size statistic, and (for interval
     sets) the announced endpoints plus the revealed label. ``loss``,
     ``theta_pre`` and ``theta_post`` are 1-D for a RiskSpec run and (T, k)
-    for a k-risk run. A one-risk run's columns take 65 bytes per step: 8
-    for each float column and for ``group``, 1 for ``covered``. A trace the
-    loop records views the typed arrays it filled, which hold at most 1/16
-    more.
+    for a k-risk run. A one-risk trace the loop records takes 57 bytes per
+    step: 8 for the loss, the theta path, size, lo, hi, y and group, 1 for
+    ``covered``. Its columns view the typed arrays the loop filled, which
+    hold at most 1/16 more; ``theta_pre`` and ``theta_post`` are windows of
+    one path theta_0 .. theta_T, so writing a cell of one writes the
+    neighbouring cell of the other. ``read_trace_csv``'s columns are
+    independent, so a tampered file still breaks the replay check's chain.
     """
 
     loss: np.ndarray
@@ -231,8 +234,8 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
     column's ``array.array`` (``_COLUMNS``), so a run's peak memory follows
     its finished trace, not the Python objects that build it; a chunk that
     comes up short ends the run. The trace's columns are numpy views of the
-    arrays. ``theta_post`` is not recorded: it is the ``theta_pre`` array
-    shifted by one step, plus the last theta.
+    arrays. ``theta_post`` is not recorded: the last theta closes the
+    ``theta_pre`` array, and both columns are windows of that one path.
     """
     risks = spec.risks
     k = risks.k
@@ -383,18 +386,16 @@ def _run(stream, model, constructor, loss_fns, spec, update, stretch,
             break
         start += chunk
 
-    loss_col, pre, covered, sizes, los, his, ys, groups = (
+    # the final theta closes the path theta_0 .. theta_T
+    arrays[1].fromlist([th] if one else list(theta))
+    loss_col, path, covered, sizes, los, his, ys, groups = (
         np.frombuffer(arr, dtype) for arr, (_, dtype) in zip(arrays, _COLUMNS))
     n = len(covered)
-    post = np.empty_like(pre)
-    if n:
-        post[:-k] = pre[k:]
-        post[-k:] = (th,) if one else theta
     shape = (n,) if isinstance(spec, RiskSpec) else (n, k)
     return StreamTrace(
-        loss=loss_col.reshape(shape), theta_pre=pre.reshape(shape),
-        theta_post=post.reshape(shape), covered=covered, size=sizes, lo=los,
-        hi=his, y=ys, group=groups)
+        loss=loss_col.reshape(shape), theta_pre=path[:-k].reshape(shape),
+        theta_post=path[k:].reshape(shape), covered=covered, size=sizes,
+        lo=los, hi=his, y=ys, group=groups)
 
 
 def run_stream(stream, model, constructor, loss_fn, spec: RiskSpec,

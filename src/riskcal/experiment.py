@@ -28,7 +28,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain, tee
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -770,13 +769,13 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
 
     Columns: step, then loss, theta_pre and theta_post (one column per risk,
     suffixed _1.._k, when the trace has k-risk columns), then the set as
-    set_lo,set_hi (``layout="interval"``) or set_size (any other layout),
-    then covered. Floats are written with 17 significant digits, so they
-    read back exactly. When every row's theta_post is the next row's
-    theta_pre bit for bit, each parameter is formatted once and written
-    twice. Rows are converted to Python values and written one chunk of
-    rows at a time (``engine._spans``), so the export holds no whole-column
-    copy of the trace.
+    set_lo,set_hi (``layout="interval"``) or set_size (``layout="size"``),
+    then covered; any other layout is a ValueError. Floats are written with
+    17 significant digits, so they read back exactly. When every row's
+    theta_post is the next row's theta_pre bit for bit, each parameter is
+    formatted once and written twice. Rows are converted to Python values
+    and written one chunk of rows at a time (``engine._spans``), so the
+    export holds no whole-column copy of the trace.
     """
     names, cols = [], []
     for name in _PER_RISK_COLUMNS:
@@ -790,9 +789,12 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
     if layout == "interval":
         names += ["set_lo", "set_hi"]
         cols += [trace.lo, trace.hi]
-    else:
+    elif layout == "size":
         names.append("set_size")
         cols.append(trace.size)
+    else:
+        raise ValueError(f"layout {layout!r}: a trace's layout is "
+                         "'interval' or 'size'")
     cols.append(trace.covered)
     n = len(trace)
     pre, post = trace.theta_pre, trace.theta_post
@@ -805,29 +807,23 @@ def write_trace_csv(trace, path, layout: str = "interval") -> None:
     row = ("%d," + "%.17g," * len(head) + "%s%s"
            + "%.17g," * (len(tail) - 1) + "%d\n")
     chained = n > 0 and _chained(pre, post)
-    if chained:
-        # a row's theta_pre cells are the previous row's theta_post cells:
-        # each row's theta_post is formatted once, into both; carry holds
-        # the theta_pre cells of the chunk's first row
-        carry = fmt % tuple(pre.reshape(n, k)[0].tolist())
     with open(Path(path), "w", newline="") as fh:
         fh.write(",".join(["step", *names, "covered"]) + "\n")
         for a, b in engine._spans(n):
             posts = map(fmt.__mod__, zip(
                 *[col[a:b].tolist() for col in post_cols]))
             if chained:
-                posts, lagged = tee(posts)
-                pres = chain((carry,), lagged)
+                # a row's theta_pre cells are the previous row's theta_post
+                # cells: only the chunk's first row formats its own
+                posts = list(posts)
+                pres = [fmt % tuple(pre.reshape(n, k)[a].tolist()),
+                        *posts[:-1]]
             else:
                 pres = map(fmt.__mod__, zip(
                     *[col[a:b].tolist() for col in pre_cols]))
             fh.writelines(map(row.__mod__, zip(
                 range(a + 1, b + 1), *[col[a:b].tolist() for col in head],
                 pres, posts, *[col[a:b].tolist() for col in tail])))
-            if chained:
-                # zip stops at the last step, one short of lagged's end:
-                # the chunk's last theta_post cells
-                carry = next(lagged)
 
 
 def read_trace_csv(path):
@@ -835,11 +831,11 @@ def read_trace_csv(path):
     write_trace_csv. The label and group columns are not exported and come
     back as NaN and -1, and a size-layout trace's lo and hi as NaN: these
     placeholders are read-only broadcasts of one value, which hold no
-    memory per row. A ``step`` column that is not 1..T, for T rows, is a
-    ValueError naming the first row at fault; so is a missing column (a
-    k-risk column is missing when one of its ``_1.._k`` columns is, for the
-    widest k of the three) and rows of another width than the header, each
-    naming the column.
+    memory per row. A ``step`` column that is not 1..T, for T rows, or a
+    ``covered`` column that is not 0 or 1, is a ValueError naming the first
+    row at fault; so is a missing column (a k-risk column is missing when
+    one of its ``_1.._k`` columns is, for the widest k of the three) and
+    rows of another width than the header, each naming the column.
 
     The float columns are views of the one parsed (T, columns) array, so
     the trace holds one copy of the file's numbers; a k-risk column is a
@@ -875,6 +871,13 @@ def read_trace_csv(path):
         i = bad[0]
         raise ValueError(f"{path}: row {i + 1} has step "
                          f"{cols['step'][i]:.17g}; steps run 1..{n}")
+    covered = need("covered")
+    flags = covered.astype(bool)
+    bad = np.flatnonzero(flags != covered)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{path}: row {i + 1} has covered "
+                         f"{covered[i]:.17g}; covered is 0 or 1")
 
     # a k-risk trace has the columns name_1..name_k of each per-risk name
     k = max(sum(1 for c in cols if c.startswith(f"{name}_"))
@@ -899,7 +902,7 @@ def read_trace_csv(path):
     return engine.StreamTrace(
         loss=per_risk("loss"), theta_pre=per_risk("theta_pre"),
         theta_post=per_risk("theta_post"),
-        covered=need("covered").astype(bool), size=size, lo=lo, hi=hi,
+        covered=flags, size=size, lo=lo, hi=hi,
         y=nan, group=np.broadcast_to(np.int64(-1), n))
 
 
@@ -1067,19 +1070,29 @@ def sweep(cfg: dict, param: str, grid: list, out_dir=None) -> dict:
     """Grid sweep over one config field, ranked by validation pinball loss.
 
     ``param`` is any field of a section's kind, set in ``cfg`` or left at its
-    default; every point is validated, against its input files' rows too,
-    before the first one runs. Every grid
-    point reruns the full experiment with the same seeds; ties in the
-    validation score select the smaller parameter value. The points share
-    one read of each CSV stream; a point whose ``stream`` section differs (a
-    ``stream.*`` sweep) reads its own. Returns the ranking table and writes
-    ranking.csv / sweep.json under the out dir.
+    default, but for ``out_dir``; every point is validated, against its
+    input files' rows too, before the first one runs, and two values that
+    name one point directory (``0.01`` and ``1e-2``) are a ConfigError.
+    Every grid point reruns the full experiment with the same seeds; ties in
+    the validation score select the smaller parameter value. The points
+    share one read of each CSV stream; a point whose ``stream`` section
+    differs (a ``stream.*`` sweep) reads its own. Returns the ranking table
+    and writes ranking.csv / sweep.json under the out dir.
     """
     if not grid:
         raise ConfigError(param, "empty sweep grid")
     rc = validate_config(cfg)
     _require(param not in _TOP or isinstance(_TOP[param][0], _Type), param,
              "is a section; sweep one of its fields")
+    _require(param != "out_dir", param,
+             "every point writes under the sweep's own out dir")
+    # one directory per point; a value holding a "/" (a path) stays one name
+    names = [str(value).replace("%", "%25").replace("/", "%2F")
+             for value in grid]
+    for j, name in enumerate(names):
+        i = names.index(name)
+        _require(i == j, param, f"grid values {grid[i]!r} and {grid[j]!r} "
+                 f"name one point directory, {name!r}")
     points = [_sweep_point(cfg, param, value) for value in grid]
     for _, sub_rc in points:
         _check_input_rows(sub_rc)
@@ -1087,9 +1100,7 @@ def sweep(cfg: dict, param: str, grid: list, out_dir=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for value, (sub_cfg, _) in zip(grid, points):
-        # a value holding a "/" (a path) stays one directory name
-        name = str(value).replace("%", "%25").replace("/", "%2F")
+    for value, name, (sub_cfg, _) in zip(grid, names, points):
         sub_out = out / f"sweep_{param.replace('.', '_')}_{name}"
         res = run_experiment(sub_cfg, sub_out)
         rows.append({

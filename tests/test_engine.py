@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import tracemalloc
@@ -1082,38 +1083,106 @@ class TestRecorderInputs:
             _run(*parts, control_update(spec), None, None)
 
 
+class TestThetaPath:
+    """A loop trace's theta_pre and theta_post are two windows of one array,
+    the path theta_0 .. theta_T: theta_post is theta_pre one step on, and
+    its last row is the final theta."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [0, 50, 5000])
+    def test_columns_are_windows_of_one_path(self, k, n):
+        model = ConstantModel({0.05: 2.0, 0.95: 4.0})
+        if k == 1:
+            spec = _spec(gamma=0.05)
+            trace = run_stream(_iid_stream(0, n), model, CqrConstructor(),
+                               BinaryLossFn(), spec)
+        else:
+            spec = MultiRiskSpec(r=(0.1, 0.3), gamma=0.05, m=-1.0, M=1.0,
+                                 B=1.0)
+            trace = run_multi_stream(_iid_stream(0, n), model,
+                                     CqrConstructor(),
+                                     (BinaryLossFn(), BinaryLossFn()), spec)
+        pre, post, loss = (col.reshape(n, k) for col in (
+            trace.theta_pre, trace.theta_post, trace.loss))
+        assert np.array_equal(post[:-1].view(np.int64),
+                              pre[1:].view(np.int64))
+        path = trace.theta_pre.base
+        assert path is trace.theta_post.base and path.size == (n + 1) * k
+        if n:
+            assert np.shares_memory(trace.theta_pre, trace.theta_post)
+            final = [step(n - 1, th, ls) for step, th, ls in zip(
+                control_update(spec), pre[-1].tolist(), loss[-1].tolist())]
+            assert post[-1].tolist() == final
+        else:
+            final = list(spec.risks.theta_init)
+        assert path[-k:].tolist() == final
+
+    def test_writing_one_column_writes_the_other(self):
+        trace = run_stream(_iid_stream(0, 10), ConstantModel(
+            {0.05: 2.0, 0.95: 4.0}), CqrConstructor(), BinaryLossFn(),
+            _spec())
+        trace.theta_post[3] = 0.5
+        assert trace.theta_pre[4] == 0.5
+
+
+@functools.cache
+def _run_memory(k: int) -> tuple:
+    """(held, peak) bytes per step of a finished 100,000-step run of k
+    binary risks, under ``tracemalloc``, while its trace is alive."""
+    n = 100_000
+    rng = np.random.default_rng(0)
+    labels = rng.standard_normal(n).tolist()
+    x = np.zeros(1)
+
+    def stream():
+        for y in labels:
+            yield x, y
+
+    model = ConstantModel({0.05: -1.6, 0.95: 1.6})
+    if k == 1:
+        def run(steps):
+            return run_stream(stream(), model, CqrConstructor(),
+                              BinaryLossFn(), _spec(), n_steps=steps)
+    else:
+        spec = MultiRiskSpec(r=(0.1,) * k, gamma=0.05, m=-2.0, M=2.0, B=1.0)
+
+        def run(steps):
+            return run_multi_stream(stream(), model, CqrConstructor(),
+                                    (BinaryLossFn(),) * k, spec,
+                                    n_steps=steps)
+
+    run(1000)  # first-call allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = run(n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    return (held - base) / n, (peak - base) / n
+
+
 class TestRunMemory:
     def test_peak_follows_the_finished_trace(self):
-        # the finished one-risk trace holds 65 bytes per step; a list per
+        # the finished one-risk trace holds 57 bytes per step; a list per
         # column would hold about 260 at the peak
-        n = 100_000
-        rng = np.random.default_rng(0)
-        labels = rng.standard_normal(n).tolist()
-        x = np.zeros(1)
+        peak = _run_memory(1)[1]
+        assert peak <= 120, f"{peak:.1f} B/step"
 
-        def stream():
-            for y in labels:
-                yield x, y
-
-        model = ConstantModel({0.05: -1.6, 0.95: 1.6})
-        run_stream(stream(), model, CqrConstructor(), BinaryLossFn(), _spec(),
-                   n_steps=1000)  # first-call allocations
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            trace = run_stream(stream(), model, CqrConstructor(),
-                               BinaryLossFn(), _spec(), n_steps=n)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert len(trace) == n
-        assert peak / n <= 120, f"{peak / n:.1f} B/step"
+    @pytest.mark.parametrize("k,bound", [(1, 62), (2, 80)])
+    def test_held_is_the_finished_trace(self, k, bound):
+        # a trace holds 57 bytes per step for one risk and 73 for two, in
+        # typed arrays with up to 1/16 slack; theta_post as its own array
+        # held 8 more per risk (67.6 and 92.3 were measured)
+        held = _run_memory(k)[0]
+        assert held <= bound, f"{held:.1f} B/step"
 
 
 class TestExperimentMemory:
     """``run_experiment`` and ``recompute_certificate`` hold one trial's
     trace at a time. For a 3-trial run of n steps per trial, the result
-    keeps no trace, the run peaks at one trace (65 B/step) plus the
+    keeps no trace, the run peaks at one trace (57 B/step) plus the
     export's chunk, and ``recompute_certificate`` holds one trace as one
     copy of its parsed rows. Figures are bytes per step of one trial,
     under ``tracemalloc``; a run that kept every trace read 197, 226 and

@@ -651,6 +651,16 @@ class TestTraceRoundTrip:
             assert getattr(back, name).tobytes() == \
                 getattr(trace, name).tobytes()
 
+    @pytest.mark.parametrize("layout", ["intervals", "Size", ""])
+    def test_unknown_layout_is_an_error(self, tmp_path, layout):
+        col = np.full(2, 0.5)
+        trace = StreamTrace(loss=col, theta_pre=col, theta_post=col,
+                            covered=np.ones(2, dtype=bool), size=col,
+                            lo=col, hi=col, y=col, group=np.zeros(2, int))
+        with pytest.raises(ValueError, match=f"layout {layout!r}: a trace's "
+                                             "layout is 'interval' or 'size'"):
+            write_trace_csv(trace, tmp_path / "trace.csv", layout)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_short_traces_read_back(self, tmp_path, n):
         from riskcal.engine import StreamTrace
@@ -1195,6 +1205,25 @@ class TestVerifyStepsAndRows:
         assert status == 1
         assert out == (f"{tmp_path / 'run'}: ERROR {path}: row {at} has step "
                        f"{float(step):.17g}; steps run 1..{len(lines) - 1}\n")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("row,covered", [(50, "nan"), (50, "7"),
+                                             (1, "-1"), (-1, "0.5")])
+    def test_covered_not_a_flag_fails(self, tmp_path, capsys, kind, row,
+                                      covered):
+        # astype(bool) would read each of these as covered
+        path = _verify_run(kind, tmp_path)
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        assert cells[-1] in ("0", "1")
+        cells[-1] = covered
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        at = row if row > 0 else len(lines) - 1
+        status, out = self._verify(tmp_path, capsys)
+        assert status == 1
+        assert out == (f"{tmp_path / 'run'}: ERROR {path}: row {at} has "
+                       f"covered {float(covered):.17g}; covered is 0 or 1\n")
 
     @pytest.mark.parametrize("kind", ["single", "multi", "baseline"])
     @pytest.mark.parametrize("drop", [1, 100])
@@ -1795,6 +1824,26 @@ class TestSweepAnyField:
         assert self._sweep(tmp_path, _image_config(), "stretch",
                            '{"kind": "none"}', '{"kind": "exponential"}') == 2
         assert "stretch: is a section" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_out_dir_param_exits_two(self, tmp_path, capsys):
+        # every point writes under the sweep's directory, whatever its value
+        assert self._sweep(tmp_path, _image_config(), "out_dir",
+                           json.dumps(str(tmp_path / "a")),
+                           json.dumps(str(tmp_path / "b"))) == 2
+        assert capsys.readouterr().err.startswith("config error: out_dir: ")
+        assert not any(tmp_path.glob("*/sweep_*"))
+
+    @pytest.mark.parametrize("grid", [("0.01", "1e-2"), ("0.05", "0.1",
+                                                         "0.05")])
+    def test_values_naming_one_point_exit_two(self, tmp_path, capsys, grid):
+        # the second point would overwrite the first's directory
+        assert self._sweep(tmp_path, _image_config(), "controller.gamma",
+                           *grid) == 2
+        err = capsys.readouterr().err
+        value = repr(json.loads(grid[0]))
+        assert err.startswith("config error: controller.gamma: ")
+        assert f"grid values {value} and {value} " in err
         assert not (tmp_path / "sw").exists()
 
 
