@@ -90,11 +90,12 @@ _INPUTS: contextvars.ContextVar = contextvars.ContextVar(
 def _reads_inputs_once(driver):
     """Make one call of ``driver`` read each input file once.
 
-    The outermost driver call (a sweep, or a run_experiment outside one)
-    owns the scope and nested calls share it, so the auto-stretch probes,
-    trials and grid points of one call iterate one read-only CsvStream per
-    distinct ``stream`` section and replay one ReplayModel per ``model.path``.
-    Nothing outlives the call: the next call reads the files again.
+    The outermost driver call (a sweep, a run_experiment outside one, or a
+    run_trial outside both) owns the scope and nested calls share it, so the
+    auto-stretch probes, trials and grid points of one call iterate one
+    read-only CsvStream per distinct ``stream`` section and replay one
+    ReplayModel per ``model.path``. Nothing outlives the call: the next call
+    reads the files again.
     """
     @functools.wraps(driver)
     def scoped(*args, **kwargs):
@@ -643,8 +644,10 @@ class ExperimentResult:
     out_dir: str | None = None
 
 
+@_reads_inputs_once
 def run_trial(rc: ResolvedConfig, trial_index: int):
-    """Run one seeded trial; returns its trace."""
+    """Run one seeded trial; returns its trace. Called on its own, it reads
+    each input file once, for the auto-stretch probe and the trial."""
     seed = rc.seed + trial_index
     stream, stream_obj = rc.stream.build(seed, rc.steps)
     model = rc.model.build(rc, stream_obj)

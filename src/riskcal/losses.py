@@ -9,6 +9,8 @@ loss (its value depends on the current run of misses).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .sets import EMPTY_SET, FULL_SPACE, IntervalGrid
@@ -49,8 +51,9 @@ class McLossFn(BoundedLoss):
     cap."""
 
     def __init__(self, cap: int = 50):
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
+        # False for a NaN too
+        if not 1 <= cap < math.inf:
+            raise ValueError(f"cap must be finite and >= 1, got {cap}")
         self.cap = cap
         self.bound = float(cap)
         self._run = 0
@@ -59,8 +62,11 @@ class McLossFn(BoundedLoss):
         if prediction_set.contains(y):
             self._run = 0
             return 0.0
-        self._run += 1
-        return float(min(self._run, self.cap))
+        run = self._run + 1
+        self._run = run
+        # float(min(run, cap)), by min's own rule
+        cap = self.cap
+        return float(cap if cap < run else run)
 
 
 def _valid_mask(mask):

@@ -7,15 +7,22 @@ The full-space safeguard fires when *any* coordinate exceeds its upper
 threshold, which is what keeps every individual risk below target; the
 empty-set safeguard (any coordinate below its lower threshold) is optional.
 When both safeguards fire at once the full space wins: conservatism keeps
-the one-sided guarantee intact. So with k > 1 the empty-set safeguard does
-not make convergence two-sided: a coordinate already below its floor takes
-its full-space loss on such a step, which is below its target, and can
-keep falling without bound (the README gives a two-risk adversary that does
-this). The lower bounds hold on a run where no step has one coordinate
-above its M_i and another below its m_j (a conflict step), given the strict
-loss contract L(full) < r_i < L(empty). The certificate checks them and,
-on a trace with a conflict step (counted by ``engine._walk``), reports them
-as INFO_PASS / INFO_FAIL with the number of conflict steps.
+the one-sided guarantee intact.
+
+The two-sided claim for k > 1 is this. The lower lines
+(``check_lower_theta_bound`` and ``check_two_sided_risk_bound``) are proven
+on a trace with no conflict step, a step where one coordinate is above its
+M_i and another below its m_j, given the strict loss contract
+L(full) < r_i < L(empty). No condition on the spec alone rules a conflict
+step out: on the sets a run builds, an adversary may give one risk a loss
+above its target and another a loss below it, both within the contract.
+While the first coordinate is above its M_i the full space is announced,
+even when the second is below its m_j; the second then takes its
+full-space loss, below its target, and keeps falling (the README's
+two-risk example, and ``TestTwoSidedConflict`` in the tests). So the
+certificate counts the conflict steps in its one walk of the trace
+(``engine._walk``) and, on a trace with one, reports the lower lines as
+INFO_PASS / INFO_FAIL with the count.
 
 The spec, the loop and the certificates live in ``engine``, which runs every
 controller; this module is the k-risk entry point.

@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from math import isfinite as _isfinite
 
 import numpy as np
 
@@ -106,7 +107,7 @@ def cqr_interval(q_lo: float, q_hi: float, adj: float):
     when the adjusted endpoints invert. Crossing quantile estimates are
     permitted on input; the normalization keeps the map monotone in ``adj``.
     """
-    if not (math.isfinite(q_lo) and math.isfinite(q_hi) and math.isfinite(adj)):
+    if not (_isfinite(q_lo) and _isfinite(q_hi) and _isfinite(adj)):
         raise ValueError(f"non-finite interval inputs: ({q_lo}, {q_hi}, {adj})")
     lo = q_lo - adj
     hi = q_hi + adj
@@ -292,16 +293,27 @@ class CqrConstructor:
     def build(self, x, adj, model):
         q_lo = model.predict(x, self.tau_lo)
         q_hi = model.predict(x, self.tau_hi)
-        if math.isnan(q_lo) or math.isnan(q_hi):
-            raise RuntimeError("model produced non-finite quantile output")
+        try:
+            pred_set = cqr_interval(q_lo, q_hi, adj)
+        except ValueError:
+            # a NaN quantile is the model's fault, not the adjustment's
+            if math.isnan(q_lo) or math.isnan(q_hi):
+                raise RuntimeError(
+                    "model produced non-finite quantile output") from None
+            self._built = (x, q_lo, q_hi)
+            raise
         self._built = (x, q_lo, q_hi)
-        return cqr_interval(q_lo, q_hi, adj)
+        return pred_set
 
     def score(self, x, y, model):
         built = self._built
         if built is not None and built[0] is x:
             self._built = None
-            return cqr_score(built[1], built[2], y)
+            # cqr_score by max's own rule, which keeps the first of two
+            # values unless the second is greater (NaN and signed zeros)
+            below = built[1] - y
+            above = y - built[2]
+            return above if above > below else below
         return cqr_score(model.predict(x, self.tau_lo),
                          model.predict(x, self.tau_hi), y)
 

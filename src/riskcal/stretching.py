@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from math import exp as _exp
 
 STRETCH_KINDS = ("none", "exponential", "exp_linear_zone",
                  "score_adaptive", "error_adaptive")
@@ -97,15 +98,20 @@ class Stretch:
         the previous loss was from the target risk.
         """
         kind = self.kind
-        if kind == "score_adaptive":
-            step = self.beta_score * score
-        elif kind == "error_adaptive":
-            step = self.beta_score * score * math.exp(
+        if kind == "error_adaptive":
+            step = self.beta_score * score * _exp(
                 self.beta_loss * abs(prev_loss - r))
+        elif kind == "score_adaptive":
+            step = self.beta_score * score
         else:
             return lam
         lo, hi = self.beta_low, self.beta_high
-        lam = clip(lam - step, lo, hi)
+        # clip(lam - step, lo, hi), by its two comparisons
+        lam -= step
+        if hi < lam:
+            lam = hi
+        if lo > lam:
+            lam = lo
         if not lo <= lam <= hi:  # a NaN step
             raise ValueError(
                 f"stretch update gave lam={lam}, outside [{lo}, {hi}]")

@@ -436,6 +436,65 @@ class TestAdaptiveStepSameBits:
         assert sum(a and not b for a, b in zip(guarded, guarded[1:])) >= 20
 
 
+class TestOneRiskStepCalls:
+    """A built one-risk step pays for its own work once: two predictions
+    (the score reuses the build's), and one call each of build, observe,
+    update and the loss; an adaptive stretch adds one score a step and one
+    lam step from the second step on."""
+
+    N = 300
+
+    @pytest.mark.parametrize("kind", ["none", "error_adaptive"])
+    def test_calls_per_step(self, kind):
+        calls = dict.fromkeys(["predict", "build", "score", "observe",
+                               "update", "loss", "next_lam"], 0)
+
+        def counted(cls, name, method):
+            def wrapper(self, *args):
+                calls[name] += 1
+                return getattr(super(cls, self), method)(*args)
+            return wrapper
+
+        class Model(ReplayModel):
+            pass
+
+        class Ctor(CqrConstructor):
+            pass
+
+        class Loss(McLossFn):
+            pass
+
+        class Lam(Stretch):
+            pass
+
+        for cls, name, method in [
+                (Model, "predict", "predict"), (Model, "update", "update"),
+                (Ctor, "build", "build"), (Ctor, "score", "score"),
+                (Ctor, "observe", "observe"), (Loss, "loss", "__call__"),
+                (Lam, "next_lam", "next_lam")]:
+            setattr(cls, method, counted(cls, name, method))
+
+        rng = np.random.default_rng(5)
+        mid = rng.normal(0.0, 1.0, self.N)
+        model = Model({0.05: mid - 1.0, 0.95: mid + 1.0})
+        items = [(np.full(1, float(t)), float(rng.normal(0.0, 1.5)))
+                 for t in range(self.N)]
+        adaptive = kind != "none"
+        fields = ({"beta_score": 0.05, "beta_loss": 0.1, "beta_low": -1.0,
+                   "beta_high": 1.0} if adaptive else {})
+        # safeguards no theta reaches, so every step builds its set
+        spec = RiskSpec(r=0.11, gamma=0.05, m=-1e6, M=1e6, B=50.0)
+        trace = run_stream(items, model, Ctor(), Loss(50), spec,
+                           Lam(kind, **fields))
+
+        n = self.N
+        assert len(trace) == n and np.isfinite(trace.lo).all()
+        assert calls == {"predict": 2 * n, "build": n,
+                         "score": n if adaptive else 0, "observe": n,
+                         "update": n, "loss": n,
+                         "next_lam": n - 1 if adaptive else 0}
+
+
 class TestLossContractFlag:
     def test_degenerate_target_not_guaranteed(self):
         # a zero target admits no loss with L(full) < r; runs are accepted

@@ -396,6 +396,12 @@ class TestReadOnce:
               [50, 100, 150], tmp_path / "sw")
         assert reads == [50, 100, 150]
 
+    def test_trial_alone_reads_the_stream_once(self, tmp_path, reads):
+        # the auto-stretch probe and the trial iterate one ingested stream
+        trace = run_trial(validate_config(csv_config(tmp_path)), 0)
+        assert len(trace) == 400
+        assert reads == [100]
+
     def test_shared_rows_are_read_only(self, tmp_path, monkeypatch):
         import riskcal.experiment as ex
         seen = []

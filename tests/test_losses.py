@@ -1,7 +1,9 @@
 import copy
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from riskcal.losses import (BinaryLossFn, CenterFailureFn, ImageMiscoverageFn,
                             McLossFn, default_center_region)
@@ -44,6 +46,47 @@ class TestMcLoss:
 
     def test_reset_after_cap(self):
         assert self._run([0, 0, 0, 1, 0], cap=2) == [1.0, 2.0, 2.0, 0.0, 1.0]
+
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0, 0.5])
+    def test_cap_must_be_finite_and_at_least_one(self, cap):
+        # a NaN cap made the bound NaN, so the first miss failed the run's
+        # bound check; an infinite one declared no bound at all
+        with pytest.raises(ValueError, match=f"cap must be finite and >= 1, "
+                                             f"got {cap}"):
+            McLossFn(cap)
+
+
+class _FrozenMcLoss:
+    """``McLossFn.__call__`` as it was: the run advanced in place, then
+    ``float(min(run, cap))``."""
+
+    def __init__(self, cap):
+        self.cap = cap
+        self._run = 0
+
+    def __call__(self, y, prediction_set):
+        if prediction_set.contains(y):
+            self._run = 0
+            return 0.0
+        self._run += 1
+        return float(min(self._run, self.cap))
+
+
+class TestMcLossSameBits:
+    """The counter's loss takes min's rule inline; every value equals the
+    frozen call's, for integer and fractional caps."""
+
+    @given(cap=st.integers(1, 6) | st.sampled_from([1.0, 2.5, 3.0, 1e300]),
+           flags=st.lists(st.booleans(), max_size=40))
+    @example(cap=2.5, flags=[False, False, False, True, False])
+    def test_values_equal_the_frozen_call(self, cap, flags):
+        fn, frozen = McLossFn(cap), _FrozenMcLoss(cap)
+        for covered in flags:
+            s = FULL_SPACE if covered else EMPTY_SET
+            got, want = fn(0.0, s), frozen(0.0, s)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestImageMiscoverage:

@@ -227,6 +227,140 @@ class TestCqrScoreReuse:
         assert ctor.score(x, 0.0, model) == self._fresh(model, x, 0.0)
 
 
+def _frozen_cqr_interval(q_lo, q_hi, adj):
+    """``cqr_interval`` as it was: three isfinite calls, then the formula."""
+    if not (math.isfinite(q_lo) and math.isfinite(q_hi) and math.isfinite(adj)):
+        raise ValueError(f"non-finite interval inputs: ({q_lo}, {q_hi}, {adj})")
+    lo = q_lo - adj
+    hi = q_hi + adj
+    if lo > hi:
+        return EMPTY_SET
+    return Interval(lo, hi)
+
+
+class _FrozenCqr:
+    """``CqrConstructor.build`` and ``score`` as they were: two isnan calls
+    and a call of ``cqr_interval``; a cached score through ``max``."""
+
+    def __init__(self, tau_lo=0.05, tau_hi=0.95):
+        self.tau_lo = tau_lo
+        self.tau_hi = tau_hi
+        self._built = None
+
+    def build(self, x, adj, model):
+        q_lo = model.predict(x, self.tau_lo)
+        q_hi = model.predict(x, self.tau_hi)
+        if math.isnan(q_lo) or math.isnan(q_hi):
+            raise RuntimeError("model produced non-finite quantile output")
+        self._built = (x, q_lo, q_hi)
+        return _frozen_cqr_interval(q_lo, q_hi, adj)
+
+    def score(self, x, y, model):
+        built = self._built
+        if built is not None and built[0] is x:
+            self._built = None
+            return max(built[1] - y, y - built[2])
+        return max(model.predict(x, self.tau_lo) - y,
+                   y - model.predict(x, self.tau_hi))
+
+
+class _Pair:
+    """A model that predicts ``q_lo`` at the lower level and ``q_hi`` at any
+    other, whatever they are, and counts its predictions."""
+
+    def __init__(self, q_lo, q_hi):
+        self.q_lo, self.q_hi = q_lo, q_hi
+        self.calls = 0
+
+    def predict(self, x, tau):
+        self.calls += 1
+        return self.q_lo if tau == 0.05 else self.q_hi
+
+
+def _outcome_bits(call, *args):
+    """What one call gives, as comparable bits: the sentinel itself, an
+    interval's endpoint bits, a float's bits, or the exception's type and
+    text."""
+    try:
+        out = call(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    if out is EMPTY_SET or out is FULL_SPACE:
+        return out
+    if isinstance(out, Interval):
+        return Interval, _bits(out.lo), _bits(out.hi)
+    return type(out), _bits(out)
+
+
+# values that a build or a score can trip on: NaN, both infinities, both
+# zeros, ties, and magnitudes whose sum or difference overflows
+_ODD = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0,
+                        1e308, -1e308, 1.7e308, 5e-324])
+_VALUE = _ODD | st.floats(-1e3, 1e3)
+
+
+class TestCqrStepSameBits:
+    """``build`` tests finiteness with one chained comparison and widens
+    through the helper ``cqr_interval`` shares; the cached ``score`` takes
+    max's rule inline. Against a frozen copy of both as they were, every
+    set, score and error is the same, bits and text included, and so is the
+    score that follows a build that raised."""
+
+    @given(q_lo=_VALUE, q_hi=_VALUE, adj=_VALUE, y=_VALUE,
+           equal=st.booleans(), same_x=st.booleans())
+    # q_lo - adj overflows to -inf from finite inputs
+    @example(q_lo=-1e308, q_hi=1.0, adj=1.7e308, y=0.0, equal=False,
+             same_x=True)
+    # inverted quantiles that stay inverted, and a tie that stays a point
+    @example(q_lo=2.0, q_hi=1.0, adj=0.25, y=1.5, equal=False, same_x=True)
+    @example(q_lo=1.0, q_hi=1.0, adj=0.0, y=1.0, equal=True, same_x=True)
+    # a finite pair widened by inf: the ValueError, then a cached score
+    @example(q_lo=-1.0, q_hi=1.0, adj=math.inf, y=3.0, equal=False,
+             same_x=True)
+    # a NaN quantile: the RuntimeError, and no cached score after it
+    @example(q_lo=math.nan, q_hi=1.0, adj=0.0, y=0.0, equal=False,
+             same_x=True)
+    # signed zeros tie in the score: max keeps the first
+    @example(q_lo=0.0, q_hi=0.0, adj=0.0, y=0.0, equal=True, same_x=True)
+    @example(q_lo=-0.0, q_hi=-0.0, adj=-0.0, y=-0.0, equal=True, same_x=True)
+    # a -0.0 and a 0.0 tie in the score: max keeps the first, -0.0
+    @example(q_lo=-0.0, q_hi=0.0, adj=0.0, y=0.0, equal=False, same_x=True)
+    # an inf label on an inf quantile: a NaN first term wins over a finite
+    @example(q_lo=math.inf, q_hi=1.0, adj=0.0, y=math.inf, equal=False,
+             same_x=True)
+    # a NaN label: the first term is NaN, and so is the score
+    @example(q_lo=-1.0, q_hi=1.0, adj=0.5, y=math.nan, equal=False,
+             same_x=True)
+    def test_build_then_score(self, q_lo, q_hi, adj, y, equal, same_x):
+        if equal:
+            q_hi = q_lo
+        model, frozen_model = _Pair(q_lo, q_hi), _Pair(q_lo, q_hi)
+        x, other = np.zeros(1), np.zeros(1)
+        ctor, frozen = CqrConstructor(), _FrozenCqr()
+        assert _outcome_bits(ctor.build, x, adj, model) == \
+            _outcome_bits(frozen.build, x, adj, frozen_model)
+        x_score = x if same_x else other
+        assert _outcome_bits(ctor.score, x_score, y, model) == \
+            _outcome_bits(frozen.score, x_score, y, frozen_model)
+        # the cached quantiles are used once at most
+        assert _outcome_bits(ctor.score, x, y, model) == \
+            _outcome_bits(frozen.score, x, y, frozen_model)
+        # and only where the frozen score used them
+        assert model.calls == frozen_model.calls
+
+    @given(q_lo=_VALUE, q_hi=_VALUE, adj=_VALUE)
+    def test_cqr_interval(self, q_lo, q_hi, adj):
+        assert _outcome_bits(cqr_interval, q_lo, q_hi, adj) == \
+            _outcome_bits(_frozen_cqr_interval, q_lo, q_hi, adj)
+
+    @pytest.mark.parametrize("q_lo,q_hi", [(math.nan, 1.0), (1.0, math.nan),
+                                           (math.nan, math.inf),
+                                           (math.inf, math.nan)])
+    def test_nan_comes_before_the_non_finite_check(self, q_lo, q_hi):
+        with pytest.raises(RuntimeError, match="non-finite quantile output"):
+            CqrConstructor().build(None, math.inf, _Pair(q_lo, q_hi))
+
+
 class TestSentinels:
     def test_empty_and_full(self):
         assert not EMPTY_SET.contains(0.0)

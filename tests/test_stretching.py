@@ -240,6 +240,48 @@ class TestNextLamSameBits:
                 _f64(_frozen_updated(s, score, prev_loss, r).lam)
         assert s.lam == fields.get("lam", 0.0)  # next_lam reads no state
 
+    @given(kind=st.sampled_from(["score_adaptive", "error_adaptive"]),
+           beta_score=st.sampled_from([0.0, -0.0, 0.5, -2.0, 1e300]),
+           beta_loss=st.sampled_from([0.0, 1.0, 400.0, 800.0]),
+           beta_low=st.sampled_from([-0.0, 0.0, -0.5, -math.inf]),
+           beta_high=st.sampled_from([0.0, -0.0, 0.5, math.inf]),
+           lam=st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25]),
+           score=_SCORE | st.sampled_from([math.inf, -math.inf]),
+           prev_loss=st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+           r=st.sampled_from([0.0, 0.11, 1.0]))
+    # a step of exactly zero at a bound of the other zero's sign
+    @example(kind="score_adaptive", beta_score=-0.0, beta_loss=0.0,
+             beta_low=-0.0, beta_high=0.0, lam=0.0, score=0.0, prev_loss=0.0,
+             r=0.0)
+    # an infinite score against infinite bounds: lam becomes -inf
+    @example(kind="score_adaptive", beta_score=0.5, beta_loss=0.0,
+             beta_low=-math.inf, beta_high=math.inf, lam=0.0,
+             score=math.inf, prev_loss=0.0, r=0.0)
+    # exp overflows before any clip
+    @example(kind="error_adaptive", beta_score=0.5, beta_loss=800.0,
+             beta_low=-0.5, beta_high=0.5, lam=0.0, score=1.0, prev_loss=2.0,
+             r=0.0)
+    def test_one_step_edges(self, kind, beta_score, beta_loss, beta_low,
+                            beta_high, lam, score, prev_loss, r):
+        """One step from edge values: signed zeros at the bounds, infinite
+        scores, a 0 * inf step and an overflowing exp. The value's bits, or
+        the error's type and text, equal the frozen step's."""
+        fields = {"beta_score": beta_score, "beta_low": beta_low,
+                  "beta_high": beta_high,
+                  "lam": clip(lam, beta_low, beta_high)}
+        if kind == "error_adaptive":
+            fields["beta_loss"] = beta_loss
+        s = Stretch(kind, **fields)
+
+        def outcome(step):
+            try:
+                return _f64(step())
+            except (ValueError, OverflowError) as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: s.next_lam(s.lam, score, prev_loss, r)) == \
+            outcome(lambda: _frozen_updated(s, score, prev_loss, r).lam)
+
     def test_nan_step_fails_at_its_step(self):
         s = Stretch("error_adaptive", beta_score=0.1, beta_loss=1.0,
                     beta_low=-math.inf, beta_high=math.inf)
